@@ -404,7 +404,6 @@ SoakResult run_soak(std::uint64_t seed, const Profile& prof, int threads,
             plan.count(fault::ChurnKind::kRestart),
         tag + ": stops != restarts in plan");
 
-#if PRISM_FAULTS_ENABLED
   // Per-class conservation, to the packet, across the whole cluster.
   for (int cls = 0; cls < 4; ++cls) {
     const auto c = static_cast<std::size_t>(cls);
@@ -415,9 +414,6 @@ SoakResult run_soak(std::uint64_t seed, const Profile& prof, int threads,
   }
   check((res.dead_netns_drops > 0) == churned,
         tag + ": dead-netns drops disagree with the requested churn");
-#else
-  std::printf("fault ledger compiled out: conservation monitors skipped\n");
-#endif
   check((res.unlearned_misses > 0) == churned,
         tag + ": unlearned FDB misses disagree with the requested churn");
 
@@ -478,11 +474,9 @@ SoakResult run_soak(std::uint64_t seed, const Profile& prof, int threads,
   std::printf("telemetry compiled out: convergence monitors skipped\n");
 #endif
 
-#if PRISM_FLOWCACHE_ENABLED
   check(flow_cache_hits > 0, tag + ": flow cache never hit");
   check((flow_cache_stale > 0) == churned,
         tag + ": flow-cache stale hits disagree with the requested churn");
-#endif
 
   if (report) {
     // Probe latency (RTT/2, merged over pairs) and recovery times for

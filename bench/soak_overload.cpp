@@ -554,11 +554,6 @@ int main_impl(int argc, char** argv) {
   }
   print_header("soak_overload",
                "randomized overload soak with invariant monitors");
-#if !PRISM_OVERLOAD_ENABLED
-  std::printf("overload control compiled out (PRISM_OVERLOAD=OFF) — "
-              "nothing to soak\n");
-  return 0;
-#else
   const Profile prof = shortened ? Profile::shortened() : Profile::full();
   std::printf("profile: %s, seed %llu (%d rounds x %lld ms)\n\n",
               shortened ? "short" : "full",
@@ -599,7 +594,6 @@ int main_impl(int argc, char** argv) {
   }
   std::printf("soak_overload: %d monitor violation(s)\n", g_failures);
   return 1;
-#endif
 }
 
 }  // namespace

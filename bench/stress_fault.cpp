@@ -249,7 +249,6 @@ void sweep(std::uint64_t seed) {
                 " != exits " + std::to_string(r.ov_exits));
       check(r.ov_state == kernel::OverloadGovernor::State::kNormal,
             tag + ": governor did not recover to normal");
-#if PRISM_OVERLOAD_ENABLED
       // At 50% forced-fault rates half the burst dies at the injection
       // points and the surviving load no longer exceeds capacity, so
       // only the lower rates are required to provoke an episode.
@@ -257,7 +256,6 @@ void sweep(std::uint64_t seed) {
         check(r.ov_entries >= 1,
               tag + ": burst episode never entered overload");
       }
-#endif
 
       table.add_row({group.name, pct(rate), std::to_string(kPerClass * kClasses),
                      std::to_string(duplicates), std::to_string(delivered),
@@ -305,11 +303,6 @@ int main_impl(int argc, char** argv) {
   }
   print_header("stress_fault",
                "fault-rate sweep with per-class conservation checks");
-#if !PRISM_FAULTS_ENABLED
-  std::printf("fault injection compiled out (PRISM_FAULTS=OFF) — nothing "
-              "to stress\n");
-  return 0;
-#else
   sweep(seed);
   determinism(seed);
   if (g_failures == 0) {
@@ -319,7 +312,6 @@ int main_impl(int argc, char** argv) {
   }
   std::printf("stress_fault: %d invariant violation(s)\n", g_failures);
   return 1;
-#endif
 }
 
 }  // namespace

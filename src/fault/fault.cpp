@@ -82,11 +82,7 @@ void FaultPlan::configure(const FaultConfig& cfg) {
   cfg_ = cfg;
   rng_ = sim::Rng(cfg.seed);
   counters_ = FaultCounters{};
-#if PRISM_FAULTS_ENABLED
   active_ = cfg.any_active();
-#else
-  active_ = false;
-#endif
 }
 
 FaultPlan::WireActions FaultPlan::on_wire_frame(net::PacketBuf& frame) {
@@ -217,14 +213,8 @@ std::string faults_json(const FaultLayer& layer) {
   const FaultCounters& c = plan.counters();
   telemetry::JsonWriter w;
   w.begin_object();
-  w.member("compiled_in", PRISM_FAULTS_ENABLED != 0);
   w.member("active", plan.active());
-  // A compiled-out plan never draws from its RNG, so the configured seed
-  // is inert; rendering it would make behaviourally identical runs
-  // snapshot differently (the determinism suite diffs this document).
-  w.member("seed",
-           PRISM_FAULTS_ENABLED != 0 ? plan.config().seed
-                                     : std::uint64_t{0});
+  w.member("seed", plan.config().seed);
   w.key("injected").begin_object();
   w.member("wire_drops", c.wire_drops);
   w.member("wire_corrupts", c.wire_corrupts);

@@ -16,11 +16,8 @@
 //
 // can be asserted per class, to the packet (bench/stress_fault.cpp).
 //
-// Building with -DPRISM_FAULTS=OFF (cmake) defines PRISM_FAULTS_ENABLED=0:
-// the classes still compile (so configs and proc files keep working) but
-// every hot-path hook compiles down to nothing and FaultPlan::configure
-// refuses to arm, keeping the no-fault fast path identical to a build that
-// never heard of this header.
+// A FaultConfig with every rate at zero is the off switch: the plan never
+// arms, and every hook returns without drawing from the RNG.
 #pragma once
 
 #include <array>
@@ -34,9 +31,9 @@
 #include "sim/time.h"
 #include "telemetry/metrics.h"
 
-#ifndef PRISM_FAULTS_ENABLED
+// Always 1 (fault injection is always compiled in); perfbench's build
+// banner prints it.
 #define PRISM_FAULTS_ENABLED 1
-#endif
 
 namespace prism::fault {
 
@@ -244,7 +241,7 @@ class FaultPlan {
   FaultPlan() : rng_(1) {}
 
   /// Arms the plan: installs the config, reseeds the RNG, zeroes the
-  /// counters. Under PRISM_FAULTS_ENABLED=0 the plan never arms.
+  /// counters. The plan arms only when some rate is nonzero.
   void configure(const FaultConfig& cfg);
 
   bool active() const noexcept { return active_; }

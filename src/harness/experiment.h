@@ -116,7 +116,7 @@ struct PriorityScenarioResult {
   /// evidence), filled when arm_detectors.
   std::string server_anomalies_json;
   /// Server overlay flow-cache counters over the whole run (zero when the
-  /// cache is off or compiled out).
+  /// cache is off).
   std::uint64_t server_flowcache_hits = 0;
   std::uint64_t server_flowcache_misses = 0;
   std::uint64_t server_flowcache_invalidations = 0;
@@ -155,7 +155,7 @@ struct StreamlinedScenarioResult {
   /// Server-side per-stage latency attribution (warmup excluded).
   telemetry::LatencyBreakdown server_latency;
   /// Server overlay flow-cache counters over the whole run (zero when the
-  /// cache is off or compiled out).
+  /// cache is off).
   std::uint64_t server_flowcache_hits = 0;
   std::uint64_t server_flowcache_misses = 0;
   std::uint64_t server_flowcache_invalidations = 0;

@@ -124,9 +124,7 @@ Host::Host(sim::Simulator& sim, HostConfig config)
             t.at, static_cast<int>(t.from), static_cast<int>(t.to),
             t.cause);
       });
-#if PRISM_OVERLOAD_ENABLED
   deliverer_->set_governor(governor_.get());
-#endif
 
   // Overlay flow cache: always constructed (stable counter and accessor
   // surface), consulted by the datapath only when cfg_.flow_cache enables
@@ -164,12 +162,10 @@ Host::Host(sim::Simulator& sim, HostConfig config)
     pc->backlog->queue_limit = cfg_.netdev_max_backlog;
     pc->admission = std::make_unique<BacklogAdmission>(
         cfg_.overload, cfg_.netdev_max_backlog);
-#if PRISM_OVERLOAD_ENABLED
     pc->admission->set_governor(governor_.get());
     pc->backlog->set_admission(pc->admission.get());
     pc->engine->set_governor(governor_.get());
     pc->engine->set_ksoftirqd(cfg_.overload.enabled);
-#endif
     per_cpu_.push_back(std::move(pc));
   }
 
@@ -200,9 +196,7 @@ Host::Host(sim::Simulator& sim, HostConfig config)
     NicNapi* napi_ptr = napi.get();
     nic_->queue(q).set_irq_handler([this, cpu_idx, napi_ptr] {
       napi_ptr->note_irq(sim_.now());
-#if PRISM_OVERLOAD_ENABLED
       governor_->note_irq();
-#endif
       if (tracer_ != nullptr) {
         tracer_->instant(track_base_ + cpu_idx, irq_name_, sim_.now());
       }

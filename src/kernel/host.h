@@ -72,8 +72,7 @@ struct HostConfig {
   /// ksoftirqd deferral (kernel/overload.h).
   OverloadConfig overload;
   /// Overlay flow cache (ONCache-style stage-1 fast path,
-  /// overlay/flow_cache.h): opt-in per host. Compile-out with
-  /// -DPRISM_FLOWCACHE=OFF.
+  /// overlay/flow_cache.h): opt-in per host.
   bool flow_cache = false;
   /// Flows the cache retains (LRU eviction beyond this); 0 selects
   /// overlay::FlowCache::kDefaultCapacity.

@@ -20,9 +20,9 @@
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
 
-#ifndef PRISM_OVERLOAD_ENABLED
+// Always 1 (overload control is always compiled in; OverloadConfig::enabled
+// switches it); perfbench's build banner prints it.
 #define PRISM_OVERLOAD_ENABLED 1
-#endif
 
 namespace prism::kernel {
 
@@ -126,7 +126,6 @@ class NapiStruct {
   /// false and counts a drop when that queue is full, as netif_rx does.
   bool enqueue(SkbPtr skb, int level) {
     level = clamp_level(level);
-#if PRISM_OVERLOAD_ENABLED
     if (admission_ != nullptr) {
       const auto verdict =
           admission_->admit(*skb, level, pending_total(), queue_limit);
@@ -143,14 +142,11 @@ class NapiStruct {
         return false;
       }
     }
-#endif
     auto& q = queues[static_cast<std::size_t>(level)];
     bool full = q.size() >= queue_limit;
-#if PRISM_FAULTS_ENABLED
     if (!full && faults_ != nullptr && faults_->plan.force_backlog_full()) {
       full = true;
     }
-#endif
     if (full) {
       ++(level > 0 ? high_dropped_ : low_dropped_);
       t_dropped_->inc();
@@ -196,7 +192,7 @@ class NapiStruct {
 
   /// Attaches an admission policy consulted before every enqueue (the
   /// host wires BacklogAdmission to the per-CPU backlog napis). nullptr
-  /// (default) admits everything. Compiled out with -DPRISM_OVERLOAD=OFF.
+  /// (default) admits everything.
   void set_admission(AdmissionPolicy* admission) noexcept {
     admission_ = admission;
   }

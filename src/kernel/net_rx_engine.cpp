@@ -144,9 +144,7 @@ sim::Duration NetRxEngine::poll_chunk() {
   budget_ -= out.processed;
   ++polls_;
   t_polls_->inc();
-#if PRISM_OVERLOAD_ENABLED
   if (governor_ != nullptr) governor_->note_poll();
-#endif
   packets_ += static_cast<std::uint64_t>(out.processed);
   t_packets_->inc(static_cast<std::uint64_t>(out.processed));
 
@@ -228,7 +226,6 @@ void NetRxEngine::finish_softirq(bool squeezed) {
     global_list_ = std::move(local_list_);
     local_list_.clear();
   }
-#if PRISM_OVERLOAD_ENABLED
   if (governor_ != nullptr) {
     governor_->note_softirq_end(squeezed, global_list_.size());
   }
@@ -242,10 +239,6 @@ void NetRxEngine::finish_softirq(bool squeezed) {
       raise_softirq();
     }
   }
-#else
-  (void)squeezed;
-  if (!global_list_.empty()) raise_softirq();
-#endif
 }
 
 void NetRxEngine::trace_poll(NapiStruct* dev, int processed) {

@@ -29,8 +29,8 @@
 // softirq. It is handed to a modeled ksoftirqd context that runs at task
 // priority — new IRQ top-halves and freshly raised softirqs preempt it at
 // chunk boundaries — which is how the kernel keeps a saturated receive
-// path from starving userspace. Compiled out with -DPRISM_OVERLOAD=OFF
-// (the engine then re-raises immediately, the pre-overload behaviour).
+// path from starving userspace. OverloadConfig::enabled = false turns the
+// deferral off (the engine then re-raises immediately).
 #pragma once
 
 #include <cstdint>
@@ -85,8 +85,7 @@ class NetRxEngine {
   }
 
   /// Runtime switch for the ksoftirqd deferral; off restores the
-  /// immediate re-raise. (The whole mechanism compiles out with
-  /// -DPRISM_OVERLOAD=OFF regardless of this flag.)
+  /// immediate re-raise.
   void set_ksoftirqd(bool on) noexcept { ksoftirqd_enabled_ = on; }
 
   /// Attaches a poll-order trace collector (may be nullptr to detach).

@@ -91,7 +91,6 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
     if (parsed.is_vxlan()) {
       vxlan = net::VxlanHeader::parse(parsed.l4_payload);
       if (vxlan) {
-#if PRISM_FAULTS_ENABLED
         if (ctx_.faults != nullptr && ctx_.faults->plan.active()) {
           // Decap-time corruption hits the inner frame only, after the
           // outer headers were validated — the ONCache-style failure
@@ -99,7 +98,6 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
           const bool corrupted = ctx_.faults->plan.maybe_corrupt_decap(
               entry->frame.mutable_bytes().subspan(
                   parsed.l4_payload_offset + net::VxlanHeader::kSize));
-#if PRISM_FLOWCACHE_ENABLED
           if (corrupted && ctx_.flow_cache != nullptr) {
             // A corrupted decap means cached transforms may no longer
             // match what the slow path would produce for these bytes:
@@ -107,11 +105,7 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
             // the full pipeline and re-resolves.
             ctx_.flow_cache->invalidate();
           }
-#else
-          (void)corrupted;
-#endif
         }
-#endif
         inner.emplace();
         if (!net::parse_frame_into(
                 parsed.l4_payload.subspan(net::VxlanHeader::kSize),
@@ -125,7 +119,6 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
     // only — TCP stays on the slow path so GRO keeps merging its trains
     // (losing the merge would cost more than the stages save) and
     // segment ordering through the stage queues is preserved.
-#if PRISM_FLOWCACHE_ENABLED
     const overlay::FlowCacheEntry* cached = nullptr;
     const bool fc_active = ctx_.flow_cache != nullptr &&
                            ctx_.flow_cache->enabled() && vxlan && inner;
@@ -133,26 +126,21 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
       out.cost += ctx_.cost->flowcache_lookup;
       cached = ctx_.flow_cache->lookup(net::flow_of(*inner), vxlan->vni);
     }
-#endif
 
     // PRISM: classify once, at skb-allocation time. A flow-cache hit
     // reuses the level classify() produced when the entry was filled —
     // the generation check guarantees the database is unchanged since, so
     // the cached level is exactly what classify() would return now.
     int level = 0;
-#if PRISM_FLOWCACHE_ENABLED
     if (cached != nullptr) {
       level = cached->priority;
-    } else
-#endif
-    if (prism_mode && ctx_.priority_db != nullptr) {
+    } else if (prism_mode && ctx_.priority_db != nullptr) {
       level =
           ctx_.priority_db->classify(parsed, inner ? &*inner : nullptr);
       out.cost += ctx_.cost->priority_check;
     }
     const bool high = level > 0;
 
-#if PRISM_FAULTS_ENABLED
     if (ctx_.faults != nullptr && ctx_.faults->plan.skb_alloc_fails()) {
       // Injected SkbPool starvation: the frame is dropped exactly where
       // the real driver drops on alloc failure — after classification,
@@ -162,7 +150,6 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
       out.cost += scaled(ctx_.cost->nic_stage_per_packet);
       continue;
     }
-#endif
     auto skb = alloc_skb();
     if (!skb) {
       // Genuine pool exhaustion degrades the same way as injected
@@ -176,14 +163,12 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
     skb->priority = level;
     skb->ts.nic_rx = entry->arrived;
     skb->ts.stage1_start = dequeued;
-#if PRISM_FLOWCACHE_ENABLED
     if (fc_active) {
       // Generation at classification time: a stage-2 cache fill records
       // this value, so a mutation landing between now and the fill
       // leaves the entry already stale (see skb.h).
       skb->flowcache_gen = ctx_.flow_cache->generation();
     }
-#endif
 
 #if PRISM_TELEMETRY_ENABLED
     net::FiveTuple traced_flow;
@@ -216,7 +201,6 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
     bool gro_ok = false;
 
     if (parsed.is_vxlan()) {
-#if PRISM_FLOWCACHE_ENABLED
       if (cached != nullptr) {
         // Fast path (ONCache): the cached transform replaces the VNI
         // lookup, the bridge FDB walk, the veth transition and the
@@ -244,7 +228,6 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
                                             *cached->dst);
         continue;
       }
-#endif
       QueueNapi* bridge =
           (vxlan && ctx_.vxlan_lookup) ? ctx_.vxlan_lookup(vxlan->vni)
                                        : nullptr;

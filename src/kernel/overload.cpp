@@ -80,7 +80,6 @@ std::string overload_json(
   const OverloadConfig& cfg = gov.config();
   telemetry::JsonWriter w;
   w.begin_object();
-  w.member("compiled_in", PRISM_OVERLOAD_ENABLED != 0);
   w.member("enabled", cfg.enabled);
   w.member("state", to_string(gov.state()));
   w.key("watermarks").begin_object();

@@ -31,11 +31,9 @@
 //    arrivals) continues. Transitions are logged (bounded, deterministic)
 //    and exported through the "prism/overload" proc file.
 //
-// Building with -DPRISM_OVERLOAD=OFF defines PRISM_OVERLOAD_ENABLED=0:
-// the classes still compile (configs and proc files keep working) but
-// every hot-path hook — admission in enqueue, governor notes in the
-// softirq loop and socket deliverer, the ksoftirqd deferral — compiles
-// down to nothing.
+// OverloadConfig::enabled = false is the off switch: admission admits
+// everything, the governor stays in kNormal and the softirq loop
+// re-raises instead of deferring to ksoftirqd.
 #pragma once
 
 #include <cstdint>

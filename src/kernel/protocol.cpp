@@ -133,7 +133,6 @@ sim::Duration SocketDeliverer::deliver_frame(
       account(false, static_cast<int>(fault::DropReason::kNoSocket));
       return 0;
     }
-#if PRISM_FAULTS_ENABLED
     if (faults_ != nullptr && faults_->plan.buf_alloc_fails()) {
       // Injected BufferPool starvation at the socket-buffer copy: the
       // kernel's sk_rmem allocation failure, dropped before any datagram
@@ -142,7 +141,6 @@ sim::Duration SocketDeliverer::deliver_frame(
       account(false, static_cast<int>(fault::DropReason::kAllocFail));
       return 0;
     }
-#endif
     Datagram d;
     d.src_ip = parsed->ip.src;
     d.src_port = parsed->udp->src_port;
@@ -156,9 +154,7 @@ sim::Duration SocketDeliverer::deliver_frame(
     sock->enqueue(std::move(d), at);
     ++delivered_;
     t_delivered_->inc();
-#if PRISM_OVERLOAD_ENABLED
     if (governor_ != nullptr) governor_->note_delivery();
-#endif
     account(true, -1);
     return 0;
   }
@@ -188,9 +184,7 @@ sim::Duration SocketDeliverer::deliver_frame(
     }
     ++delivered_;
     t_delivered_->inc();
-#if PRISM_OVERLOAD_ENABLED
     if (governor_ != nullptr) governor_->note_delivery();
-#endif
     account(true, -1);
     return ep->handle_segment(*parsed->tcp, parsed->l4_payload, at,
                               final_frame);

@@ -35,11 +35,9 @@ void RxQueue::bind_telemetry(telemetry::Registry& reg,
 
 void RxQueue::push(net::PacketBuf frame) {
   bool full = ring_.size() >= capacity_;
-#if PRISM_FAULTS_ENABLED
   if (!full && faults_ != nullptr && faults_->plan.force_ring_full()) {
     full = true;
   }
-#endif
   if (full) {
     ++dropped_;
     t_ring_drops_->inc();
@@ -101,7 +99,6 @@ void RxQueue::fire_irq() {
   ++irqs_;
   t_irqs_->inc();
   if (!irq_handler_) return;
-#if PRISM_FAULTS_ENABLED
   if (faults_ != nullptr && faults_->plan.active()) {
     const sim::Duration delay = faults_->plan.irq_fire_delay();
     const int extra = faults_->plan.irq_storm_extra_fires();
@@ -117,7 +114,6 @@ void RxQueue::fire_irq() {
       return;
     }
   }
-#endif
   irq_handler_();
 }
 
@@ -159,7 +155,6 @@ void Nic::set_faults(fault::FaultLayer* faults) noexcept {
 }
 
 void Nic::receive(net::PacketBuf frame) {
-#if PRISM_FAULTS_ENABLED
   if (faults_ != nullptr && faults_->plan.active()) {
     const auto act = faults_->plan.on_wire_frame(frame);
     if (act.drop) {
@@ -182,7 +177,6 @@ void Nic::receive(net::PacketBuf frame) {
       return;
     }
   }
-#endif
   deliver_to_ring(std::move(frame));
 }
 

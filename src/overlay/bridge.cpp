@@ -38,7 +38,6 @@ sim::Duration BridgeStage::process_one(kernel::SkbPtr skb, sim::Time at,
   skb->dst_netns = dst;
   skb->stage = 3;
 
-#if PRISM_FLOWCACHE_ENABLED
   if (flow_cache_ != nullptr && skb->parsed && skb->parsed->udp) {
     // Record the resolved transform for this flow's next packets. The
     // generation stored is the one captured at this skb's stage-1
@@ -46,7 +45,6 @@ sim::Duration BridgeStage::process_one(kernel::SkbPtr skb, sim::Time at,
     flow_cache_->insert(net::flow_of(*skb->parsed), vni_, dst,
                         skb->priority, skb->flowcache_gen);
   }
-#endif
 
   // Receive Packet Steering: hash the inner flow across the configured
   // CPUs at the netif_rx boundary. PRISM-sync high-priority packets are

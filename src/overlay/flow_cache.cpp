@@ -4,7 +4,6 @@ namespace prism::overlay {
 
 const FlowCacheEntry* FlowCache::lookup(const net::FiveTuple& flow,
                                         std::uint32_t vni) {
-#if PRISM_FLOWCACHE_ENABLED
   if (!enabled_) return nullptr;
   const FlowCacheKey key{flow, vni};
   const auto it = map_.find(key);
@@ -30,17 +29,11 @@ const FlowCacheEntry* FlowCache::lookup(const net::FiveTuple& flow,
   ++hits_;
   t_hits_->inc();
   return &it->second->second;
-#else
-  (void)flow;
-  (void)vni;
-  return nullptr;
-#endif
 }
 
 void FlowCache::insert(const net::FiveTuple& flow, std::uint32_t vni,
                        Netns* dst, int priority,
                        std::uint64_t generation) {
-#if PRISM_FLOWCACHE_ENABLED
   if (!enabled_ || dst == nullptr) return;
   const FlowCacheKey key{flow, vni};
   const auto it = map_.find(key);
@@ -63,13 +56,6 @@ void FlowCache::insert(const net::FiveTuple& flow, std::uint32_t vni,
   map_.emplace(key, lru_.begin());
   ++insertions_;
   t_insertions_->inc();
-#else
-  (void)flow;
-  (void)vni;
-  (void)dst;
-  (void)priority;
-  (void)generation;
-#endif
 }
 
 void FlowCache::reset() {

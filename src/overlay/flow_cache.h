@@ -37,8 +37,8 @@
 // at any thread count. Eviction is LRU over a bounded table — fully
 // deterministic, no clocks or randomness.
 //
-// Compiled out under -DPRISM_FLOWCACHE=OFF: lookups return nothing,
-// inserts are no-ops, and the datapath always walks the slow path.
+// HostConfig::flow_cache (default off) is the switch: a disabled cache
+// never hits, so the datapath always walks the slow path.
 #pragma once
 
 #include <cstdint>
@@ -50,9 +50,9 @@
 #include "net/flow.h"
 #include "telemetry/metrics.h"
 
-#ifndef PRISM_FLOWCACHE_ENABLED
+// Always 1 (the flow cache is always compiled in); perfbench's build
+// banner prints it.
 #define PRISM_FLOWCACHE_ENABLED 1
-#endif
 
 namespace prism::overlay {
 
@@ -99,13 +99,7 @@ class FlowCache {
   /// Runtime switch (default off — the cache is opt-in per host). Off,
   /// lookup() always misses without counting and insert() is a no-op.
   void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
-  bool enabled() const noexcept {
-#if PRISM_FLOWCACHE_ENABLED
-    return enabled_;
-#else
-    return false;
-#endif
-  }
+  bool enabled() const noexcept { return enabled_; }
 
   /// Current generation; captured at classification time and stored into
   /// the filling skb so the entry validates against the world the
@@ -129,7 +123,7 @@ class FlowCache {
   /// Records the transform the slow path just resolved. `generation` is
   /// the value generation() returned when this packet was classified; a
   /// fill that raced an invalidation stores an already-stale entry, which
-  /// the next lookup discards. No-op when disabled or compiled out.
+  /// the next lookup discards. No-op when disabled.
   void insert(const net::FiveTuple& flow, std::uint32_t vni, Netns* dst,
               int priority, std::uint64_t generation);
 

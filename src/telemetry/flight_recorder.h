@@ -12,8 +12,8 @@
 // Like the LaneProfiler, recording NEVER alters the simulation: no
 // simulated cost is charged and no scheduling decision depends on the
 // recorder, so armed and disarmed runs are schedule-identical. The only
-// cost is wall-clock, measured by perf_smoke's flight_recorder_overhead
-// A/B point (budget: <= 3% at the default 1-in-64 sampling rate).
+// cost is wall-clock, inside perfbench's telemetry.cost_frac A/B (budget:
+// <= 3% at the default 1-in-64 sampling rate).
 //
 // Sampler determinism: the flow hash is std::hash<net::FiveTuple> — a
 // fixed splitmix-style mix, independent of platform, thread count and

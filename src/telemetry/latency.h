@@ -15,7 +15,7 @@
 // load sweeps report p50/p99-vs-time instead of a single end-of-run
 // number. Like the metrics registry, recording compiles out under
 // -DPRISM_TELEMETRY=OFF; at runtime set_enabled(false) detaches the
-// ledger for A/B overhead measurements (bench/perf_smoke).
+// ledger for A/B overhead measurements (perfbench's telemetry.cost_frac).
 #pragma once
 
 #include <array>
@@ -119,7 +119,7 @@ class LatencyLedger {
   LatencyLedger& operator=(const LatencyLedger&) = delete;
 
   /// Runtime switch (default on). Off, every record_* is a no-op — the
-  /// baseline arm of perf_smoke's overhead A/B.
+  /// baseline arm of perfbench's telemetry.cost_frac A/B.
   void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
   bool enabled() const noexcept { return enabled_; }
 

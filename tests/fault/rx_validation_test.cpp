@@ -144,12 +144,9 @@ TEST(RxValidationTest, CorruptedInnerVxlanFrameRejectedPerClass) {
   // (hence classification) were untouched.
   harness::TestbedConfig cfg;
   cfg.mode = kernel::NapiMode::kPrismBatch;
-#if PRISM_FAULTS_ENABLED
   cfg.server_faults.seed = 5;
   cfg.server_faults.decap_corrupt_rate = 1.0;
-#endif
   Testbed tb(cfg);
-  if (!PRISM_FAULTS_ENABLED) GTEST_SKIP() << "faults compiled out";
   auto& c1 = tb.add_client_container("c1");
   auto& c2 = tb.add_server_container("c2");
   auto& sock = tb.server().udp_bind(c2, 7000);

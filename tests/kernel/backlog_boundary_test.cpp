@@ -46,7 +46,6 @@ TEST(BacklogBoundaryTest, EnqueueAtExactlyMaxBacklog) {
   EXPECT_EQ(faults.drops.total(fault::DropReason::kBacklogFull), 1u);
 }
 
-#if PRISM_OVERLOAD_ENABLED
 TEST(BacklogBoundaryTest, AtLimitHeadroomAdmitsHighDropsLow) {
   fault::FaultLayer faults;
   OverloadConfig cfg;
@@ -72,7 +71,6 @@ TEST(BacklogBoundaryTest, AtLimitHeadroomAdmitsHighDropsLow) {
   EXPECT_EQ(backlog.pending_total(), 8u);
   EXPECT_EQ(admission.shed_count(), 1u);
 }
-#endif  // PRISM_OVERLOAD_ENABLED
 
 TEST(BacklogBoundaryTest, DrainToEmptyRearmsBacklogNapi) {
   // A backlog napi that was drained to empty (napi_complete) must be

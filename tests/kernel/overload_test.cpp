@@ -66,7 +66,6 @@ TEST(FlowLimiterTest, HistoryEvictionForgetsColdFlows) {
 
 // ---------------------------------------------- admission at the backlog
 
-#if PRISM_OVERLOAD_ENABLED
 TEST(BacklogAdmissionTest, FlowLimitDropsAttributedToLedger) {
   fault::FaultLayer faults;
   OverloadConfig cfg;
@@ -144,7 +143,6 @@ TEST(BacklogAdmissionTest, HeadroomReservedForHighPriority) {
   EXPECT_EQ(high_admitted, 10);
   EXPECT_EQ(backlog.pending_total(), 100u);
 }
-#endif  // PRISM_OVERLOAD_ENABLED
 
 // ------------------------------------------------------------- governor
 
@@ -289,7 +287,6 @@ TEST(OverloadGovernorTest, DisabledGovernorNeverTransitions) {
 
 // ------------------------------------------- host wiring and moderation
 
-#if PRISM_OVERLOAD_ENABLED
 TEST(OverloadHostTest, ModerationStretchAppliedAndRestored) {
   harness::TestbedConfig cfg;
   cfg.coalesce = nic::CoalesceConfig{sim::microseconds(50), 64};
@@ -313,18 +310,16 @@ TEST(OverloadHostTest, ProcFileRendersStateAndTransitions) {
   auto& server = tb.server();
   std::string json = server.proc().read("prism/overload");
   EXPECT_NE(json.find("\"state\":\"normal\""), std::string::npos);
-  EXPECT_NE(json.find("\"compiled_in\":true"), std::string::npos);
+  EXPECT_NE(json.find("\"enabled\":true"), std::string::npos);
 
   server.governor().note_enqueue(1000);
   json = server.proc().read("prism/overload");
   EXPECT_NE(json.find("\"state\":\"overloaded\""), std::string::npos);
   EXPECT_NE(json.find("\"cause\":\"depth\""), std::string::npos);
 }
-#endif  // PRISM_OVERLOAD_ENABLED
 
 // --------------------------------------------------- ksoftirqd deferral
 
-#if PRISM_OVERLOAD_ENABLED
 TEST(KsoftirqdTest, SqueezedRemainderRunsInKsoftirqd) {
   Pipeline p(NapiMode::kVanilla);
   p.cost.napi_budget = 128;
@@ -385,7 +380,6 @@ TEST(KsoftirqdTest, IrqRaisedSoftirqTakesOverFromKsoftirqd) {
   EXPECT_GT(p.engine.ksoftirqd_runs(), 0u);
   EXPECT_TRUE(p.engine.idle());
 }
-#endif  // PRISM_OVERLOAD_ENABLED
 
 // ------------------------------------------------ netdev_budget_usecs
 

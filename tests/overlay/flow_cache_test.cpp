@@ -46,8 +46,6 @@ TEST(FlowCacheTest, DisabledCacheNeverHitsOrFills) {
   EXPECT_EQ(cache.misses(), 0u);
 }
 
-#if PRISM_FLOWCACHE_ENABLED
-
 TEST(FlowCacheTest, InsertThenLookupReplaysTransform) {
   FlowCache cache;
   cache.set_enabled(true);
@@ -143,8 +141,6 @@ TEST(FlowCacheTest, ResetClearsEntriesAndCountersKeepsGeneration) {
   EXPECT_TRUE(cache.enabled());
 }
 
-#endif  // PRISM_FLOWCACHE_ENABLED
-
 // The satellite FDB fixes: add/remove report whether they changed the
 // table, remaps are counted as overwrites, and every mutation bumps the
 // generation (feeding the flow cache's invalidation hook).
@@ -183,8 +179,6 @@ void send_n(harness::Testbed& tb, Netns& from, Netns& to, int n,
   }
   tb.sim().run();
 }
-
-#if PRISM_FLOWCACHE_ENABLED
 
 TEST(FlowCacheE2ETest, SteadyFlowHitsAndClassificationMatchesPriorityDb) {
   harness::TestbedConfig tc;
@@ -254,7 +248,6 @@ TEST(FlowCacheE2ETest, FdbRemapNeverDeliversThroughStaleTransform) {
       no_socket_before + static_cast<std::uint64_t>(kBatch));
 }
 
-#if PRISM_FAULTS_ENABLED
 TEST(FlowCacheE2ETest, DecapCorruptionInvalidatesAndConservationHolds) {
   harness::TestbedConfig tc;
   tc.mode = kernel::NapiMode::kPrismSync;
@@ -288,7 +281,6 @@ TEST(FlowCacheE2ETest, DecapCorruptionInvalidatesAndConservationHolds) {
             static_cast<std::uint64_t>(kPackets));
   EXPECT_EQ(tb.server().faults().drops.total_drops(), checksum_drops);
 }
-#endif  // PRISM_FAULTS_ENABLED
 
 TEST(FlowCacheE2ETest, HostMutationsBumpGeneration) {
   harness::TestbedConfig tc;
@@ -325,8 +317,6 @@ TEST(FlowCacheE2ETest, CacheOffByDefaultAndDatapathIgnoresIt) {
   EXPECT_EQ(tb.server().flow_cache().hits(), 0u);
   EXPECT_EQ(tb.server().flow_cache().misses(), 0u);
 }
-
-#endif  // PRISM_FLOWCACHE_ENABLED
 
 }  // namespace
 }  // namespace prism::overlay

@@ -69,6 +69,39 @@ class TelemetryE2eTest : public ::testing::Test {
     tb_->sim().run_until(sim::milliseconds(8));
   }
 
+  /// A single hot 400 kpps flow hammering a 64-deep backlog whose stage is
+  /// the bottleneck (~200 kpps), so the backlog pins at its limit and,
+  /// with overload control on, the flow limiter convicts the flow.
+  void flood_hot_flow(bool overload_enabled) {
+    bg_client_.reset();  // the apps reference the testbed being replaced
+    bg_server_.reset();
+    harness::TestbedConfig tc;
+    tc.mode = kernel::NapiMode::kPrismBatch;
+    tc.server_netdev_max_backlog = 64;
+    tc.server_overload.enabled = overload_enabled;
+    tc.cost.backlog_stage_per_packet = sim::microseconds(4);
+    tb_ = std::make_unique<harness::Testbed>(tc);
+    auto& cli = tb_->add_client_container("cli");
+    auto& srv = tb_->add_server_container("srv-bg");
+    bg_server_ = std::make_unique<apps::SockperfServer>(
+        tb_->sim(), apps::SockperfServer::Config{&tb_->server(), &srv,
+                                                 &tb_->server().cpu(2),
+                                                 22222});
+    apps::SockperfClient::Config bg;
+    bg.host = &tb_->client();
+    bg.ns = &cli;
+    bg.cpus = {&tb_->client().cpu(2)};
+    bg.dst_ip = srv.ip();
+    bg.dst_port = 22222;
+    bg.rate_pps = 400'000;
+    bg.burst = 64;
+    bg.reply_every = 0;
+    bg.stop_at = sim::milliseconds(4);
+    bg_client_ = std::make_unique<apps::SockperfClient>(tb_->sim(), bg);
+    bg_client_->start();
+    tb_->sim().run_until(sim::milliseconds(8));
+  }
+
   std::unique_ptr<harness::Testbed> tb_;
   std::unique_ptr<apps::SockperfServer> hi_server_;
   std::unique_ptr<apps::SockperfServer> bg_server_;
@@ -163,39 +196,10 @@ TEST_F(TelemetryE2eTest, DeliveredPlusDroppedReconciles) {
 }
 
 TEST_F(TelemetryE2eTest, FlowLimitColumnReconcilesWithLedger) {
-#if !PRISM_OVERLOAD_ENABLED
-  GTEST_SKIP() << "overload control compiled out: flow_limit reads 0";
-#else
-  // A single hot flow hammering a shrunken backlog: the flow limiter
-  // convicts it, and the softnet_stat flow_limit_count column, the
-  // per-CPU admission counters, and the DropLedger must all agree.
-  harness::TestbedConfig tc;
-  tc.mode = kernel::NapiMode::kPrismBatch;
-  tc.server_netdev_max_backlog = 64;
-  // Make the backlog stage the bottleneck (~200 kpps) so the 400 kpps
-  // flood pins the shrunken backlog and the limiter activates.
-  tc.cost.backlog_stage_per_packet = sim::microseconds(4);
-  tb_ = std::make_unique<harness::Testbed>(tc);
-  auto& cli = tb_->add_client_container("cli");
-  auto& srv = tb_->add_server_container("srv-bg");
-  bg_server_ = std::make_unique<apps::SockperfServer>(
-      tb_->sim(), apps::SockperfServer::Config{&tb_->server(), &srv,
-                                               &tb_->server().cpu(2),
-                                               22222});
-  apps::SockperfClient::Config bg;
-  bg.host = &tb_->client();
-  bg.ns = &cli;
-  bg.cpus = {&tb_->client().cpu(2)};
-  bg.dst_ip = srv.ip();
-  bg.dst_port = 22222;
-  bg.rate_pps = 400'000;
-  bg.burst = 64;
-  bg.reply_every = 0;
-  bg.stop_at = sim::milliseconds(4);
-  bg_client_ = std::make_unique<apps::SockperfClient>(tb_->sim(), bg);
-  bg_client_->start();
-  tb_->sim().run_until(sim::milliseconds(8));
-
+  // The flow limiter convicts the hot flow, and the softnet_stat
+  // flow_limit_count column, the per-CPU admission counters, and the
+  // DropLedger must all agree.
+  flood_hot_flow(/*overload_enabled=*/true);
   auto& server = tb_->server();
   std::uint64_t column_total = 0;
   for (const auto& r : server.softnet_rows()) column_total += r.flow_limit;
@@ -222,7 +226,38 @@ TEST_F(TelemetryE2eTest, FlowLimitColumnReconcilesWithLedger) {
     }
   }
   EXPECT_EQ(rendered_total, column_total);
-#endif
+}
+
+TEST_F(TelemetryE2eTest, OverloadSwitchedOffAtRunTimeStaysDormant) {
+  // OverloadConfig::enabled is overload control's only off switch. What
+  // the off arm must hold at zero is first shown nonzero with it on.
+  const auto deferrals = [this] {
+    std::uint64_t n = 0;
+    for (int i = 0; i < tb_->server().num_cpus(); ++i) {
+      n += tb_->server().engine(i).ksoftirqd_deferrals();
+    }
+    return n;
+  };
+  flood_hot_flow(/*overload_enabled=*/true);
+  const std::uint64_t on_received = bg_server_->received();
+  EXPECT_GT(tb_->server().faults().drops.total(fault::DropReason::kFlowLimit),
+            0u);
+  EXPECT_GT(deferrals(), 0u);
+  EXPECT_GT(tb_->server().governor().entries(), 0u);
+
+  // Off: nothing is shed at the backlog (the excess waits in the NIC ring,
+  // so more of the flow is delivered by the end of the run), the softirq
+  // never defers, and the governor never moves or stretches moderation.
+  flood_hot_flow(/*overload_enabled=*/false);
+  auto& server = tb_->server();
+  EXPECT_EQ(server.faults().drops.total(fault::DropReason::kFlowLimit), 0u);
+  EXPECT_EQ(server.faults().drops.total(fault::DropReason::kOverloadShed),
+            0u);
+  EXPECT_GT(bg_server_->received(), on_received);
+  EXPECT_EQ(deferrals(), 0u);
+  EXPECT_TRUE(server.governor().transitions().empty());
+  EXPECT_EQ(server.nic().queue(0).coalesce().usecs,
+            harness::TestbedConfig{}.coalesce.usecs);
 }
 
 TEST_F(TelemetryE2eTest, ProcFilesExposeTelemetry) {
