@@ -9,7 +9,7 @@
 
 #include "apps/sockperf.h"
 #include "harness/testbed.h"
-#include "trace/packet_trace.h"
+#include "telemetry/latency.h"
 #include "trace/poll_trace.h"
 
 namespace {
@@ -39,20 +39,22 @@ void run_mode(prism::kernel::NapiMode mode) {
   apps::SockperfClient client(tb.sim(), cc);
   client.start();
 
+  // Trace the [4 ms, 6 ms) window: poll order from the engine, per-stage
+  // latency from the server's ledger, reset at the window's start.
   trace::PollTrace polls;
-  trace::PacketTrace packets;
   tb.sim().schedule_at(sim::milliseconds(4), [&] {
     tb.server().set_poll_trace(tb.server().default_rx_cpu(), &polls);
-    tb.server().deliverer().set_packet_trace(&packets);
+    tb.server().latency_ledger().reset();
   });
   tb.sim().run_until(sim::milliseconds(6));
   tb.server().set_poll_trace(tb.server().default_rx_cpu(), nullptr);
-  tb.server().deliverer().set_packet_trace(nullptr);
+  const telemetry::LatencyBreakdown window =
+      tb.server().latency_ledger().snapshot();
   tb.sim().run();
 
   std::printf("--- %s ---\n", kernel::to_string(mode));
   std::printf("%s\n", polls.render(9).c_str());
-  std::printf("%s\n", packets.render_breakdown().c_str());
+  std::printf("%s\n", telemetry::render_latency_breakdown(window).c_str());
 }
 
 }  // namespace

@@ -173,10 +173,8 @@ int FaultPlan::irq_storm_extra_fires() {
 }
 
 void FaultPlan::count_duplicate(int level) noexcept {
-  int cls = level;
-  if (cls < 0) cls = 0;
-  if (cls >= kNumFaultClasses) cls = kNumFaultClasses - 1;
-  ++counters_.duplicates_per_class[static_cast<std::size_t>(cls)];
+  ++counters_.duplicates_per_class[static_cast<std::size_t>(
+      clamp_class(level))];
 }
 
 bool FaultPlan::corrupt_bytes(std::span<std::uint8_t> frame,

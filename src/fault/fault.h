@@ -22,7 +22,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 
@@ -69,40 +68,24 @@ constexpr int kNumDropReasons = static_cast<int>(DropReason::kCount);
 /// telemetry counter names and the prism/faults proc file.
 const char* drop_reason_name(DropReason r) noexcept;
 
-/// Per-(reason, priority-class) drop accounting. One instance per host;
-/// every drop path reports here in addition to its local counters.
+/// Clamps a priority level into the ledger's class axis.
+constexpr int clamp_class(int level) noexcept {
+  if (level < 0) return 0;
+  if (level >= kNumFaultClasses) return kNumFaultClasses - 1;
+  return level;
+}
+
+/// Per-(reason, priority-class) drop counts. One instance per host; every
+/// drop path reports here through the host's packet probe
+/// (kernel/probe.h), which also classifies frames known only by their
+/// bytes and fans each drop out to the telemetry consumers.
 class DropLedger {
  public:
-  /// Classifies a raw frame into a priority class (used by drop paths that
-  /// only hold bytes, e.g. the NIC ring). Unset => class 0.
-  using Classifier = std::function<int(std::span<const std::uint8_t>)>;
-
-  /// Observer invoked on every recorded drop (reason, class). The host
-  /// wires this to LatencyLedger::record_dropped so mid-flight drops are
-  /// counted as unattributed instead of leaking their stamps.
-  using Observer = std::function<void(DropReason, int)>;
-
-  void set_classifier(Classifier c) { classifier_ = std::move(c); }
-  void set_observer(Observer o) { observer_ = std::move(o); }
-
-  /// Maps frame bytes to a priority class via the classifier; 0 when no
-  /// classifier is set or the frame is unclassifiable.
-  int classify(std::span<const std::uint8_t> frame) const {
-    if (!classifier_) return 0;
-    return clamp_class(classifier_(frame));
-  }
-
   /// Records one drop. `level` outside [0, kNumFaultClasses) clamps.
   void record(DropReason reason, int level) {
-    const int cls = clamp_class(level);
-    ++counts_[static_cast<std::size_t>(reason)][static_cast<std::size_t>(cls)];
+    ++counts_[static_cast<std::size_t>(reason)]
+             [static_cast<std::size_t>(clamp_class(level))];
     t_reasons_[static_cast<std::size_t>(reason)]->inc();
-    if (observer_) observer_(reason, cls);
-  }
-
-  /// Records one drop of a frame known only by its bytes.
-  void record_frame(DropReason reason, std::span<const std::uint8_t> frame) {
-    record(reason, classify(frame));
   }
 
   std::uint64_t count(DropReason reason, int level) const noexcept {
@@ -126,16 +109,8 @@ class DropLedger {
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix);
 
  private:
-  static int clamp_class(int level) noexcept {
-    if (level < 0) return 0;
-    if (level >= kNumFaultClasses) return kNumFaultClasses - 1;
-    return level;
-  }
-
   std::array<std::array<std::uint64_t, kNumFaultClasses>, kNumDropReasons>
       counts_{};
-  Classifier classifier_;
-  Observer observer_;
   std::array<telemetry::Counter*, kNumDropReasons> t_reasons_ =
       sink_counters();
 

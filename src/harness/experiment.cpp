@@ -199,8 +199,7 @@ PriorityScenarioResult run_priority_scenario(
                  cfg.anomaly_trace_out.c_str());
   }
   if (cfg.collect_telemetry) {
-    result.server_telemetry_json =
-        telemetry::telemetry_json(tb.server().telemetry());
+    result.server_telemetry_json = tb.server().proc().read("prism/telemetry");
     result.server_softnet_stat = tb.server().softnet_stat();
   }
   if (!cfg.trace_out.empty() &&

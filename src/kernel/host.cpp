@@ -59,33 +59,31 @@ Host::Host(sim::Simulator& sim, HostConfig config)
 
   nic_->bind_telemetry(telemetry_.registry, "nic.");
   deliverer_->bind_telemetry(telemetry_.registry, "sockets.");
-  deliverer_->set_latency(&telemetry_.latency, &telemetry_.flows);
 
-  // Flight recorder <-> anomaly bank: the recorder feeds stage waits to
-  // the detectors, and a firing detector freezes the recorder's newest
-  // events as evidence. Both are armed by default (inversion detection
-  // only) and never alter the schedule.
-  telemetry_.recorder.set_anomalies(&telemetry_.anomalies);
+  // Packet-journey probe: every datapath site reports each journey point
+  // here once, and the probe fans it out to the drop ledger, latency
+  // ledger, flow table, flight recorder and anomaly bank. Drops known only
+  // by their bytes (the NIC ring) classify through the priority DB
+  // exactly as the stage-1 poll would have, so per-class conservation can
+  // be asserted across the drop.
+  probe_.drops = &faults_.drops;
+  probe_.latency = &telemetry_.latency;
+  probe_.flows = &telemetry_.flows;
+  probe_.recorder = &telemetry_.recorder;
+  probe_.anomalies = &telemetry_.anomalies;
+  probe_.priority_db = &priority_db_;
+  probe_.prism_mode = cfg_.mode != NapiMode::kVanilla;
+  probe_.clock = &sim_;
+  nic_->set_probe(&probe_);
+  deliverer_->set_probe(&probe_);
+  // A firing detector freezes the recorder's newest events as evidence.
+  // Both are armed by default (inversion detection only) and never alter
+  // the schedule.
   telemetry_.anomalies.set_recorder(&telemetry_.recorder);
-  deliverer_->set_flight_recorder(&telemetry_.recorder);
-  deliverer_->set_anomalies(&telemetry_.anomalies);
 
-  // Fault layer: arm the plan from the config and give the drop ledger
-  // its class axis. Drop sites that only hold raw bytes (the NIC ring)
-  // classify through the priority DB exactly as the stage-1 poll would
-  // have, so per-class conservation can be asserted across the drop. In
-  // vanilla mode every packet is class 0, mirroring the delivery path.
+  // Fault layer: arm the plan from the config; the drop ledger counts
+  // natural drops whether or not a fault is armed.
   faults_.plan.configure(cfg_.faults);
-  faults_.drops.set_classifier(
-      [this](std::span<const std::uint8_t> frame) {
-        return mode() == NapiMode::kVanilla ? 0
-                                            : priority_db_.classify(frame);
-      });
-  faults_.drops.set_observer([this](fault::DropReason reason, int level) {
-    telemetry_.latency.record_dropped(level);
-    telemetry_.anomalies.on_drop(static_cast<int>(reason), level,
-                                 sim_.now());
-  });
   faults_.drops.bind_telemetry(telemetry_.registry, "faults.");
   nic_->set_faults(&faults_);
   deliverer_->set_faults(&faults_);
@@ -157,8 +155,8 @@ Host::Host(sim::Simulator& sim, HostConfig config)
     pc->backlog_stage->bind_telemetry(telemetry_.registry,
                                       cpu_prefix + "veth.");
     pc->backlog->set_faults(&faults_);
-    pc->backlog_stage->set_faults(&faults_);
-    pc->backlog->set_flight_recorder(&telemetry_.recorder, /*stage=*/3);
+    pc->backlog->set_probe(&probe_, /*stage=*/3);
+    pc->backlog_stage->set_probe(&probe_);
     pc->backlog->queue_limit = cfg_.netdev_max_backlog;
     pc->admission = std::make_unique<BacklogAdmission>(
         cfg_.overload, cfg_.netdev_max_backlog);
@@ -180,8 +178,7 @@ Host::Host(sim::Simulator& sim, HostConfig config)
     ctx.priority_db = &priority_db_;
     ctx.deliverer = deliverer_.get();
     ctx.root_ns = root_ns_.get();
-    ctx.ledger = &telemetry_.latency;
-    ctx.recorder = &telemetry_.recorder;
+    ctx.probe = &probe_;
     ctx.faults = &faults_;
     ctx.flow_cache = flow_cache_.get();
     ctx.vxlan_lookup = [this, cpu_idx](std::uint32_t vni) -> QueueNapi* {
@@ -223,8 +220,8 @@ Host::Host(sim::Simulator& sim, HostConfig config)
                        [this] { return softnet_stat(); });
   proc_->register_file("net/dev", [this] { return net_dev(); });
   proc_->register_file("prism/telemetry", [this] {
-    // Any trace rings attached to this host report their retention next
-    // to the span tracer's, so truncation is never silent.
+    // The attached span tracer and any poll-trace rings report their
+    // retention, so truncation is never silent.
     std::vector<telemetry::RingStat> rings;
     for (int i = 0; i < num_cpus(); ++i) {
       if (const auto* t = engine(i).poll_trace(); t != nullptr) {
@@ -233,12 +230,7 @@ Host::Host(sim::Simulator& sim, HostConfig config)
                          t->dropped_records()});
       }
     }
-    if (const auto* t = deliverer_->packet_trace(); t != nullptr) {
-      rings.push_back({"packet_trace",
-                       static_cast<std::uint64_t>(t->size()),
-                       t->dropped_records()});
-    }
-    return telemetry::telemetry_json(telemetry_, rings);
+    return telemetry::telemetry_json(telemetry_, tracer_, rings);
   });
   proc_->register_file("prism/latency", [this] {
     return telemetry::latency_json(telemetry_.latency);
@@ -267,6 +259,7 @@ Host::~Host() = default;
 
 void Host::set_mode(NapiMode mode) {
   for (auto& pc : per_cpu_) pc->engine->set_mode(mode);
+  probe_.prism_mode = mode != NapiMode::kVanilla;
   // Vanilla never classifies on the datapath while PRISM modes do, so
   // priorities cached under the old mode are wrong under the new one.
   flow_cache_->invalidate();
@@ -300,11 +293,10 @@ overlay::Bridge& Host::bridge(std::uint32_t vni) {
       bundle.bridge->stage(c).bind_telemetry(telemetry_.registry, prefix);
       bundle.bridge->cell(c).bind_telemetry(telemetry_.registry,
                                             prefix + "cell.");
-      bundle.bridge->stage(c).set_faults(&faults_);
+      bundle.bridge->stage(c).set_probe(&probe_);
       bundle.bridge->stage(c).set_flow_cache(flow_cache_.get(), vni);
       bundle.bridge->cell(c).set_faults(&faults_);
-      bundle.bridge->cell(c).set_flight_recorder(&telemetry_.recorder,
-                                                 /*stage=*/2);
+      bundle.bridge->cell(c).set_probe(&probe_, /*stage=*/2);
     }
     if (!cfg_.rps_cpus.empty()) {
       std::vector<overlay::RpsTarget> targets;
@@ -480,8 +472,7 @@ void Host::deliver_local(BridgeBundle& bundle, net::PacketBuf frame) {
   if (!skb) {
     // Pool exhausted: the local frame is dropped (and its PacketBuf
     // storage recycled by ~PacketBuf), never silently lost.
-    faults_.drops.record_frame(fault::DropReason::kAllocFail,
-                               frame.bytes());
+    probe_.drop(fault::DropReason::kAllocFail, frame.bytes());
     return;
   }
   skb->parsed.emplace();
@@ -500,23 +491,12 @@ void Host::deliver_local(BridgeBundle& bundle, net::PacketBuf frame) {
   skb->ts.nic_rx = sim_.now();
   skb->ts.stage1_start = sim_.now();
   skb->ts.stage1_done = sim_.now();
-#if PRISM_TELEMETRY_ENABLED
-  if (skb->parsed && telemetry_.recorder.armed()) {
-    int observed = skb->priority;
-    if (!prism_mode && !skb->parsed->is_vxlan()) {
-      observed = priority_db_.classify(*skb->parsed, nullptr);
-    }
-    skb->observed_class = static_cast<std::int8_t>(observed);
-    const net::FiveTuple flow = net::flow_of(*skb->parsed);
-    if (telemetry_.recorder.should_trace(flow, observed)) {
-      // Local path: no hardware ring, so the arrival event carries zero
-      // ring wait and the journey starts at the bridge cell.
-      skb->traced = true;
-      telemetry_.recorder.on_ring_arrival(flow, observed, sim_.now(),
-                                          sim_.now());
-    }
+  if (skb->parsed) {
+    // Local path: no hardware ring, so the arrival carries zero ring wait
+    // and the journey starts at the bridge cell.
+    probe_.ring_arrival(*skb, *skb->parsed, nullptr, sim_.now(),
+                        sim_.now());
   }
-#endif
   skb->buf = std::move(frame);
   skb->stage = 2;
   if (flow_cache_->enabled()) {
@@ -536,8 +516,7 @@ UdpSocket& Host::udp_bind(overlay::Netns& ns, std::uint16_t port,
                           std::size_t capacity) {
   auto sock = std::make_unique<UdpSocket>(sim_, port, capacity);
   sock->bind_telemetry(telemetry_.registry, "sockets.");
-  sock->set_latency_ledger(&telemetry_.latency);
-  sock->set_faults(&faults_);
+  sock->set_probe(&probe_);
   ns.sockets().bind_udp(*sock);
   udp_sockets_.push_back(std::move(sock));
   return *udp_sockets_.back();
@@ -583,10 +562,9 @@ void Host::udp_send(overlay::Netns& ns, Cpu& cpu, std::uint16_t src_port,
     // built frame's classification, so conservation still closes; the
     // frame's storage recycles through ~PacketBuf. `on_sent` still fires —
     // the syscall completed, the packet just never reached the wire.
-    faults_.drops.record_frame(ns.accepting()
-                                   ? fault::DropReason::kUnroutable
-                                   : fault::DropReason::kDeadNetns,
-                               frame.bytes());
+    probe_.drop(ns.accepting() ? fault::DropReason::kUnroutable
+                               : fault::DropReason::kDeadNetns,
+                frame.bytes());
     if (on_sent) on_sent();
     return;
   }

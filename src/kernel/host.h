@@ -22,6 +22,7 @@
 #include "kernel/net_rx_engine.h"
 #include "kernel/nic_napi.h"
 #include "kernel/overload.h"
+#include "kernel/probe.h"
 #include "kernel/protocol.h"
 #include "kernel/socket.h"
 #include "kernel/softnet.h"
@@ -232,15 +233,15 @@ class Host {
     return *nic_napis_[static_cast<std::size_t>(queue)];
   }
 
-  /// The host's metrics registry + span tracer. Every component's
-  /// counters are registered at construction under stable prefixes
-  /// ("nic.q0.", "cpu0.", "overlay.br<vni>.", "sockets."); the hot path
-  /// only increments the resolved handles.
+  /// The host's metrics registry and packet-journey consumers. Every
+  /// component's counters are registered at construction under stable
+  /// prefixes ("nic.q0.", "cpu0.", "overlay.br<vni>.", "sockets."); the
+  /// hot path only increments the resolved handles.
   telemetry::Telemetry& telemetry() noexcept { return telemetry_; }
   telemetry::Registry& metrics() noexcept { return telemetry_.registry; }
 
   /// Per-stage latency attribution ledger (proc: "prism/latency"). Fed
-  /// by the socket deliverer on every completed journey.
+  /// by the packet probe on every completed journey.
   telemetry::LatencyLedger& latency_ledger() noexcept {
     return telemetry_.latency;
   }
@@ -248,8 +249,8 @@ class Host {
   telemetry::FlowTable& flow_table() noexcept { return telemetry_.flows; }
 
   /// Flow-path flight recorder: sampled per-packet lifecycle rings fed
-  /// from every stamp point (armed by default at 1-in-64 sampling with
-  /// high classes pinned).
+  /// by the packet probe at every journey point (armed by default at
+  /// 1-in-64 sampling with high classes pinned).
   telemetry::FlightRecorder& flight_recorder() noexcept {
     return telemetry_.recorder;
   }
@@ -310,6 +311,10 @@ class Host {
   /// registry) and before every pipeline component that holds a pointer
   /// into it, so it outlives them all on teardown.
   fault::FaultLayer faults_;
+  /// The one hook every datapath site reports to; fans out to the drop
+  /// ledger and the telemetry consumers. Declared before every component
+  /// that holds a pointer to it.
+  PacketProbe probe_;
   /// Declared before the NIC and the per-CPU machinery: their IRQ
   /// handlers and engines hold a pointer into it, so it must outlive them
   /// on teardown.

@@ -35,17 +35,9 @@ PollOutcome QueueNapi::poll(int batch, sim::Time start) {
   while (out.processed < batch && !q.empty()) {
     SkbPtr skb = std::move(q.front());
     q.pop_front();
-#if PRISM_TELEMETRY_ENABLED
-    if (recorder_ != nullptr && skb->traced && skb->parsed) {
-      // Queue wait replayed against the head class captured at enqueue;
-      // the anomaly bank turns (wait, head) into inversion findings.
-      const sim::Time dequeued = start + out.cost;
-      recorder_->on_dequeue(net::flow_of(*skb->parsed), recorder_stage_,
-                            skb->observed_class,
-                            dequeued - last_done_stamp(*skb),
-                            skb->head_class_at_enqueue, dequeued);
+    if (skb->traced) {
+      probe_->stage_dequeue(*skb, probe_stage_, start + out.cost);
     }
-#endif
     out.cost += stage_.process_one(std::move(skb), start + out.cost, mult);
     ++out.processed;
   }

@@ -14,10 +14,9 @@
 
 #include "fault/fault.h"
 #include "kernel/cost_model.h"
+#include "kernel/probe.h"
 #include "kernel/skb.h"
-#include "net/flow.h"
 #include "sim/time.h"
-#include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
 
 // Always 1 (overload control is always compiled in; OverloadConfig::enabled
@@ -135,10 +134,8 @@ class NapiStruct {
         const auto reason = verdict == AdmissionPolicy::Verdict::kFlowLimit
                                 ? fault::DropReason::kFlowLimit
                                 : fault::DropReason::kOverloadShed;
-        if (faults_ != nullptr) {
-          faults_->drops.record(reason, level);
-        }
-        record_traced_drop(*skb, reason);
+        probe_->drop(reason, level, *skb, probe_stage_,
+                     last_done_stamp(*skb));
         return false;
       }
     }
@@ -150,44 +147,33 @@ class NapiStruct {
     if (full) {
       ++(level > 0 ? high_dropped_ : low_dropped_);
       t_dropped_->inc();
-      if (faults_ != nullptr) {
-        faults_->drops.record(fault::DropReason::kBacklogFull, level);
-      }
-      record_traced_drop(*skb, fault::DropReason::kBacklogFull);
+      probe_->drop(fault::DropReason::kBacklogFull, level, *skb,
+                   probe_stage_, last_done_stamp(*skb));
       // Returning false destroys the caller's skb, recycling it (and its
       // buffer storage) through the pools.
       return false;
     }
-#if PRISM_TELEMETRY_ENABLED
-    if (recorder_ != nullptr && skb->traced && skb->parsed) {
-      // Observability only: nothing here alters cost or scheduling.
-      const int head = head_class();
-      skb->head_class_at_enqueue = static_cast<std::int8_t>(head);
-      recorder_->on_enqueue(net::flow_of(*skb->parsed), recorder_stage_,
-                            skb->observed_class,
-                            static_cast<int>(pending_total()) + 1, head,
-                            last_done_stamp(*skb));
+    if (skb->traced) {
+      probe_->stage_enqueue(*skb, probe_stage_,
+                            static_cast<int>(pending_total()) + 1,
+                            head_class());
     }
-#endif
     q.push_back(std::move(skb));
     t_enqueued_->inc();
     t_depth_->set(static_cast<std::int64_t>(q.size()));
     return true;
   }
 
-  /// Attaches the host's flight recorder; `stage` labels this device's
-  /// position in the pipeline (2 = bridge gro_cell, 3 = backlog/veth).
-  /// Recording never alters the schedule — traced runs stay
-  /// byte-identical to untraced ones in simulated time.
-  void set_flight_recorder(telemetry::FlightRecorder* recorder,
-                           int stage) noexcept {
-    recorder_ = recorder;
-    recorder_stage_ = stage;
+  /// Attaches the host's packet probe (kernel/probe.h); `stage` labels
+  /// this device's position in the pipeline (2 = bridge gro_cell, 3 =
+  /// backlog/veth). Probing never alters the schedule.
+  void set_probe(const PacketProbe* probe, int stage) noexcept {
+    probe_ = probe;
+    probe_stage_ = stage;
   }
 
-  /// Attaches the host's fault layer: backlog drops are attributed to the
-  /// drop ledger, and the plan may force backlog-full episodes. nullptr
-  /// detaches.
+  /// Attaches the host's fault layer: the plan may force backlog-full
+  /// episodes. nullptr detaches.
   void set_faults(fault::FaultLayer* faults) noexcept { faults_ = faults; }
 
   /// Attaches an admission policy consulted before every enqueue (the
@@ -260,21 +246,8 @@ class NapiStruct {
     return front.observed_class > hp ? front.observed_class : hp;
   }
 
-  void record_traced_drop(const Skb& skb, fault::DropReason reason) {
-#if PRISM_TELEMETRY_ENABLED
-    if (recorder_ != nullptr && skb.traced && skb.parsed) {
-      recorder_->on_drop(net::flow_of(*skb.parsed), recorder_stage_,
-                         skb.observed_class, static_cast<int>(reason),
-                         last_done_stamp(skb));
-    }
-#else
-    (void)skb;
-    (void)reason;
-#endif
-  }
-
-  telemetry::FlightRecorder* recorder_ = nullptr;
-  int recorder_stage_ = 0;
+  const PacketProbe* probe_ = &PacketProbe::detached();
+  int probe_stage_ = 0;
 
  private:
   std::string name_;

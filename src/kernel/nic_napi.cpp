@@ -7,7 +7,6 @@
 #include "net/flow.h"
 #include "overlay/flow_cache.h"
 #include "overlay/netns.h"
-#include "telemetry/latency.h"
 
 namespace prism::kernel {
 
@@ -42,11 +41,7 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
   PollOutcome out;
   out.cost = ctx_.cost->napi_poll_overhead;
   if (irq_at_ >= 0) {
-#if PRISM_TELEMETRY_ENABLED
-    if (ctx_.ledger != nullptr) {
-      ctx_.ledger->record_irq_to_poll(start - irq_at_);
-    }
-#endif
+    ctx_.probe->irq_to_poll(start - irq_at_);
     irq_at_ = -1;
   }
   const bool prism_mode = ctx_.engine->mode() != NapiMode::kVanilla;
@@ -73,10 +68,7 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
       // ip_rcv does; the ring entry's storage recycles on destruction.
       ++dropped_malformed_;
       t_malformed_->inc();
-      if (ctx_.faults != nullptr) {
-        ctx_.faults->drops.record_frame(fault::DropReason::kMalformed,
-                                        entry->frame.bytes());
-      }
+      ctx_.probe->drop(fault::DropReason::kMalformed, entry->frame.bytes());
       out.cost += scaled(ctx_.cost->nic_stage_per_packet);
       continue;
     }
@@ -146,7 +138,7 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
       // the real driver drops on alloc failure — after classification,
       // before any skb state exists. The ring entry recycles on scope
       // exit.
-      ctx_.faults->drops.record(fault::DropReason::kAllocFail, level);
+      ctx_.probe->drop(fault::DropReason::kAllocFail, level);
       out.cost += scaled(ctx_.cost->nic_stage_per_packet);
       continue;
     }
@@ -154,9 +146,7 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
     if (!skb) {
       // Genuine pool exhaustion degrades the same way as injected
       // starvation: drop, count, move on.
-      if (ctx_.faults != nullptr) {
-        ctx_.faults->drops.record(fault::DropReason::kAllocFail, level);
-      }
+      ctx_.probe->drop(fault::DropReason::kAllocFail, level);
       out.cost += scaled(ctx_.cost->nic_stage_per_packet);
       continue;
     }
@@ -170,31 +160,8 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
       skb->flowcache_gen = ctx_.flow_cache->generation();
     }
 
-#if PRISM_TELEMETRY_ENABLED
-    net::FiveTuple traced_flow;
-    if (ctx_.recorder != nullptr && ctx_.recorder->armed()) {
-      int observed = level;
-      if (!prism_mode && ctx_.priority_db != nullptr) {
-        // Vanilla never classifies on the datapath (skb->priority stays
-        // 0); the recorder classifies on the side — wall-clock cost only,
-        // no simulated cost — so inversions suffered by would-be-high
-        // flows are attributable in the baseline too.
-        observed =
-            ctx_.priority_db->classify(parsed, inner ? &*inner : nullptr);
-      }
-      skb->observed_class = static_cast<std::int8_t>(observed);
-      const bool flow_known = !parsed.is_vxlan() || inner.has_value();
-      if (flow_known) {
-        traced_flow = parsed.is_vxlan() ? net::flow_of(*inner)
-                                        : net::flow_of(parsed);
-        if (ctx_.recorder->should_trace(traced_flow, observed)) {
-          skb->traced = true;
-          ctx_.recorder->on_ring_arrival(traced_flow, observed,
-                                         entry->arrived, dequeued);
-        }
-      }
-    }
-#endif
+    ctx_.probe->ring_arrival(*skb, parsed, inner ? &*inner : nullptr,
+                             entry->arrived, dequeued);
 
     Route route;
     net::FiveTuple gro_key;
@@ -218,12 +185,7 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
         skb->ts.stage1_done = start + out.cost;
         out.cost += scaled(ctx_.cost->flowcache_fast_path);
         skb->ts.flowcache_done = start + out.cost;
-#if PRISM_TELEMETRY_ENABLED
-        if (skb->traced) {
-          ctx_.recorder->on_fast_path(traced_flow, skb->observed_class,
-                                      start + out.cost);
-        }
-#endif
+        if (skb->traced) ctx_.probe->fast_path(*skb, start + out.cost);
         out.cost += ctx_.deliverer->deliver(*skb, start + out.cost,
                                             *cached->dst);
         continue;
@@ -234,16 +196,9 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
       if (bridge == nullptr) {
         ++dropped_;
         t_unroutable_->inc();
-        if (ctx_.faults != nullptr) {
-          ctx_.faults->drops.record(fault::DropReason::kUnroutable, level);
-        }
-#if PRISM_TELEMETRY_ENABLED
-        if (skb->traced) {
-          ctx_.recorder->on_drop(
-              traced_flow, 1, skb->observed_class,
-              static_cast<int>(fault::DropReason::kUnroutable), dequeued);
-        }
-#endif
+        skb->parsed = std::move(inner);  // names the journey that ends here
+        ctx_.probe->drop(fault::DropReason::kUnroutable, level, *skb, 1,
+                         dequeued);
         out.cost += scaled(ctx_.cost->nic_stage_per_packet);
         continue;
       }
@@ -270,16 +225,9 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
     } else {
       ++dropped_;
       t_unroutable_->inc();
-      if (ctx_.faults != nullptr) {
-        ctx_.faults->drops.record(fault::DropReason::kUnroutable, level);
-      }
-#if PRISM_TELEMETRY_ENABLED
-      if (skb->traced) {
-        ctx_.recorder->on_drop(
-            traced_flow, 1, skb->observed_class,
-            static_cast<int>(fault::DropReason::kUnroutable), dequeued);
-      }
-#endif
+      skb->parsed = std::move(parsed);  // names the journey that ends here
+      ctx_.probe->drop(fault::DropReason::kUnroutable, level, *skb, 1,
+                       dequeued);
       out.cost += scaled(ctx_.cost->nic_stage_per_packet);
       continue;
     }

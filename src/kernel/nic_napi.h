@@ -38,10 +38,6 @@ class FlowCache;
 class Netns;
 }
 
-namespace prism::telemetry {
-class LatencyLedger;
-}
-
 namespace prism::kernel {
 
 class NetRxEngine;
@@ -55,13 +51,11 @@ struct NicNapiContext {
   const prism::PriorityDb* priority_db = nullptr;
   SocketDeliverer* deliverer = nullptr;
   overlay::Netns* root_ns = nullptr;
-  /// Optional: receives IRQ->poll durations (telemetry/latency.h).
-  telemetry::LatencyLedger* ledger = nullptr;
-  /// Optional: flow-path flight recorder. The sampling decision for a
-  /// packet's whole journey is made here, at stage-1 dequeue.
-  telemetry::FlightRecorder* recorder = nullptr;
-  /// Optional: the host's fault layer (drop attribution, decap
-  /// corruption, skb alloc-failure injection).
+  /// The host's packet probe: IRQ->poll delays, drops, and the ring
+  /// arrival where a journey's flight-recorder sampling decision is made.
+  const PacketProbe* probe = &PacketProbe::detached();
+  /// Optional: the host's fault plan (decap corruption, skb
+  /// alloc-failure injection).
   fault::FaultLayer* faults = nullptr;
   /// Optional: per-host overlay flow cache (overlay/flow_cache.h). When
   /// enabled, overlay UDP packets whose transform is cached skip straight

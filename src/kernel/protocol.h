@@ -9,24 +9,13 @@
 #include <cstdint>
 
 #include "kernel/cost_model.h"
+#include "kernel/probe.h"
 #include "kernel/skb.h"
 #include "sim/simulator.h"
 #include "telemetry/metrics.h"
-#include "trace/packet_trace.h"
 
 namespace prism::overlay {
 class Netns;
-}
-
-namespace prism::telemetry {
-class LatencyLedger;
-class FlowTable;
-class FlightRecorder;
-class AnomalyBank;
-}
-
-namespace prism::fault {
-struct FaultLayer;
 }
 
 namespace prism::kernel {
@@ -39,32 +28,11 @@ class SocketDeliverer {
   SocketDeliverer(sim::Simulator& sim, const CostModel& cost)
       : sim_(sim), cost_(cost) {}
 
-  void set_packet_trace(trace::PacketTrace* trace) noexcept {
-    trace_ = trace;
-  }
-  const trace::PacketTrace* packet_trace() const noexcept { return trace_; }
-
-  /// Attaches the latency ledger and flow table (telemetry/latency.h,
-  /// telemetry/flow_table.h). Delivery is the one point where a packet's
-  /// journey is complete, so the per-stage breakdown and the per-flow
-  /// accounting are both recorded here. nullptr detaches.
-  void set_latency(telemetry::LatencyLedger* ledger,
-                   telemetry::FlowTable* flows) noexcept {
-    ledger_ = ledger;
-    flows_ = flows;
-  }
-
-  /// Attaches the flight recorder (traced journeys end here with a
-  /// deliver event; traced protocol-level drops are recorded as stage-4
-  /// drops) and the anomaly bank, which sees EVERY delivery — the SLO
-  /// detector evaluates the full population, not the sampled one.
-  /// nullptr detaches.
-  void set_flight_recorder(telemetry::FlightRecorder* recorder) noexcept {
-    recorder_ = recorder;
-  }
-  void set_anomalies(telemetry::AnomalyBank* anomalies) noexcept {
-    anomalies_ = anomalies;
-  }
+  /// Attaches the host's packet probe (kernel/probe.h). Delivery is the
+  /// one point where a packet's journey is complete: the probe records
+  /// the per-stage breakdown, the per-flow accounting and the journey's
+  /// end, and every refused frame as a stage-4 drop.
+  void set_probe(const PacketProbe* probe) noexcept { probe_ = probe; }
 
   /// Delivers every frame carried by `skb` (head + GRO chain) to sockets
   /// in `ns` at instant `at`. Returns extra in-kernel cost incurred
@@ -79,8 +47,8 @@ class SocketDeliverer {
   std::uint64_t dead_ns_drops() const noexcept { return dead_ns_drops_; }
   std::uint64_t delivered() const noexcept { return delivered_; }
 
-  /// Attaches the host's fault layer (drop attribution + buffer
-  /// alloc-failure injection). nullptr detaches.
+  /// Attaches the host's fault plan (buffer alloc-failure injection).
+  /// nullptr detaches.
   void set_faults(fault::FaultLayer* faults) noexcept { faults_ = faults; }
 
   /// Attaches the host's overload governor: successful socket deliveries
@@ -110,11 +78,7 @@ class SocketDeliverer {
 
   sim::Simulator& sim_;
   const CostModel& cost_;
-  trace::PacketTrace* trace_ = nullptr;
-  telemetry::LatencyLedger* ledger_ = nullptr;
-  telemetry::FlowTable* flows_ = nullptr;
-  telemetry::FlightRecorder* recorder_ = nullptr;
-  telemetry::AnomalyBank* anomalies_ = nullptr;
+  const PacketProbe* probe_ = &PacketProbe::detached();
   fault::FaultLayer* faults_ = nullptr;
   OverloadGovernor* governor_ = nullptr;
   std::uint64_t drops_ = 0;

@@ -84,7 +84,7 @@ struct Skb {
 
   /// Priority class as the recorder sees it: equals `priority` in Prism
   /// modes; in vanilla mode (which never classifies, priority stays 0)
-  /// the recorder classifies on the side so inversions suffered by
+  /// the packet probe classifies on the side so inversions suffered by
   /// would-be-high flows are attributable. Never consulted by the
   /// datapath — observability only.
   std::int8_t observed_class = 0;
@@ -105,9 +105,9 @@ struct Skb {
 };
 
 /// Latest completed-stage stamp of `skb` — the instant it was handed to
-/// whatever queue it currently sits in. Used by the flight recorder to
-/// date enqueues and measure queue waits without widening the enqueue
-/// API with a time parameter.
+/// whatever queue it currently sits in. Used by the packet probe to date
+/// enqueues and measure queue waits without widening the enqueue API
+/// with a time parameter.
 inline sim::Time last_done_stamp(const Skb& skb) noexcept {
   if (skb.ts.stage2_done >= 0) return skb.ts.stage2_done;
   if (skb.ts.stage1_done >= 0) return skb.ts.stage1_done;

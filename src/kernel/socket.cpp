@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "fault/fault.h"
-#include "telemetry/latency.h"
 
 namespace prism::kernel {
 
@@ -16,11 +15,7 @@ std::optional<Datagram> UdpSocket::try_recv() {
   if (queue_.empty()) return std::nullopt;
   Datagram d = std::move(queue_.front());
   queue_.pop_front();
-#if PRISM_TELEMETRY_ENABLED
-  if (ledger_ != nullptr) {
-    ledger_->record_socket_wait(sim_.now() - d.enqueued_at, d.priority);
-  }
-#endif
+  probe_->socket_wait(sim_.now() - d.enqueued_at, d.priority);
   return d;
 }
 
@@ -31,17 +26,13 @@ void UdpSocket::enqueue(Datagram d, sim::Time at) {
     if (closed_) {
       // The namespace finished draining before this in-flight datagram
       // landed: account it as a dead-netns drop, never as a delivery.
-      if (faults_ != nullptr) {
-        faults_->drops.record(fault::DropReason::kDeadNetns, d.priority);
-      }
+      probe_->drop(fault::DropReason::kDeadNetns, d.priority);
       return;
     }
     if (queue_.size() >= capacity_) {
       ++dropped_;
       t_dropped_->inc();
-      if (faults_ != nullptr) {
-        faults_->drops.record(fault::DropReason::kRcvbufFull, d.priority);
-      }
+      probe_->drop(fault::DropReason::kRcvbufFull, d.priority);
       // Returning destroys the datagram, recycling its payload storage
       // through the BufferPool.
       return;

@@ -13,20 +13,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "kernel/probe.h"
 #include "kernel/skb.h"
 #include "net/flow.h"
 #include "net/ip.h"
 #include "sim/pool.h"
 #include "sim/simulator.h"
 #include "telemetry/metrics.h"
-
-namespace prism::telemetry {
-class LatencyLedger;
-}
-
-namespace prism::fault {
-struct FaultLayer;
-}
 
 namespace prism::kernel {
 
@@ -101,16 +94,10 @@ class UdpSocket {
     t_depth_ = &reg.gauge(prefix + "rcvbuf_depth");
   }
 
-  /// Attaches the host's latency ledger: each try_recv records the
-  /// datagram's socket-buffer residence (enqueue -> recv) as the
-  /// socket_wait stage. nullptr detaches.
-  void set_latency_ledger(telemetry::LatencyLedger* ledger) noexcept {
-    ledger_ = ledger;
-  }
-
-  /// Attaches the host's fault layer: rcvbuf-overflow drops are
-  /// attributed to the drop ledger. nullptr detaches.
-  void set_faults(fault::FaultLayer* faults) noexcept { faults_ = faults; }
+  /// Attaches the host's packet probe: each try_recv reports the
+  /// datagram's socket-buffer residence (enqueue -> recv), and rcvbuf
+  /// overflows and closed-socket arrivals report as drops.
+  void set_probe(const PacketProbe* probe) noexcept { probe_ = probe; }
 
  private:
   sim::Simulator& sim_;
@@ -119,13 +106,12 @@ class UdpSocket {
   std::deque<Datagram> queue_;
   std::function<void()> on_readable_;
   bool closed_ = false;
-  fault::FaultLayer* faults_ = nullptr;
+  const PacketProbe* probe_ = &PacketProbe::detached();
   std::uint64_t received_ = 0;
   std::uint64_t dropped_ = 0;
   telemetry::Counter* t_enqueued_ = &telemetry::Counter::sink();
   telemetry::Counter* t_dropped_ = &telemetry::Counter::sink();
   telemetry::Gauge* t_depth_ = &telemetry::Gauge::sink();
-  telemetry::LatencyLedger* ledger_ = nullptr;
 };
 
 /// Per-namespace socket demultiplexer.

@@ -16,9 +16,8 @@ sim::Duration BacklogStage::process_one(SkbPtr skb, sim::Time at,
     // routing): drop and recycle rather than dereferencing null.
     ++dropped_;
     t_dropped_->inc();
-    if (faults_ != nullptr) {
-      faults_->drops.record(fault::DropReason::kNullNetns, skb->priority);
-    }
+    probe_->drop(fault::DropReason::kNullNetns, skb->priority, *skb,
+                 /*stage=*/3, at);
     return cost;
   }
   if (!skb->dst_netns->accepting()) {
@@ -29,13 +28,9 @@ sim::Duration BacklogStage::process_one(SkbPtr skb, sim::Time at,
     // per-frame accounting.
     ++dropped_;
     t_dropped_->inc();
-    if (faults_ != nullptr) {
-      const auto frames =
-          static_cast<std::uint64_t>(1 + skb->gro_chain.size());
-      for (std::uint64_t i = 0; i < frames; ++i) {
-        faults_->drops.record(fault::DropReason::kDeadNetns, skb->priority);
-      }
-    }
+    const int frames = 1 + static_cast<int>(skb->gro_chain.size());
+    probe_->drop(fault::DropReason::kDeadNetns, skb->priority, *skb,
+                 /*stage=*/3, at, frames);
     return cost;
   }
   ++delivered_;

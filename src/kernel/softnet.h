@@ -42,14 +42,14 @@ class BacklogStage final : public PacketStage {
     t_dropped_ = &reg.counter(prefix + "dropped");
   }
 
-  /// Attaches the host's fault layer: null-netns drops are attributed to
-  /// the drop ledger. nullptr detaches.
-  void set_faults(fault::FaultLayer* faults) noexcept { faults_ = faults; }
+  /// Attaches the host's packet probe: null/dead-netns drops end the
+  /// packet's journey there.
+  void set_probe(const PacketProbe* probe) noexcept { probe_ = probe; }
 
  private:
   std::string name_;
   const CostModel& cost_;
-  fault::FaultLayer* faults_ = nullptr;
+  const PacketProbe* probe_ = &PacketProbe::detached();
   SocketDeliverer& deliverer_;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;

@@ -41,10 +41,7 @@ void RxQueue::push(net::PacketBuf frame) {
   if (full) {
     ++dropped_;
     t_ring_drops_->inc();
-    if (faults_ != nullptr) {
-      faults_->drops.record_frame(fault::DropReason::kRingFull,
-                                  frame.bytes());
-    }
+    probe_->drop(fault::DropReason::kRingFull, frame.bytes());
     return;
   }
   ring_.push_back(Entry{std::move(frame), sim_.now()});
@@ -154,19 +151,24 @@ void Nic::set_faults(fault::FaultLayer* faults) noexcept {
   for (auto& q : queues_) q->set_faults(faults);
 }
 
+void Nic::set_probe(const kernel::PacketProbe* probe) noexcept {
+  probe_ = probe;
+  for (auto& q : queues_) q->set_probe(probe);
+}
+
 void Nic::receive(net::PacketBuf frame) {
   if (faults_ != nullptr && faults_->plan.active()) {
     const auto act = faults_->plan.on_wire_frame(frame);
     if (act.drop) {
       // Lost on the wire: the NIC never saw it. The frame's storage
       // recycles to the BufferPool on destruction.
-      faults_->drops.record_frame(fault::DropReason::kWire, frame.bytes());
+      probe_->drop(fault::DropReason::kWire, frame.bytes());
       return;
     }
     if (act.duplicate) {
       // The duplicate counts on the injected side of the conservation
       // equation, attributed to the frame's priority class.
-      faults_->plan.count_duplicate(faults_->drops.classify(frame.bytes()));
+      faults_->plan.count_duplicate(probe_->frame_class(frame.bytes()));
       deliver_to_ring(net::PacketBuf(frame));
     }
     if (act.reorder_delay > 0) {

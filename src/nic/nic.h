@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "kernel/probe.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
 #include "telemetry/metrics.h"
@@ -90,10 +91,14 @@ class RxQueue {
   /// Registers this queue's counters under `prefix` (e.g. "nic.q0.").
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix);
 
-  /// Attaches the host's fault layer: ring drops are attributed to the
-  /// drop ledger, and the plan may force ring-full episodes and IRQ
-  /// storms/delays. nullptr detaches.
+  /// Attaches the host's fault layer: the plan may force ring-full
+  /// episodes and IRQ storms/delays. nullptr detaches.
   void set_faults(fault::FaultLayer* faults) noexcept { faults_ = faults; }
+
+  /// Attaches the host's packet probe: ring overflows report as drops.
+  void set_probe(const kernel::PacketProbe* probe) noexcept {
+    probe_ = probe;
+  }
 
  private:
   void maybe_fire();
@@ -103,6 +108,7 @@ class RxQueue {
   std::size_t capacity_;
   CoalesceConfig coalesce_;
   fault::FaultLayer* faults_ = nullptr;
+  const kernel::PacketProbe* probe_ = &kernel::PacketProbe::detached();
   std::deque<Entry> ring_;
   std::function<void()> irq_handler_;
   bool irq_enabled_ = true;
@@ -159,6 +165,10 @@ class Nic {
   /// nullptr detaches.
   void set_faults(fault::FaultLayer* faults) noexcept;
 
+  /// Attaches the host's packet probe to the receive path (wire drops,
+  /// duplicate classification) and to every RX queue.
+  void set_probe(const kernel::PacketProbe* probe) noexcept;
+
  private:
   int rss_hash(std::span<const std::uint8_t> frame) const;
 
@@ -168,6 +178,7 @@ class Nic {
   sim::Simulator& sim_;
   std::vector<std::unique_ptr<RxQueue>> queues_;
   fault::FaultLayer* faults_ = nullptr;
+  const kernel::PacketProbe* probe_ = &kernel::PacketProbe::detached();
   Wire* wire_ = nullptr;
   std::uint64_t tx_frames_ = 0;
   std::uint64_t rx_frames_ = 0;

@@ -28,9 +28,8 @@ sim::Duration BridgeStage::process_one(kernel::SkbPtr skb, sim::Time at,
     // count so tests catch it. The skb recycles on return.
     ++dropped_;
     t_fdb_drops_->inc();
-    if (faults_ != nullptr) {
-      faults_->drops.record(fault::DropReason::kFdbMiss, skb->priority);
-    }
+    probe_->drop(fault::DropReason::kFdbMiss, skb->priority, *skb,
+                 /*stage=*/2, at);
     return cost;
   }
   ++forwarded_;

@@ -67,9 +67,11 @@ class BridgeStage final : public kernel::PacketStage {
     t_rps_steered_ = &reg.counter(prefix + "rps_steered");
   }
 
-  /// Attaches the host's fault layer: FDB-miss drops are attributed to
-  /// the drop ledger. nullptr detaches.
-  void set_faults(fault::FaultLayer* faults) noexcept { faults_ = faults; }
+  /// Attaches the host's packet probe: an FDB miss ends the packet's
+  /// journey there.
+  void set_probe(const kernel::PacketProbe* probe) noexcept {
+    probe_ = probe;
+  }
 
   /// Attaches the host's overlay flow cache: every successful FDB
   /// resolve of a UDP flow fills (or refreshes) the flow's cached
@@ -82,7 +84,7 @@ class BridgeStage final : public kernel::PacketStage {
  private:
   std::string name_;
   const kernel::CostModel& cost_;
-  fault::FaultLayer* faults_ = nullptr;
+  const kernel::PacketProbe* probe_ = &kernel::PacketProbe::detached();
   FlowCache* flow_cache_ = nullptr;
   std::uint32_t vni_ = 0;
   Fdb& fdb_;

@@ -107,9 +107,9 @@ class WindowHist {
   std::uint64_t total_ = 0;
 };
 
-/// The per-host detector bank. Fed by the FlightRecorder (stage waits),
-/// the SocketDeliverer (every delivery, not just traced flows), the
-/// DropLedger observer and the OverloadGovernor transition observer.
+/// The per-host detector bank. Fed by the host's packet probe (traced
+/// stage waits, every delivery — not just traced flows — and every drop)
+/// and the OverloadGovernor transition observer.
 class AnomalyBank {
  public:
   AnomalyBank() = default;
@@ -131,15 +131,15 @@ class AnomalyBank {
   }
 
   // -------------------------------------------------------------- detectors
-  /// From the recorder: one stamp-point wait. stage 1 with head -1 is
-  /// the NIC ring (FIFO); stages 2..3 carry the head class the packet
-  /// queued behind.
+  /// One traced stage wait (from the packet probe). stage 1 with head
+  /// -1 is the NIC ring (FIFO); stages 2..3 carry the head class the
+  /// packet queued behind.
   void on_stage_wait(const net::FiveTuple& flow, int stage, int level,
                      sim::Duration wait_ns, int head_level, sim::Time at);
-  /// From the deliverer: every delivered packet (all flows, so the SLO
-  /// detector sees the full population, not the sampled one).
+  /// Every delivered packet (all flows, so the SLO detector sees the
+  /// full population, not the sampled one).
   void on_delivery(int level, sim::Duration e2e_ns, sim::Time at);
-  /// From the drop ledger observer.
+  /// Every recorded drop.
   void on_drop(int reason, int level, sim::Time at);
   /// From the churn harness: a disruption (container stop / migration)
   /// touched class `level` at time `at`. Arms a convergence watch for

@@ -1,7 +1,5 @@
 #include "telemetry/flight_recorder.h"
 
-#include "telemetry/anomaly.h"
-
 namespace prism::telemetry {
 
 namespace {
@@ -91,9 +89,6 @@ void FlightRecorder::on_ring_arrival(const net::FiveTuple& flow, int level,
   e.level = static_cast<std::int8_t>(level);
   e.head_level = -1;  // the NIC ring is a priority-blind FIFO
   push(e);
-  if (anomalies_ != nullptr) {
-    anomalies_->on_stage_wait(flow, 1, level, e.wait_ns, -1, dequeued);
-  }
 #else
   (void)flow;
   (void)level;
@@ -138,10 +133,6 @@ void FlightRecorder::on_dequeue(const net::FiveTuple& flow, int stage,
   e.level = static_cast<std::int8_t>(level);
   e.head_level = static_cast<std::int8_t>(head_level_at_enqueue);
   push(e);
-  if (anomalies_ != nullptr) {
-    anomalies_->on_stage_wait(flow, stage, level, wait_ns,
-                              head_level_at_enqueue, at);
-  }
 #else
   (void)flow;
   (void)stage;

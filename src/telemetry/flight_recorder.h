@@ -31,8 +31,6 @@
 
 namespace prism::telemetry {
 
-class AnomalyBank;
-
 /// What happened to the packet at this step of its journey.
 enum class FlightEventKind : std::uint8_t {
   kRingArrival,  ///< dequeued from the NIC ring (wait = ring residency)
@@ -91,9 +89,6 @@ class FlightRecorder {
 #endif
   }
 
-  /// Detector bank fed on dequeue/ring observations (optional).
-  void set_anomalies(AnomalyBank* bank) noexcept { anomalies_ = bank; }
-
   /// Deterministic sampling decision: pinned class, or flow-hash slot 0.
   bool should_trace(const net::FiveTuple& flow, int level) const noexcept {
 #if PRISM_TELEMETRY_ENABLED
@@ -117,7 +112,7 @@ class FlightRecorder {
   void on_enqueue(const net::FiveTuple& flow, int stage, int level, int depth,
                   int head_level, sim::Time at);
   /// Stage-queue pop. `head_level_at_enqueue` replays what this packet
-  /// queued behind; the anomaly bank turns (wait, head) into inversions.
+  /// queued behind.
   void on_dequeue(const net::FiveTuple& flow, int stage, int level,
                   sim::Duration wait_ns, int head_level_at_enqueue,
                   sim::Time at);
@@ -149,7 +144,6 @@ class FlightRecorder {
   FlightRecorderConfig config_;
   std::uint64_t sample_mask_ = 63;
   bool armed_ = true;
-  AnomalyBank* anomalies_ = nullptr;
   std::vector<FlightEvent> ring_;
   std::size_t head_ = 0;  ///< next overwrite slot once the ring is full
   std::uint64_t recorded_ = 0;

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "telemetry/json_writer.h"
+#include "telemetry/span_tracer.h"
 #include "telemetry/telemetry.h"
 
 namespace prism::telemetry {
@@ -66,6 +67,7 @@ std::string registry_json(const Registry& registry) {
 }
 
 void write_telemetry_json(JsonWriter& w, const Telemetry& telemetry,
+                          const SpanTracer* spans,
                           const std::vector<RingStat>& extra_rings) {
   w.begin_object();
   w.key("counters").begin_object();
@@ -86,10 +88,11 @@ void write_telemetry_json(JsonWriter& w, const Telemetry& telemetry,
       .begin_object()
       .key("spans")
       .begin_object()
-      .member("recorded", telemetry.tracer.recorded())
-      .member("retained",
-              static_cast<std::uint64_t>(telemetry.tracer.size()))
-      .member("dropped", telemetry.tracer.dropped())
+      .member("recorded", spans != nullptr ? spans->recorded() : 0)
+      .member("retained", spans != nullptr
+                              ? static_cast<std::uint64_t>(spans->size())
+                              : 0)
+      .member("dropped", spans != nullptr ? spans->dropped() : 0)
       .end_object();
   for (const auto& ring : extra_rings) {
     w.key(ring.name)
@@ -107,9 +110,10 @@ void write_telemetry_json(JsonWriter& w, const Telemetry& telemetry,
 }
 
 std::string telemetry_json(const Telemetry& telemetry,
+                           const SpanTracer* spans,
                            const std::vector<RingStat>& extra_rings) {
   JsonWriter w;
-  write_telemetry_json(w, telemetry, extra_rings);
+  write_telemetry_json(w, telemetry, spans, extra_rings);
   return w.take();
 }
 

@@ -1,5 +1,5 @@
-// Per-host telemetry bundle: metrics registry, timeline span tracer,
-// latency attribution ledger, and per-flow accounting table.
+// Per-host telemetry bundle: metrics registry, latency attribution
+// ledger, per-flow accounting table, flight recorder and anomaly bank.
 #pragma once
 
 #include "telemetry/anomaly.h"
@@ -7,18 +7,17 @@
 #include "telemetry/flow_table.h"
 #include "telemetry/latency.h"
 #include "telemetry/metrics.h"
-#include "telemetry/span_tracer.h"
 
 namespace prism::telemetry {
 
 /// Everything one Host's instrumentation binds to. The registry is always
-/// live (counters are near-free); the tracer only receives spans while a
-/// component has it attached. The latency ledger and flow table record on
-/// every delivery unless disabled at runtime (set_enabled) or compiled
-/// out (-DPRISM_TELEMETRY=OFF).
+/// live (counters are near-free). The latency ledger and flow table
+/// record on every delivery unless disabled at runtime (set_enabled) or
+/// compiled out (-DPRISM_TELEMETRY=OFF). Span tracers are not part of the
+/// bundle: one is attached from outside (Host::set_span_tracer), often
+/// shared by several hosts.
 struct Telemetry {
   Registry registry;
-  SpanTracer tracer;
   LatencyLedger latency;
   FlowTable flows;
   FlightRecorder recorder;

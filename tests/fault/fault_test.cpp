@@ -65,32 +65,6 @@ TEST(DropLedgerTest, OutOfRangeClassesClamp) {
             1u);
 }
 
-TEST(DropLedgerTest, ObserverSeesEveryDrop) {
-  DropLedger ledger;
-  std::vector<std::pair<DropReason, int>> seen;
-  ledger.set_observer([&](DropReason r, int level) {
-    seen.emplace_back(r, level);
-  });
-  ledger.record(DropReason::kBacklogFull, 2);
-  ledger.record(DropReason::kWire, -1);  // clamps before the observer
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0], std::make_pair(DropReason::kBacklogFull, 2));
-  EXPECT_EQ(seen[1], std::make_pair(DropReason::kWire, 0));
-}
-
-TEST(DropLedgerTest, RecordFrameUsesClassifier) {
-  DropLedger ledger;
-  ledger.set_classifier(
-      [](std::span<const std::uint8_t> f) { return f.empty() ? 0 : 2; });
-  const auto frame = make_frame();
-  ledger.record_frame(DropReason::kRingFull, frame.bytes());
-  EXPECT_EQ(ledger.count(DropReason::kRingFull, 2), 1u);
-  // No classifier: class 0.
-  DropLedger plain;
-  plain.record_frame(DropReason::kRingFull, frame.bytes());
-  EXPECT_EQ(plain.count(DropReason::kRingFull, 0), 1u);
-}
-
 TEST(DropLedgerTest, ReasonNamesAreDistinct) {
   std::set<std::string> names;
   for (int r = 0; r < fault::kNumDropReasons; ++r) {

@@ -5,6 +5,7 @@
 
 #include "fault/fault.h"
 #include "kernel/overload.h"
+#include "kernel/probe.h"
 #include "kernel/skb.h"
 #include "test_pipeline.h"
 
@@ -27,11 +28,14 @@ struct CountingStage final : PacketStage {
 
 TEST(BacklogBoundaryTest, EnqueueAtExactlyMaxBacklog) {
   fault::FaultLayer faults;
+  PacketProbe probe;
+  probe.drops = &faults.drops;
   CostModel cost;
   CountingStage stage;
   QueueNapi backlog("backlog", stage, cost);
   backlog.queue_limit = 8;
   backlog.set_faults(&faults);
+  backlog.set_probe(&probe, /*stage=*/3);
 
   // The enqueue that lands on the last free slot (depth 7 -> 8) is
   // admitted; the queue is full at exactly netdev_max_backlog and the
@@ -48,6 +52,8 @@ TEST(BacklogBoundaryTest, EnqueueAtExactlyMaxBacklog) {
 
 TEST(BacklogBoundaryTest, AtLimitHeadroomAdmitsHighDropsLow) {
   fault::FaultLayer faults;
+  PacketProbe probe;
+  probe.drops = &faults.drops;
   OverloadConfig cfg;
   cfg.flow_limit = false;
   cfg.high_headroom = 0.25;  // 2 of 8 reserved
@@ -56,6 +62,7 @@ TEST(BacklogBoundaryTest, AtLimitHeadroomAdmitsHighDropsLow) {
   QueueNapi backlog("backlog", stage, cost);
   backlog.queue_limit = 8;
   backlog.set_faults(&faults);
+  backlog.set_probe(&probe, /*stage=*/3);
   BacklogAdmission admission(cfg, /*max_backlog=*/8);
   backlog.set_admission(&admission);
 

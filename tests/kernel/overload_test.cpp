@@ -10,6 +10,7 @@
 #include "fault/fault.h"
 #include "harness/testbed.h"
 #include "kernel/overload.h"
+#include "kernel/probe.h"
 #include "kernel/skb.h"
 #include "test_pipeline.h"
 
@@ -68,6 +69,8 @@ TEST(FlowLimiterTest, HistoryEvictionForgetsColdFlows) {
 
 TEST(BacklogAdmissionTest, FlowLimitDropsAttributedToLedger) {
   fault::FaultLayer faults;
+  PacketProbe probe;
+  probe.drops = &faults.drops;
   OverloadConfig cfg;
   cfg.high_headroom = 0.0;
   CostModel cost;
@@ -87,6 +90,7 @@ TEST(BacklogAdmissionTest, FlowLimitDropsAttributedToLedger) {
   QueueNapi backlog("veth", stage, cost);
   backlog.queue_limit = 64;
   backlog.set_faults(&faults);
+  backlog.set_probe(&probe, /*stage=*/3);
   BacklogAdmission admission(cfg, /*max_backlog=*/64);
   backlog.set_admission(&admission);
 
@@ -108,6 +112,8 @@ TEST(BacklogAdmissionTest, FlowLimitDropsAttributedToLedger) {
 
 TEST(BacklogAdmissionTest, HeadroomReservedForHighPriority) {
   fault::FaultLayer faults;
+  PacketProbe probe;
+  probe.drops = &faults.drops;
   OverloadConfig cfg;
   cfg.flow_limit = false;
   cfg.high_headroom = 0.10;  // 10 of 100 reserved
@@ -124,6 +130,7 @@ TEST(BacklogAdmissionTest, HeadroomReservedForHighPriority) {
   QueueNapi backlog("veth", stage, cost);
   backlog.queue_limit = 100;
   backlog.set_faults(&faults);
+  backlog.set_probe(&probe, /*stage=*/3);
   BacklogAdmission admission(cfg, /*max_backlog=*/100);
   backlog.set_admission(&admission);
 

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "kernel/probe.h"
+#include "kernel/skb.h"
 #include "net/flow.h"
 #include "net/ip.h"
+#include "net/packet.h"
 #include "sim/time.h"
 #include "telemetry/anomaly.h"
 
@@ -18,6 +23,24 @@ net::FiveTuple tuple(std::uint16_t src_port) {
   t.dst_port = 9000;
   t.protocol = net::IpProto::kUdp;
   return t;
+}
+
+/// An skb carrying a parsed UDP frame of flow tuple(src_port) at `level`.
+kernel::SkbPtr parsed_skb(std::uint16_t src_port, int level) {
+  const net::FiveTuple t = tuple(src_port);
+  net::FrameSpec spec;
+  spec.src_mac = net::MacAddr::make(0x101);
+  spec.dst_mac = net::MacAddr::make(0x202);
+  spec.src_ip = t.src_ip;
+  spec.dst_ip = t.dst_ip;
+  spec.src_port = t.src_port;
+  spec.dst_port = t.dst_port;
+  const std::vector<std::uint8_t> payload(32, 0x5a);
+  kernel::SkbPtr skb = kernel::alloc_skb();
+  skb->buf = net::build_udp_frame(spec, payload);
+  skb->parsed = net::parse_frame(skb->buf.bytes());
+  skb->priority = level;
+  return skb;
 }
 
 // The CI telemetry-off job runs this suite explicitly: with
@@ -158,19 +181,31 @@ TEST(FlightRecorderTest, DequeueAndRingObservationsFeedTheAnomalyBank) {
 #if !PRISM_TELEMETRY_ENABLED
   GTEST_SKIP() << "telemetry compiled out";
 #endif
+  // The host's packet probe forwards the recorder's stage waits to the
+  // anomaly bank.
   FlightRecorder rec;
   AnomalyBank bank;  // default config: inversion detector armed, T=100us
-  rec.set_anomalies(&bank);
+  kernel::PacketProbe probe;
+  probe.recorder = &rec;
+  probe.anomalies = &bank;
+  probe.prism_mode = true;
   // High class queued 200us behind class 0: queue inversion.
-  rec.on_dequeue(tuple(1), 3, 2, sim::microseconds(200), /*head=*/0,
-                 sim::microseconds(300));
+  kernel::SkbPtr queued = parsed_skb(1, /*level=*/2);
+  queued->traced = true;
+  queued->observed_class = 2;
+  queued->ts.stage2_done = sim::microseconds(100);
+  queued->head_class_at_enqueue = 0;
+  probe.stage_dequeue(*queued, 3, sim::microseconds(300));
   EXPECT_EQ(bank.fired(AnomalyKind::kQueueInversion), 1u);
   // High class stuck 150us in the priority-blind ring: ring inversion.
-  rec.on_ring_arrival(tuple(2), 1, /*arrived=*/0,
-                      /*dequeued=*/sim::microseconds(150));
+  kernel::SkbPtr arriving = parsed_skb(2, /*level=*/1);
+  probe.ring_arrival(*arriving, *arriving->parsed, nullptr, /*arrived=*/0,
+                     /*dequeued=*/sim::microseconds(150));
+  EXPECT_TRUE(arriving->traced);  // pinned class
   EXPECT_EQ(bank.fired(AnomalyKind::kRingInversion), 1u);
   EXPECT_EQ(bank.max_inversion_wait_ns(), sim::microseconds(200));
   EXPECT_EQ(bank.worst_inversion_flow().src_port, 1);
+  EXPECT_EQ(rec.size(), 2u);
 }
 
 TEST(FlightRecorderTest, ResetClearsRingKeepsConfig) {

@@ -14,7 +14,6 @@
 #include "json_check.h"
 #include "telemetry/flow_table.h"
 #include "telemetry/latency.h"
-#include "trace/packet_trace.h"
 #include "trace/poll_trace.h"
 
 namespace prism {
@@ -185,19 +184,15 @@ TEST_F(LatencyE2eTest, ProcFilesRoundTripAsJson) {
   EXPECT_NE(all.find("\"rings\""), std::string::npos);
   EXPECT_NE(all.find("\"dropped\""), std::string::npos);
   // Unattached rings don't invent entries.
-  EXPECT_EQ(all.find("\"packet_trace\""), std::string::npos);
+  EXPECT_EQ(all.find(".poll_trace\""), std::string::npos);
 
-  // Attached poll/packet trace rings report retention alongside spans.
+  // An attached poll trace ring reports retention alongside spans.
   trace::PollTrace poll;
-  trace::PacketTrace packets;
   tb_->server().set_poll_trace(tb_->server().default_rx_cpu(), &poll);
-  tb_->server().deliverer().set_packet_trace(&packets);
   const std::string with_rings = proc.read("prism/telemetry");
   EXPECT_TRUE(::prism::testing::is_valid_json(with_rings)) << with_rings;
   EXPECT_NE(with_rings.find(".poll_trace\""), std::string::npos);
-  EXPECT_NE(with_rings.find("\"packet_trace\""), std::string::npos);
   tb_->server().set_poll_trace(tb_->server().default_rx_cpu(), nullptr);
-  tb_->server().deliverer().set_packet_trace(nullptr);
 }
 
 }  // namespace

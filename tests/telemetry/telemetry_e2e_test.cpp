@@ -15,6 +15,7 @@
 #include "harness/testbed.h"
 #include "json_check.h"
 #include "telemetry/snapshot.h"
+#include "telemetry/span_tracer.h"
 
 namespace prism {
 namespace {
@@ -284,6 +285,52 @@ TEST_F(TelemetryE2eTest, ProcFilesExposeTelemetry) {
   EXPECT_FALSE(server.proc().write("net/softnet_stat", "0"));
   // Unknown paths still read as empty.
   EXPECT_TRUE(server.proc().read("net/nope").empty());
+}
+
+
+TEST(TelemetryProcTest, SpanRingReportsTheAttachedTracer) {
+  harness::Testbed tb;
+  auto& cli = tb.add_client_container("cli");
+  auto& srv = tb.add_server_container("srv");
+  apps::SockperfServer server(
+      tb.sim(), apps::SockperfServer::Config{&tb.server(), &srv,
+                                             &tb.server().cpu(1), 11111});
+  // The "spans" member of the server's prism/telemetry document.
+  const auto spans_of = [&tb] {
+    const std::string json = tb.server().proc().read("prism/telemetry");
+    const auto at = json.find("\"spans\":");
+    if (at == std::string::npos) return json;
+    return json.substr(at, json.find('}', at) - at + 1);
+  };
+  // Nothing attached: the ring reads zeros.
+  EXPECT_EQ(spans_of(),
+            "\"spans\":{\"recorded\":0,\"retained\":0,\"dropped\":0}");
+
+  // A 64-span tracer overflows within 2 ms at 100 kpps; the server's
+  // proc file must report exactly what the attached tracer holds.
+  telemetry::SpanTracer tracer(64);
+  tb.attach_span_tracer(tracer);
+  apps::SockperfClient::Config cc;
+  cc.host = &tb.client();
+  cc.ns = &cli;
+  cc.cpus = {&tb.client().cpu(1)};
+  cc.dst_ip = srv.ip();
+  cc.dst_port = 11111;
+  cc.rate_pps = 100'000;
+  cc.stop_at = sim::milliseconds(2);
+  apps::SockperfClient client(tb.sim(), cc);
+  client.start();
+  tb.run_until(sim::milliseconds(2));
+
+  EXPECT_EQ(spans_of(), "\"spans\":{\"recorded\":" +
+                            std::to_string(tracer.recorded()) +
+                            ",\"retained\":" +
+                            std::to_string(tracer.size()) + ",\"dropped\":" +
+                            std::to_string(tracer.dropped()) + "}");
+#if PRISM_TELEMETRY_ENABLED
+  EXPECT_EQ(tracer.size(), 64u);
+  EXPECT_GT(tracer.dropped(), 0u);
+#endif
 }
 
 }  // namespace

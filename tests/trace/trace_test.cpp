@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "trace/packet_trace.h"
 #include "trace/poll_trace.h"
 
 namespace prism::trace {
@@ -87,79 +86,6 @@ TEST(PollTraceTest, InternedIdsAreStable) {
   EXPECT_EQ(records[0].device, "eth");
   EXPECT_EQ(records[0].poll_list,
             (std::vector<std::string>{"br", "eth"}));
-}
-
-TEST(PacketTraceTest, RingOverwritesOldestWhenFull) {
-  PacketTrace trace(2);
-  kernel::Skb skb;
-  for (int i = 0; i < 5; ++i) {
-    skb.ts.nic_rx = i;
-    trace.on_delivered(skb, i * 10);
-  }
-  EXPECT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace.dropped_records(), 3u);
-  const auto entries = trace.entries();
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].ts.nic_rx, 3);
-  EXPECT_EQ(entries[1].ts.nic_rx, 4);
-  EXPECT_EQ(entries[1].delivered, 40);
-  EXPECT_EQ(trace.entry(0).ts.nic_rx, 3);
-}
-
-TEST(PacketTraceTest, SetCapacityClearsRetainedEntries) {
-  PacketTrace trace(4);
-  kernel::Skb skb;
-  trace.on_delivered(skb, 1);
-  trace.set_capacity(1);
-  EXPECT_EQ(trace.size(), 0u);
-  trace.on_delivered(skb, 2);
-  trace.on_delivered(skb, 3);
-  EXPECT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace.dropped_records(), 1u);
-  EXPECT_EQ(trace.entries()[0].delivered, 3);
-}
-
-TEST(PacketTraceTest, BreakdownComputesMeans) {
-  PacketTrace trace;
-  kernel::Skb skb;
-  skb.ts.nic_rx = 0;
-  skb.ts.stage1_done = 1000;
-  skb.ts.stage2_done = 3000;
-  skb.ts.stage3_done = 6000;
-  skb.ts.socket_enqueue = 6000;
-  trace.on_delivered(skb, 6000);
-  skb.ts.stage1_done = 3000;
-  skb.ts.stage2_done = 5000;
-  skb.ts.stage3_done = 8000;
-  skb.ts.socket_enqueue = 8000;
-  trace.on_delivered(skb, 8000);
-  EXPECT_DOUBLE_EQ(
-      trace.mean_interval_ns(&kernel::SkbTimestamps::nic_rx,
-                             &kernel::SkbTimestamps::stage1_done),
-      2000.0);
-  EXPECT_DOUBLE_EQ(
-      trace.mean_interval_ns(&kernel::SkbTimestamps::stage1_done,
-                             &kernel::SkbTimestamps::stage2_done),
-      2000.0);
-  const auto text = trace.render_breakdown();
-  EXPECT_NE(text.find("nic ring -> stage1"), std::string::npos);
-}
-
-TEST(PacketTraceTest, MissingStagesSkipped) {
-  PacketTrace trace;
-  kernel::Skb skb;  // host path: stage2/3 never traversed (-1)
-  skb.ts.nic_rx = 0;
-  skb.ts.stage1_done = 500;
-  skb.ts.socket_enqueue = 500;
-  trace.on_delivered(skb, 500);
-  EXPECT_DOUBLE_EQ(
-      trace.mean_interval_ns(&kernel::SkbTimestamps::stage1_done,
-                             &kernel::SkbTimestamps::stage2_done),
-      0.0);
-  EXPECT_DOUBLE_EQ(
-      trace.mean_interval_ns(&kernel::SkbTimestamps::nic_rx,
-                             &kernel::SkbTimestamps::socket_enqueue),
-      500.0);
 }
 
 }  // namespace
