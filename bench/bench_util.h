@@ -43,11 +43,12 @@ inline long parse_long_or_die(const char* text, const char* what) {
 
 /// Parses `--threads N` / `--threads=N` (or the PRISM_THREADS environment
 /// variable; the flag wins) and installs the result as the harness-wide
-/// default engine via harness::set_default_threads(). Every scenario the
-/// bench runs then picks the parallel lane backend when N >= 2, with no
-/// per-bench plumbing. Returns the resolved count (default 1: classic
-/// single-threaded engine). Malformed or non-positive values exit with
-/// an error. Call first thing in main().
+/// default via harness::set_default_threads(). Every testbed the bench
+/// builds then runs its two lanes on N OS threads (N >= 2) or on the
+/// serial path (N = 1, the default), with no per-bench plumbing; the
+/// output is the same either way. Returns the resolved count. Malformed
+/// or non-positive values exit with an error. Call first thing in
+/// main().
 inline int parse_threads(int argc, char** argv) {
   long threads = 1;
   if (const char* env = std::getenv("PRISM_THREADS")) {

@@ -130,7 +130,7 @@ struct Stream {
   std::size_t next_port = 0;
 
   void start(sim::Time at) {
-    tb->sim().schedule_at(at, [this] { tick(); });
+    tb->client_sim().schedule_at(at, [this] { tick(); });
   }
 
   void tick() {
@@ -144,8 +144,8 @@ struct Stream {
       next_cpu = 1 + next_cpu % tx_cpus;
       next_port = (next_port + 1) % src_ports.size();
     }
-    const sim::Time t = tb->sim().now() + tick_gap;
-    if (t < stop) tb->sim().schedule_at(t, [this] { tick(); });
+    const sim::Time t = tb->client_sim().now() + tick_gap;
+    if (t < stop) tb->client_sim().schedule_at(t, [this] { tick(); });
   }
 };
 
@@ -308,14 +308,16 @@ SoakResult run_soak(std::uint64_t seed, const Profile& prof, bool report) {
   // Mid-round governor samples (moderation-stretch monitor).
   SoakResult res;
   for (const auto& r : rounds) {
-    tb.sim().schedule_at(r.start + prof.round / 2, [&] {
+    tb.server_sim().schedule_at(r.start + prof.round / 2, [&] {
       res.mid_round.push_back(
           {tb.server().governor().state(),
            tb.server().nic().queue(0).coalesce().usecs});
     });
   }
 
-  tb.sim().run();
+  // Drain well past the last send (no event recurs once the pipeline is
+  // idle).
+  tb.run_until(recovery_end + 1000 * kMs);
 
   for (int cls = 0; cls < 3; ++cls) {
     res.received[static_cast<std::size_t>(cls)] =
@@ -533,7 +535,7 @@ std::uint64_t run_clean_baseline() {
   probe.burst = 1;
   probe.tick_gap = static_cast<sim::Duration>(1e9 / 100e3);
   probe.start(10 * kMs);
-  tb.sim().run();
+  tb.run_until(1000 * kMs);
   return tb.server().anomalies().fired_total();
 }
 

@@ -113,7 +113,7 @@ RunResult run_scenario(const fault::FaultConfig& fc, bool episode = false) {
       const std::uint64_t n = i * kClasses + static_cast<std::uint64_t>(cls);
       const int cpu = 1 + static_cast<int>(n % static_cast<std::uint64_t>(
                                                    tx_cpus));
-      tb.sim().schedule_at(
+      tb.client_sim().schedule_at(
           static_cast<sim::Time>(n) * spacing, [&, cls, cpu] {
             tb.client().udp_send(c1, tb.client().cpu(cpu), 4444, c2.ip(),
                                  static_cast<std::uint16_t>(7000 + cls),
@@ -121,7 +121,9 @@ RunResult run_scenario(const fault::FaultConfig& fc, bool episode = false) {
           });
     }
   }
-  tb.sim().run();
+  // The last send leaves by 900 * 4 us = 3.6 ms; a second drains the
+  // pipeline (no event recurs once it is idle).
+  tb.run_until(sim::seconds(1));
 
   RunResult r;
   const auto& layer = tb.server().faults();

@@ -24,8 +24,8 @@ void run_mode(prism::kernel::NapiMode mode) {
   tb.server().priority_db().add(srv.ip(), 11111);
   tb.client().priority_db().add(cli.ip(), 20000);
 
-  apps::SockperfServer server(tb.sim(), {&tb.server(), &srv,
-                                         &tb.server().cpu(1), 11111});
+  apps::SockperfServer server(tb.server_sim(), {&tb.server(), &srv,
+                                                &tb.server().cpu(1), 11111});
   apps::SockperfClient::Config cc;
   cc.host = &tb.client();
   cc.ns = &cli;
@@ -36,21 +36,21 @@ void run_mode(prism::kernel::NapiMode mode) {
   cc.rate_pps = 350'000;  // loaded but below capacity
   cc.burst = 64;
   cc.stop_at = sim::milliseconds(8);
-  apps::SockperfClient client(tb.sim(), cc);
+  apps::SockperfClient client(tb.client_sim(), cc);
   client.start();
 
   // Trace the [4 ms, 6 ms) window: poll order from the engine, per-stage
   // latency from the server's ledger, reset at the window's start.
   trace::PollTrace polls;
-  tb.sim().schedule_at(sim::milliseconds(4), [&] {
+  tb.server_sim().schedule_at(sim::milliseconds(4), [&] {
     tb.server().set_poll_trace(tb.server().default_rx_cpu(), &polls);
     tb.server().latency_ledger().reset();
   });
-  tb.sim().run_until(sim::milliseconds(6));
+  tb.run_until(sim::milliseconds(6));
   tb.server().set_poll_trace(tb.server().default_rx_cpu(), nullptr);
   const telemetry::LatencyBreakdown window =
       tb.server().latency_ledger().snapshot();
-  tb.sim().run();
+  tb.run_until(sim::milliseconds(20));  // drain past the client's stop
 
   std::printf("--- %s ---\n", kernel::to_string(mode));
   std::printf("%s\n", polls.render(9).c_str());

@@ -27,10 +27,12 @@ int main() {
   auto& bulk_srv = tb.add_server_container("bulk");
   auto& bulk_cli = tb.add_client_container("bulk-cli");
 
-  apps::SockperfServer service(tb.sim(), {&tb.server(), &service_srv,
-                                          &tb.server().cpu(1), 11111});
-  apps::SockperfServer bulk_sink(tb.sim(), {&tb.server(), &bulk_srv,
-                                            &tb.server().cpu(2), 11112});
+  apps::SockperfServer service(tb.server_sim(),
+                               {&tb.server(), &service_srv,
+                                &tb.server().cpu(1), 11111});
+  apps::SockperfServer bulk_sink(tb.server_sim(),
+                                 {&tb.server(), &bulk_srv,
+                                  &tb.server().cpu(2), 11112});
 
   // Bulk: 300 Kpps for the whole run.
   apps::SockperfClient::Config bulk_cfg;
@@ -43,7 +45,7 @@ int main() {
   bulk_cfg.rate_pps = 300'000;
   bulk_cfg.burst = 64;
   bulk_cfg.stop_at = sim::milliseconds(700);
-  apps::SockperfClient bulk(tb.sim(), bulk_cfg);
+  apps::SockperfClient bulk(tb.client_sim(), bulk_cfg);
   bulk.start();
 
   // The service probe, one client per measurement phase.
@@ -63,29 +65,33 @@ int main() {
     return cfg;
   };
   apps::SockperfClient before(
-      tb.sim(), probe_config(sim::milliseconds(50),
-                             sim::milliseconds(300), 20000));
+      tb.client_sim(), probe_config(sim::milliseconds(50),
+                                    sim::milliseconds(300), 20000));
   apps::SockperfClient after(
-      tb.sim(), probe_config(sim::milliseconds(400),
-                             sim::milliseconds(650), 20001));
+      tb.client_sim(), probe_config(sim::milliseconds(400),
+                                    sim::milliseconds(650), 20001));
   before.start();
   after.start();
 
-  // At t=350ms, the operator marks the service as high priority — the
-  // simulated equivalent of writing to /proc/prism/priority.
-  tb.sim().schedule_at(sim::milliseconds(350), [&] {
+  // At t=350ms, the operator marks the service as high priority on both
+  // hosts — the simulated equivalent of writing to /proc/prism/priority.
+  // Each write runs on the lane of the host it changes.
+  tb.server_sim().schedule_at(sim::milliseconds(350), [&] {
     char cmd[64];
     std::snprintf(cmd, sizeof(cmd), "add %s 11111",
                   service_srv.ip().to_string().c_str());
     tb.server().proc().write("prism/priority", cmd);
+    std::printf("[t=%.0f ms] service flow marked high-priority via proc\n",
+                sim::to_ms(tb.server_sim().now()));
+  });
+  tb.client_sim().schedule_at(sim::milliseconds(350), [&] {
+    char cmd[64];
     std::snprintf(cmd, sizeof(cmd), "add %s 20001",
                   service_cli.ip().to_string().c_str());
     tb.client().proc().write("prism/priority", cmd);
-    std::printf("[t=%.0f ms] service flow marked high-priority via proc\n",
-                sim::to_ms(tb.sim().now()));
   });
 
-  tb.sim().run_until(sim::milliseconds(700));
+  tb.run_until(sim::milliseconds(700));
 
   stats::Table table({"phase", "p50 (us)", "mean (us)", "p99 (us)"});
   auto add = [&](const char* label, const stats::Histogram& h) {

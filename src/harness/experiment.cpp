@@ -26,11 +26,10 @@ constexpr std::uint16_t kBgSrcBase = 21000;
 constexpr sim::Duration kDrain = sim::milliseconds(20);
 
 TestbedConfig testbed_config(const kernel::CostModel& cost,
-                             kernel::NapiMode mode, int threads) {
+                             kernel::NapiMode mode) {
   TestbedConfig tc;
   tc.cost = cost;
   tc.mode = mode;
-  tc.threads = threads;
   return tc;
 }
 
@@ -78,7 +77,7 @@ void fill_flowcache_stats(Result& result, Testbed& tb) {
 
 PriorityScenarioResult run_priority_scenario(
     const PriorityScenarioConfig& cfg) {
-  TestbedConfig tc = testbed_config(cfg.cost, cfg.mode, cfg.threads);
+  TestbedConfig tc = testbed_config(cfg.cost, cfg.mode);
   tc.flow_cache = cfg.flow_cache;
   if (cfg.wire_drop_rate > 0 || cfg.wire_dup_rate > 0) {
     tc.server_faults.wire_drop_rate = cfg.wire_drop_rate;
@@ -212,7 +211,7 @@ PriorityScenarioResult run_priority_scenario(
 
 StreamlinedScenarioResult run_streamlined_scenario(
     const StreamlinedScenarioConfig& cfg) {
-  TestbedConfig tc = testbed_config(cfg.cost, cfg.mode, cfg.threads);
+  TestbedConfig tc = testbed_config(cfg.cost, cfg.mode);
   tc.flow_cache = cfg.flow_cache;
   Testbed tb(tc);
   reset_latency_at_warmup(tb, cfg.warmup);
@@ -252,8 +251,7 @@ StreamlinedScenarioResult run_streamlined_scenario(
 
   // Window-edge sampling, split by which host owns the counter: server
   // goodput and CPU accounting sample on the server's lane, the client
-  // send counter on the client's lane. In classic mode both lanes are the
-  // same simulator, so the split is behavior-neutral.
+  // send counter on the client's lane.
   auto& rx_acct = tb.server_rx_cpu().accounting();
   std::uint64_t received_at_warmup = 0;
   tb.server_sim().schedule_at(cfg.warmup, [&] {
@@ -290,7 +288,7 @@ StreamlinedScenarioResult run_streamlined_scenario(
 
 MemcachedScenarioResult run_memcached_scenario(
     const MemcachedScenarioConfig& cfg) {
-  Testbed tb(testbed_config(cfg.cost, cfg.mode, cfg.threads));
+  Testbed tb(testbed_config(cfg.cost, cfg.mode));
   reset_latency_at_warmup(tb, cfg.warmup);
   const sim::Time t_end = cfg.warmup + cfg.duration;
 
@@ -366,7 +364,7 @@ MemcachedScenarioResult run_memcached_scenario(
 }
 
 WebScenarioResult run_web_scenario(const WebScenarioConfig& cfg) {
-  Testbed tb(testbed_config(cfg.cost, cfg.mode, cfg.threads));
+  Testbed tb(testbed_config(cfg.cost, cfg.mode));
   reset_latency_at_warmup(tb, cfg.warmup);
   const sim::Time t_end = cfg.warmup + cfg.duration;
 

@@ -46,9 +46,6 @@ struct PriorityScenarioConfig {
   /// Non-empty: attach a span tracer to both hosts and export the
   /// timeline as Chrome trace_event JSON to this path (Perfetto-loadable).
   std::string trace_out;
-  /// Simulation engine (TestbedConfig::threads): 0 = harness default,
-  /// 1 = classic shared simulator, >= 2 = parallel lane backend.
-  int threads = 0;
   /// Overlay flow cache on both hosts (ONCache-style stage-1 fast path).
   bool flow_cache = false;
   /// Arm the server's flight recorder + anomaly-detector bank with the
@@ -140,8 +137,6 @@ struct StreamlinedScenarioConfig {
   sim::Duration warmup = sim::milliseconds(50);
   sim::Duration duration = sim::milliseconds(500);
   kernel::CostModel cost{};
-  /// Simulation engine (TestbedConfig::threads): 0 = harness default.
-  int threads = 0;
   /// Overlay flow cache on both hosts (ONCache-style stage-1 fast path).
   bool flow_cache = false;
 };
@@ -182,8 +177,6 @@ struct MemcachedScenarioConfig {
   sim::Duration duration = sim::milliseconds(500);
   kernel::CostModel cost{};
   std::uint64_t seed = 1;
-  /// Simulation engine (TestbedConfig::threads): 0 = harness default.
-  int threads = 0;
 };
 
 struct MemcachedScenarioResult {
@@ -215,8 +208,6 @@ struct WebScenarioConfig {
   sim::Duration warmup = sim::milliseconds(50);
   sim::Duration duration = sim::milliseconds(500);
   kernel::CostModel cost{};
-  /// Simulation engine (TestbedConfig::threads): 0 = harness default.
-  int threads = 0;
 };
 
 struct WebScenarioResult {

@@ -1,7 +1,5 @@
 #include "harness/testbed.h"
 
-#include <stdexcept>
-
 namespace prism::harness {
 
 namespace {
@@ -52,42 +50,21 @@ void set_default_threads(int threads) {
   g_default_threads = threads < 1 ? 1 : threads;
 }
 
-int default_threads() { return g_default_threads; }
-
 Testbed::Testbed(const TestbedConfig& config)
     : threads_(resolve_threads(config.threads)),
-      sim_(threads_ > 1 ? nullptr : std::make_unique<sim::Simulator>()),
-      lanes_(threads_ > 1 ? std::make_unique<sim::LaneSet>(2) : nullptr),
       client_(client_sim(), client_config(config)),
       server_(server_sim(), server_config(config)),
-      wire_(lanes_ ? std::make_unique<nic::Wire>(*lanes_, 0, 1,
-                                                 config.wire_gbps,
-                                                 config.propagation)
-                   : std::make_unique<nic::Wire>(*sim_, config.wire_gbps,
-                                                 config.propagation)),
+      wire_(lanes_, 0, 1, config.wire_gbps, config.propagation),
       overlay_(config.vni) {
-  wire_->attach(client_.nic(), server_.nic());
-  client_.nic().attach_wire(*wire_);
-  server_.nic().attach_wire(*wire_);
+  wire_.attach(client_.nic(), server_.nic());
+  client_.nic().attach_wire(wire_);
+  server_.nic().attach_wire(wire_);
   client_.add_neighbor(server_.ip(), server_.mac());
   server_.add_neighbor(client_.ip(), client_.mac());
 }
 
-sim::Simulator& Testbed::sim() {
-  if (lanes_) {
-    throw std::logic_error(
-        "Testbed::sim(): no shared simulator in lane mode; use "
-        "client_sim()/server_sim() and Testbed::run_until()");
-  }
-  return *sim_;
-}
-
 void Testbed::run_until(sim::Time deadline) {
-  if (lanes_) {
-    lanes_->run_until(deadline, tracer_shared_ ? 1 : threads_);
-  } else {
-    sim_->run_until(deadline);
-  }
+  lanes_.run_until(deadline, tracer_shared_ ? 1 : threads_);
 }
 
 overlay::Netns& Testbed::add_client_container(const std::string& name) {

@@ -7,34 +7,29 @@
 // across queues so it is never the bottleneck. One VXLAN overlay spans
 // both hosts for container workloads.
 //
-// The testbed runs on one of two engines, selected by TestbedConfig::
-// threads: the classic shared single-threaded Simulator (threads <= 1,
-// the default), or the parallel lane backend (threads >= 2) where each
-// host owns a simulation lane and the wire's propagation delay is the
-// conservative lookahead (sim/lane.h). Lane-mode runs are deterministic
-// for any thread count; callers drive the clock through run_until() and
-// address each host's lane with client_sim()/server_sim(), which in
-// classic mode all refer to the one shared simulator.
+// The testbed runs on the lane engine (sim/lane.h): each host owns a
+// simulation lane (client lane 0, server lane 1) and the wire's
+// propagation delay is the conservative lookahead. TestbedConfig::threads
+// only picks how many OS threads execute the two lanes; results are the
+// same for every thread count. Callers schedule on the lane of the host
+// whose state a callback touches (client_sim()/server_sim()) and drive
+// the clock through run_until().
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "kernel/host.h"
 #include "nic/wire.h"
 #include "overlay/overlay_network.h"
 #include "sim/lane.h"
-#include "sim/simulator.h"
 
 namespace prism::harness {
 
 /// Process-wide default for TestbedConfig::threads == 0 (and thus for
-/// every scenario config that leaves threads at 0). Benches set it once
-/// from a --threads flag; the parallel backend becomes opt-in everywhere
-/// without per-bench plumbing. Values < 1 clamp to 1.
+/// every scenario the harness builds). Benches set it once from a
+/// --threads flag, with no per-bench plumbing. Values < 1 clamp to 1.
 void set_default_threads(int threads);
-int default_threads();
 
 /// Testbed parameters. Defaults mirror the paper's setup.
 struct TestbedConfig {
@@ -67,9 +62,9 @@ struct TestbedConfig {
   /// Overlay flow cache (ONCache-style stage-1 fast path) on both hosts.
   /// Off by default so baselines measure the full pipeline.
   bool flow_cache = false;
-  /// Simulation engine: 0 = use harness::default_threads(); 1 = classic
-  /// shared simulator; >= 2 = parallel lanes (client lane 0, server lane
-  /// 1) run on that many OS threads (clamped to the lane count).
+  /// OS threads that execute the two lanes: 0 = the set_default_threads()
+  /// value; 1 = the serial path; >= 2 = one thread per lane (clamped to
+  /// the lane count). Results are identical for every value.
   int threads = 0;
 };
 
@@ -81,34 +76,24 @@ class Testbed {
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
 
-  /// True when the parallel lane backend is active (threads >= 2).
-  bool parallel() const noexcept { return lanes_ != nullptr; }
-  /// Resolved thread count the testbed runs with.
-  int threads() const noexcept { return threads_; }
+  /// The testbed's engine, for whole-simulation counters
+  /// (events_executed(), pending_events()). Schedule on client_sim() or
+  /// server_sim() and advance with run_until().
+  sim::LaneSet& sim() noexcept { return lanes_; }
 
-  /// The classic shared simulator. Throws std::logic_error in lane mode —
-  /// there is no single simulator there; use client_sim()/server_sim()
-  /// to schedule and run_until() to drive the clock.
-  sim::Simulator& sim();
+  /// The lane the client/server host schedules on.
+  sim::Simulator& client_sim() noexcept { return lanes_.lane(0); }
+  sim::Simulator& server_sim() noexcept { return lanes_.lane(1); }
 
-  /// The simulator the client/server host schedules on. In classic mode
-  /// both return the shared simulator.
-  sim::Simulator& client_sim() noexcept {
-    return lanes_ ? lanes_->lane(0) : *sim_;
-  }
-  sim::Simulator& server_sim() noexcept {
-    return lanes_ ? lanes_->lane(1) : *sim_;
-  }
-
-  /// Advances the simulation to `deadline` on the configured engine.
-  /// Lane mode uses the configured thread count (forced to one thread,
-  /// with identical results, while a shared span tracer is attached).
+  /// Advances both lanes to `deadline` on the configured thread count
+  /// (forced to one thread, with identical results, while a shared span
+  /// tracer is attached).
   void run_until(sim::Time deadline);
 
   kernel::Host& client() noexcept { return client_; }
   kernel::Host& server() noexcept { return server_; }
   overlay::OverlayNetwork& overlay() noexcept { return overlay_; }
-  nic::Wire& wire() noexcept { return *wire_; }
+  nic::Wire& wire() noexcept { return wire_; }
 
   /// Adds a container on the client/server host. Container IPs are
   /// auto-assigned in 172.17.0.0/16.
@@ -126,8 +111,8 @@ class Testbed {
   /// Attaches one shared span tracer to both hosts: server CPUs on
   /// tracks [0, server_cpus), client CPUs on the tracks after them, so
   /// one exported trace shows every core of the testbed as its own row.
-  /// In lane mode this forces windows onto a single thread (the tracer
-  /// is not thread-safe); the simulation results are unchanged.
+  /// This forces windows onto a single thread (the tracer is not
+  /// thread-safe); the simulation results are unchanged.
   void attach_span_tracer(telemetry::SpanTracer& tracer) {
     tracer_shared_ = true;
     server_.set_span_tracer(&tracer, 0);
@@ -135,13 +120,11 @@ class Testbed {
   }
 
  private:
-  /// Resolved before the hosts so member init can pick the right engine.
   int threads_;
-  std::unique_ptr<sim::Simulator> sim_;   ///< classic mode (threads <= 1)
-  std::unique_ptr<sim::LaneSet> lanes_;   ///< lane mode (threads >= 2)
+  sim::LaneSet lanes_{2};
   kernel::Host client_;
   kernel::Host server_;
-  std::unique_ptr<nic::Wire> wire_;
+  nic::Wire wire_;
   overlay::OverlayNetwork overlay_;
   bool tracer_shared_ = false;
   std::uint8_t next_container_ip_ = 2;

@@ -4,19 +4,17 @@
 // 100 GbE cable. Frames serialize onto the wire at link bandwidth
 // (per-direction FIFO) and arrive after the propagation delay.
 //
-// A wire may span two simulation lanes (parallel runs put each host on its
-// own lane): the endpoints then live on different Simulators, and delivery
-// crosses through the LaneSet's SPSC inboxes instead of a direct
-// schedule_at. The propagation delay doubles as the conservative
-// lookahead that lets the lanes run concurrently — the wire registers it
-// with the LaneSet at attach time.
+// A wire always joins two simulation lanes (each host owns its own lane):
+// the endpoints live on different Simulators, and delivery crosses through
+// the LaneSet's SPSC inboxes. The propagation delay doubles as the
+// conservative lookahead that lets the lanes run concurrently — the wire
+// registers it with the LaneSet at construction.
 #pragma once
 
 #include <cstdint>
 
 #include "net/packet.h"
 #include "sim/lane.h"
-#include "sim/simulator.h"
 
 namespace prism::nic {
 
@@ -25,14 +23,10 @@ class Nic;
 /// Full-duplex point-to-point link.
 class Wire {
  public:
-  /// Single-lane wire: both endpoints schedule on `sim`.
-  /// `bandwidth_gbps` is per direction. The paper's testbed used 100 GbE.
-  Wire(sim::Simulator& sim, double bandwidth_gbps = 100.0,
-       sim::Duration propagation = sim::nanoseconds(500));
-
-  /// Cross-lane wire: endpoint a lives on `lanes.lane(lane_a)`, endpoint b
-  /// on `lanes.lane(lane_b)`. Registers the propagation delay as lookahead.
-  /// `lane_a == lane_b` degrades gracefully to the single-lane behaviour.
+  /// Endpoint a lives on `lanes.lane(lane_a)`, endpoint b on
+  /// `lanes.lane(lane_b)`; the two lanes must differ. Registers the
+  /// propagation delay as lookahead. `bandwidth_gbps` is per direction;
+  /// the paper's testbed used 100 GbE.
   Wire(sim::LaneSet& lanes, int lane_a, int lane_b,
        double bandwidth_gbps = 100.0,
        sim::Duration propagation = sim::nanoseconds(500));
@@ -60,11 +54,9 @@ class Wire {
   }
 
  private:
-  sim::Simulator& sim_a_;  ///< endpoint a's lane (== b's when single-lane)
-  sim::Simulator& sim_b_;
-  sim::LaneSet* lanes_ = nullptr;  ///< non-null when lane_a_ != lane_b_
-  int lane_a_ = 0;
-  int lane_b_ = 0;
+  sim::LaneSet& lanes_;
+  int lane_a_;
+  int lane_b_;
   double bits_per_ns_;
   sim::Duration propagation_;
   Nic* a_ = nullptr;

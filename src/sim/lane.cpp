@@ -27,11 +27,8 @@ LaneSet::LaneSet(int lanes) {
   drained_msgs_.assign(static_cast<std::size_t>(lanes), 0);
   for (int i = 0; i < lanes; ++i) {
     lanes_.push_back(std::make_unique<Simulator>());
-    auto& from = mailboxes_[static_cast<std::size_t>(i)].from;
-    from.reserve(static_cast<std::size_t>(lanes));
-    for (int j = 0; j < lanes; ++j) {
-      from.push_back(std::make_unique<SpscQueue<Message>>());
-    }
+    mailboxes_[static_cast<std::size_t>(i)].from.resize(
+        static_cast<std::size_t>(lanes));
   }
 }
 
@@ -43,7 +40,12 @@ void LaneSet::register_link(int a, int b, Duration propagation) {
     throw std::invalid_argument(
         "LaneSet::register_link: negative propagation");
   }
-  if (a == b) return;  // same-lane wire: direct scheduling, no handoff
+  if (a == b) return;  // a lane needs no handoff to itself
+  for (auto [src, dst] : {std::pair{a, b}, std::pair{b, a}}) {
+    auto& q = mailboxes_[static_cast<std::size_t>(dst)]
+                  .from[static_cast<std::size_t>(src)];
+    if (q == nullptr) q = std::make_unique<SpscQueue<Message>>();
+  }
   linked_[static_cast<std::size_t>(a)] = 1;
   linked_[static_cast<std::size_t>(b)] = 1;
   if (propagation < lookahead_) lookahead_ = propagation;
@@ -94,14 +96,13 @@ void LaneSet::post(int src, int dst, Time at, EventFn fn) {
   mailboxes_[static_cast<std::size_t>(dst)]
       .from[static_cast<std::size_t>(src)]
       ->push(std::move(m));
-  messages_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::size_t LaneSet::drain_inboxes(int dst) {
   Mailbox& mb = mailboxes_[static_cast<std::size_t>(dst)];
   mb.scratch.clear();
-  // Messages only travel over registered links (post() asserts it), so
-  // only the neighbor inboxes can be non-empty.
+  // Messages only travel over registered links (post() asserts it), and
+  // only those have an inbox.
   for (const Neighbor& nb : neighbors_[static_cast<std::size_t>(dst)]) {
     mb.from[static_cast<std::size_t>(nb.lane)]->drain_into(mb.scratch);
   }
@@ -409,18 +410,28 @@ std::uint64_t LaneSet::events_executed() const {
   return total;
 }
 
+std::size_t LaneSet::pending_events() const {
+  std::size_t total = 0;
+  for (const auto& l : lanes_) total += l->pending_events();
+  return total;
+}
+
+std::uint64_t LaneSet::messages_posted() const {
+  std::uint64_t total = 0;
+  for (int i = 0; i < num_lanes(); ++i) total += lane_inbox_pushed(i);
+  return total;
+}
+
 std::uint64_t LaneSet::inbox_spills() const {
   std::uint64_t total = 0;
-  for (const Mailbox& mb : mailboxes_) {
-    for (const auto& q : mb.from) total += q->spill_count();
-  }
+  for (int i = 0; i < num_lanes(); ++i) total += lane_inbox_spills(i);
   return total;
 }
 
 std::uint64_t LaneSet::lane_inbox_spills(int dst) const {
   std::uint64_t total = 0;
   for (const auto& q : mailboxes_[static_cast<std::size_t>(dst)].from) {
-    total += q->spill_count();
+    if (q != nullptr) total += q->spill_count();
   }
   return total;
 }
@@ -428,7 +439,7 @@ std::uint64_t LaneSet::lane_inbox_spills(int dst) const {
 std::uint64_t LaneSet::lane_inbox_pushed(int dst) const {
   std::uint64_t total = 0;
   for (const auto& q : mailboxes_[static_cast<std::size_t>(dst)].from) {
-    total += q->pushed_count();
+    if (q != nullptr) total += q->pushed_count();
   }
   return total;
 }
@@ -436,7 +447,7 @@ std::uint64_t LaneSet::lane_inbox_pushed(int dst) const {
 std::size_t LaneSet::lane_inbox_high_water(int dst) const {
   std::size_t max = 0;
   for (const auto& q : mailboxes_[static_cast<std::size_t>(dst)].from) {
-    max = std::max(max, q->high_water());
+    if (q != nullptr) max = std::max(max, q->high_water());
   }
   return max;
 }

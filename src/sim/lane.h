@@ -38,7 +38,6 @@
 // free-runs to the deadline.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -65,11 +64,11 @@ class LaneSet {
   Simulator& lane(int i) { return *lanes_[static_cast<std::size_t>(i)]; }
 
   /// Declares a cross-lane link with the given propagation delay (the
-  /// Wire calls this at attach). Each endpoint's window horizon then
-  /// tracks the other's event clock plus this delay; registering the
-  /// same lane pair again keeps the smaller delay. Self-links (a == b)
-  /// are ignored — a wire whose endpoints share a lane schedules
-  /// directly and needs no handoff.
+  /// Wire calls this at construction) and creates the inbox for each of
+  /// its two directions. Each endpoint's window horizon then tracks the
+  /// other's event clock plus this delay; registering the same lane pair
+  /// again keeps the smaller delay. Self-links (a == b) are ignored: a
+  /// lane needs no handoff to itself.
   void register_link(int a, int b, Duration propagation);
 
   /// Global lookahead floor (min registered propagation; kMaxTime when
@@ -95,21 +94,26 @@ class LaneSet {
   /// Total events executed across all lanes.
   std::uint64_t events_executed() const;
 
+  /// Total events still queued across all lanes. Between run_until()
+  /// calls every inbox is drained, so this is the whole simulation's
+  /// backlog.
+  std::size_t pending_events() const;
+
   /// Number of synchronization windows the last run_until executed.
   std::uint64_t windows_run() const noexcept { return windows_; }
 
-  /// Total cross-lane messages handed off so far.
-  std::uint64_t messages_posted() const noexcept {
-    return messages_.load(std::memory_order_relaxed);
-  }
+  /// Total cross-lane messages handed off so far (the inboxes' push
+  /// counts, summed).
+  std::uint64_t messages_posted() const;
 
   /// Cross-lane messages that overflowed an inbox ring onto the mutex
   /// spill path (diagnostic: should stay ~0 for well-sized rings).
   std::uint64_t inbox_spills() const;
 
   /// Per-destination-lane inbox diagnostics (summed/maxed over that
-  /// lane's per-source queues). All three are schedule-deterministic:
-  /// identical at any thread count for the same simulation.
+  /// lane's per-link queues; 0 for a lane with no links). All three are
+  /// schedule-deterministic: identical at any thread count for the same
+  /// simulation.
   std::uint64_t lane_inbox_spills(int dst) const;
   std::uint64_t lane_inbox_pushed(int dst) const;
   std::size_t lane_inbox_high_water(int dst) const;
@@ -133,7 +137,9 @@ class LaneSet {
     EventFn fn;
   };
 
-  /// Per-destination mailbox: one SPSC queue per source lane plus the
+  /// Per-destination mailbox: one SPSC queue per linked source lane
+  /// (null for lanes with no link to this one, so an N-lane set holds
+  /// one queue per link direction rather than N*N) plus the
   /// consumer-side scratch used to sort a window's arrivals.
   struct Mailbox {
     std::vector<std::unique_ptr<SpscQueue<Message>>> from;  // [src lane]
@@ -177,7 +183,6 @@ class LaneSet {
   /// topologies); enables the closed-form window computation.
   bool pairwise_ = true;
   Duration lookahead_ = kMaxTime;
-  std::atomic<std::uint64_t> messages_{0};
   LaneProfiler* profiler_ = nullptr;
   /// [lane] messages drained at the current round's window edge. Each
   /// entry is written and read only by the lane's owning worker; it

@@ -41,9 +41,9 @@ TEST(HttpTest, RequestsGetResponses) {
   HttpServer server(rig.server_config());
   auto cc = rig.client_config();
   cc.rate_rps = 2000;
-  Wrk2Client client(rig.tb.sim(), cc);
+  Wrk2Client client(rig.tb.client_sim(), cc);
   client.start();
-  rig.tb.sim().run_until(sim::milliseconds(40));
+  rig.tb.run_until(sim::milliseconds(40));
   EXPECT_GT(client.sent(), 30u);
   EXPECT_EQ(client.completed(), client.sent());
   EXPECT_EQ(server.requests_served(), client.sent());
@@ -59,9 +59,9 @@ TEST(HttpTest, ResponsesPaddedToFileSize) {
   // a completed response implies a full 900-byte body arrived intact.
   auto cc = rig.client_config();
   cc.rate_rps = 500;
-  Wrk2Client client(rig.tb.sim(), cc);
+  Wrk2Client client(rig.tb.client_sim(), cc);
   client.start();
-  rig.tb.sim().run_until(sim::milliseconds(40));
+  rig.tb.run_until(sim::milliseconds(40));
   EXPECT_GT(client.completed(), 5u);
 }
 
@@ -70,9 +70,9 @@ TEST(HttpTest, LatencyMeasuredFromScheduledSend) {
   HttpServer server(rig.server_config());
   auto cc = rig.client_config();
   cc.rate_rps = 1000;
-  Wrk2Client client(rig.tb.sim(), cc);
+  Wrk2Client client(rig.tb.client_sim(), cc);
   client.start();
-  rig.tb.sim().run_until(sim::milliseconds(40));
+  rig.tb.run_until(sim::milliseconds(40));
   ASSERT_GT(client.latency().count(), 0u);
   // Full HTTP round trip over the overlay: more than a bare wire RTT.
   EXPECT_GT(client.latency().min(), sim::microseconds(10));
@@ -86,10 +86,10 @@ TEST(HttpTest, InvalidConfigsRejected) {
   EXPECT_THROW(HttpServer{sc}, std::invalid_argument);
   auto cc = rig.client_config();
   cc.rate_rps = 0;
-  EXPECT_THROW(Wrk2Client(rig.tb.sim(), cc), std::invalid_argument);
+  EXPECT_THROW(Wrk2Client(rig.tb.client_sim(), cc), std::invalid_argument);
   cc = rig.client_config();
   cc.request_size = 2;
-  EXPECT_THROW(Wrk2Client(rig.tb.sim(), cc), std::invalid_argument);
+  EXPECT_THROW(Wrk2Client(rig.tb.client_sim(), cc), std::invalid_argument);
 }
 
 }  // namespace

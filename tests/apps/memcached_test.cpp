@@ -51,8 +51,15 @@ struct McRig {
   overlay::Netns& server_ns = tb.add_server_container("memcached");
   overlay::Netns& client_ns = tb.add_client_container("memaslap");
   MemcachedServer server{
-      tb.sim(),
+      tb.server_sim(),
       {&tb.server(), &server_ns, &tb.server().cpu(1), 11211}};
+
+  /// Runs a simulated second past the clock — past every request here —
+  /// and checks the testbed drained.
+  void drain() {
+    tb.run_until(tb.client_sim().now() + sim::seconds(1));
+    EXPECT_EQ(tb.sim().pending_events(), 0u);
+  }
 };
 
 TEST(MemcachedServerTest, GetAfterPreload) {
@@ -68,7 +75,7 @@ TEST(MemcachedServerTest, GetAfterPreload) {
   rig.tb.client().udp_send(rig.client_ns, rig.tb.client().cpu(1), 5000,
                            rig.server_ns.ip(), 11211,
                            encode_kv_request(req));
-  rig.tb.sim().run();
+  rig.drain();
   ASSERT_EQ(sock.received(), 1u);
   const auto resp = decode_kv_response(sock.try_recv()->payload);
   ASSERT_TRUE(resp.has_value());
@@ -86,7 +93,7 @@ TEST(MemcachedServerTest, MissForUnknownKey) {
   rig.tb.client().udp_send(rig.client_ns, rig.tb.client().cpu(1), 5000,
                            rig.server_ns.ip(), 11211,
                            encode_kv_request(req));
-  rig.tb.sim().run();
+  rig.drain();
   ASSERT_EQ(sock.received(), 1u);
   EXPECT_EQ(decode_kv_response(sock.try_recv()->payload)->status,
             KvStatus::kMiss);
@@ -103,7 +110,7 @@ TEST(MemcachedServerTest, SetThenGet) {
   rig.tb.client().udp_send(rig.client_ns, rig.tb.client().cpu(1), 5000,
                            rig.server_ns.ip(), 11211,
                            encode_kv_request(set));
-  rig.tb.sim().run();
+  rig.drain();
   ASSERT_EQ(sock.received(), 1u);
   EXPECT_EQ(decode_kv_response(sock.try_recv()->payload)->status,
             KvStatus::kStored);
@@ -114,7 +121,7 @@ TEST(MemcachedServerTest, SetThenGet) {
   rig.tb.client().udp_send(rig.client_ns, rig.tb.client().cpu(1), 5000,
                            rig.server_ns.ip(), 11211,
                            encode_kv_request(get));
-  rig.tb.sim().run();
+  rig.drain();
   ASSERT_EQ(sock.received(), 2u);  // cumulative: set-ack + get response
   const auto resp = decode_kv_response(sock.try_recv()->payload);
   EXPECT_EQ(resp->status, KvStatus::kHit);
@@ -132,9 +139,9 @@ TEST(MemaslapTest, ClosedLoopCompletesOperations) {
   cfg.concurrency = 4;
   cfg.value_size = 256;
   cfg.stop_at = sim::milliseconds(20);
-  MemaslapClient client(rig.tb.sim(), cfg);
+  MemaslapClient client(rig.tb.client_sim(), cfg);
   client.start();
-  rig.tb.sim().run_until(sim::milliseconds(25));
+  rig.tb.run_until(sim::milliseconds(25));
   EXPECT_GT(client.completed(), 100u);
   EXPECT_EQ(client.timeouts(), 0u);
   EXPECT_GT(client.gets(), client.sets());
@@ -156,9 +163,9 @@ TEST(MemaslapTest, GetRatioApproximatelyHolds) {
   cfg.get_ratio = 0.5;
   cfg.value_size = 64;
   cfg.stop_at = sim::milliseconds(30);
-  MemaslapClient client(rig.tb.sim(), cfg);
+  MemaslapClient client(rig.tb.client_sim(), cfg);
   client.start();
-  rig.tb.sim().run_until(sim::milliseconds(35));
+  rig.tb.run_until(sim::milliseconds(35));
   const double total = static_cast<double>(client.gets() + client.sets());
   EXPECT_NEAR(static_cast<double>(client.gets()) / total, 0.5, 0.1);
 }

@@ -12,7 +12,8 @@ struct Rig {
   overlay::Netns& server_ns = tb.add_server_container("srv");
   overlay::Netns& client_ns = tb.add_client_container("cli");
   SockperfServer server{
-      tb.sim(), {&tb.server(), &server_ns, &tb.server().cpu(1), 11111}};
+      tb.server_sim(),
+      {&tb.server(), &server_ns, &tb.server().cpu(1), 11111}};
 
   SockperfClient::Config client_config() {
     SockperfClient::Config cfg;
@@ -31,9 +32,9 @@ TEST(SockperfTest, PingPongMeasuresLatency) {
   auto cfg = rig.client_config();
   cfg.rate_pps = 1000;
   cfg.reply_every = 1;
-  SockperfClient client(rig.tb.sim(), cfg);
+  SockperfClient client(rig.tb.client_sim(), cfg);
   client.start();
-  rig.tb.sim().run_until(sim::milliseconds(30));
+  rig.tb.run_until(sim::milliseconds(30));
   EXPECT_GT(client.sent(), 15u);
   EXPECT_EQ(client.replies(), client.sent());
   EXPECT_EQ(client.latency().count(), client.replies());
@@ -48,9 +49,9 @@ TEST(SockperfTest, ThroughputModeNeverReplies) {
   auto cfg = rig.client_config();
   cfg.rate_pps = 50'000;
   cfg.reply_every = 0;
-  SockperfClient client(rig.tb.sim(), cfg);
+  SockperfClient client(rig.tb.client_sim(), cfg);
   client.start();
-  rig.tb.sim().run_until(sim::milliseconds(30));
+  rig.tb.run_until(sim::milliseconds(30));
   EXPECT_GT(client.sent(), 500u);
   EXPECT_EQ(client.replies(), 0u);
   EXPECT_EQ(rig.server.echoed(), 0u);
@@ -63,9 +64,9 @@ TEST(SockperfTest, SampledRepliesEveryN) {
   cfg.rate_pps = 20'000;
   cfg.reply_every = 100;
   cfg.jitter = 0;
-  SockperfClient client(rig.tb.sim(), cfg);
+  SockperfClient client(rig.tb.client_sim(), cfg);
   client.start();
-  rig.tb.sim().run_until(sim::milliseconds(40));
+  rig.tb.run_until(sim::milliseconds(40));
   EXPECT_GT(client.sent(), 300u);
   const auto expected =
       (client.sent() + 99) / 100;  // seq 0, 100, 200, ...
@@ -78,9 +79,9 @@ TEST(SockperfTest, BurstSendsArriveTogether) {
   cfg.rate_pps = 10'000;
   cfg.burst = 8;
   cfg.jitter = 0;
-  SockperfClient client(rig.tb.sim(), cfg);
+  SockperfClient client(rig.tb.client_sim(), cfg);
   client.start();
-  rig.tb.sim().run_until(sim::milliseconds(10));
+  rig.tb.run_until(sim::milliseconds(10));
   // 10 Kpps in bursts of 8 -> a burst every 800 us.
   EXPECT_GE(client.sent(), 96u);
   EXPECT_EQ(client.sent() % 8, 0u);
@@ -92,9 +93,9 @@ TEST(SockperfTest, RateIsApproximatelyRespected) {
   auto cfg = rig.client_config();
   cfg.rate_pps = 100'000;
   cfg.stop_at = sim::milliseconds(50);
-  SockperfClient client(rig.tb.sim(), cfg);
+  SockperfClient client(rig.tb.client_sim(), cfg);
   client.start();
-  rig.tb.sim().run_until(sim::milliseconds(60));
+  rig.tb.run_until(sim::milliseconds(60));
   const double achieved = static_cast<double>(client.sent()) / 0.050;
   EXPECT_NEAR(achieved, 100'000, 10'000);
 }
@@ -105,9 +106,9 @@ TEST(SockperfTest, MultiThreadSplitsRate) {
   cfg.cpus = {&rig.tb.client().cpu(1), &rig.tb.client().cpu(2)};
   cfg.rate_pps = 100'000;
   cfg.stop_at = sim::milliseconds(20);
-  SockperfClient client(rig.tb.sim(), cfg);
+  SockperfClient client(rig.tb.client_sim(), cfg);
   client.start();
-  rig.tb.sim().run_until(sim::milliseconds(30));
+  rig.tb.run_until(sim::milliseconds(30));
   EXPECT_NEAR(static_cast<double>(client.sent()) / 0.020, 100'000,
               10'000);
   // Two flows: two source ports reach the server.
@@ -118,15 +119,15 @@ TEST(SockperfTest, InvalidConfigRejected) {
   Rig rig;
   auto cfg = rig.client_config();
   cfg.rate_pps = 0;
-  EXPECT_THROW(SockperfClient(rig.tb.sim(), cfg),
+  EXPECT_THROW(SockperfClient(rig.tb.client_sim(), cfg),
                std::invalid_argument);
   cfg = rig.client_config();
   cfg.payload_size = 4;
-  EXPECT_THROW(SockperfClient(rig.tb.sim(), cfg),
+  EXPECT_THROW(SockperfClient(rig.tb.client_sim(), cfg),
                std::invalid_argument);
   cfg = rig.client_config();
   cfg.burst = 0;
-  EXPECT_THROW(SockperfClient(rig.tb.sim(), cfg),
+  EXPECT_THROW(SockperfClient(rig.tb.client_sim(), cfg),
                std::invalid_argument);
 }
 
@@ -144,9 +145,9 @@ TEST(TcpSenderTest, BulkMessagesDelivered) {
   cfg.rate_mps = 2000;
   cfg.message_size = 32 * 1024;
   cfg.stop_at = sim::milliseconds(20);
-  SockperfTcpSender sender(tb.sim(), cfg);
+  SockperfTcpSender sender(tb.client_sim(), cfg);
   sender.start();
-  tb.sim().run_until(sim::milliseconds(40));
+  tb.run_until(sim::milliseconds(40));
   EXPECT_GE(sender.sent_messages(), 30u);
   EXPECT_EQ(sink.bytes_received(),
             sender.sent_messages() * cfg.message_size);
@@ -169,9 +170,9 @@ TEST(TcpSenderTest, BackpressureSkipsTicks) {
   cfg.message_size = 64 * 1024;
   cfg.max_unacked = 64 * 1024;
   cfg.stop_at = sim::milliseconds(10);
-  SockperfTcpSender sender(tb.sim(), cfg);
+  SockperfTcpSender sender(tb.client_sim(), cfg);
   sender.start();
-  tb.sim().run_until(sim::milliseconds(20));
+  tb.run_until(sim::milliseconds(20));
   EXPECT_GT(sender.skipped(), 0u);
 }
 

@@ -194,13 +194,14 @@ TEST(FaultConservationTest, TotalWireDropNeitherDeliversNorLeaks) {
     auto& sock = tb.server().udp_bind(tb.server().root_ns(), 9000);
     constexpr std::uint64_t kSends = 100;
     for (std::uint64_t i = 0; i < kSends; ++i) {
-      tb.sim().schedule_at(static_cast<sim::Time>(i) * 10'000, [&] {
+      tb.client_sim().schedule_at(static_cast<sim::Time>(i) * 10'000, [&] {
         tb.client().udp_send(tb.client().root_ns(), tb.client().cpu(1),
                              5555, tb.server().ip(), 9000,
                              std::vector<std::uint8_t>(64, 1));
       });
     }
-    tb.sim().run();
+    tb.run_until(sim::seconds(1));
+    EXPECT_EQ(tb.sim().pending_events(), 0u);
     EXPECT_EQ(sock.received(), 0u);
     const auto& layer = tb.server().faults();
     EXPECT_EQ(layer.plan.counters().wire_drops, kSends);
@@ -239,7 +240,7 @@ TEST(FaultConservationTest, MixedFaultsConservePerClass) {
   constexpr std::uint64_t kPerClass = 120;
   for (std::uint64_t i = 0; i < kPerClass; ++i) {
     for (int cls = 0; cls < 3; ++cls) {
-      tb.sim().schedule_at(
+      tb.client_sim().schedule_at(
           static_cast<sim::Time>(i * 3 + cls) * 5'000, [&, cls] {
             tb.client().udp_send(
                 c1, tb.client().cpu(1), 4444, c2.ip(),
@@ -248,7 +249,8 @@ TEST(FaultConservationTest, MixedFaultsConservePerClass) {
           });
     }
   }
-  tb.sim().run();
+  tb.run_until(sim::seconds(1));
+  EXPECT_EQ(tb.sim().pending_events(), 0u);
 
   const auto& layer = tb.server().faults();
   for (int cls = 0; cls < 3; ++cls) {
@@ -273,13 +275,14 @@ TEST(FaultConservationTest, IrqFaultsDelayButNeverDrop) {
   auto& sock = tb.server().udp_bind(tb.server().root_ns(), 9000);
   constexpr std::uint64_t kSends = 50;
   for (std::uint64_t i = 0; i < kSends; ++i) {
-    tb.sim().schedule_at(static_cast<sim::Time>(i) * 20'000, [&] {
+    tb.client_sim().schedule_at(static_cast<sim::Time>(i) * 20'000, [&] {
       tb.client().udp_send(tb.client().root_ns(), tb.client().cpu(1), 5555,
                            tb.server().ip(), 9000,
                            std::vector<std::uint8_t>(32, 2));
     });
   }
-  tb.sim().run();
+  tb.run_until(sim::seconds(1));
+  EXPECT_EQ(tb.sim().pending_events(), 0u);
   EXPECT_EQ(sock.received(), kSends);
   EXPECT_EQ(tb.server().faults().drops.total_drops(), 0u);
   const auto& c = tb.server().faults().plan.counters();
@@ -294,13 +297,13 @@ TEST(FaultConservationTest, RcvbufOverflowAccountedInLedger) {
       tb.server().udp_bind(tb.server().root_ns(), 9000, /*capacity=*/2);
   constexpr std::uint64_t kSends = 6;
   for (std::uint64_t i = 0; i < kSends; ++i) {
-    tb.sim().schedule_at(static_cast<sim::Time>(i) * 5'000, [&] {
+    tb.client_sim().schedule_at(static_cast<sim::Time>(i) * 5'000, [&] {
       tb.client().udp_send(tb.client().root_ns(), tb.client().cpu(1), 5555,
                            tb.server().ip(), 9000,
                            std::vector<std::uint8_t>(32, 3));
     });
   }
-  tb.sim().run();
+  tb.run_until(sim::seconds(1));
   EXPECT_EQ(sock.received(), 2u);
   EXPECT_EQ(sock.dropped(), kSends - 2);
   EXPECT_EQ(tb.server().faults().drops.total(DropReason::kRcvbufFull),
@@ -328,12 +331,12 @@ TEST(FaultDeterminismTest, SameSeedIdenticalSnapshotsPoolsOnAndOff) {
     tb.server().udp_bind(c2, 7000);
     tb.server().priority_db().add(c2.ip(), 7000, 1);
     for (int i = 0; i < 200; ++i) {
-      tb.sim().schedule_at(static_cast<sim::Time>(i) * 7'000, [&] {
+      tb.client_sim().schedule_at(static_cast<sim::Time>(i) * 7'000, [&] {
         tb.client().udp_send(c1, tb.client().cpu(1), 4444, c2.ip(), 7000,
                              std::vector<std::uint8_t>(64, 4));
       });
     }
-    tb.sim().run();
+    tb.run_until(sim::seconds(1));
     return tb.server().proc().read("prism/faults");
   };
   const std::string pooled_a = run(true);

@@ -39,10 +39,10 @@ net::PacketBuf frame_to_server(Testbed& tb, std::uint16_t dst_port,
 }
 
 void inject(Testbed& tb, net::PacketBuf frame) {
-  tb.sim().schedule_at(1'000, [&tb, f = std::move(frame)]() mutable {
+  tb.server_sim().schedule_at(1'000, [&tb, f = std::move(frame)]() mutable {
     tb.server().nic().receive(std::move(f));
   });
-  tb.sim().run();
+  tb.run_until(sim::seconds(1));
 }
 
 TEST(RxValidationTest, CleanFrameDelivers) {
@@ -153,7 +153,7 @@ TEST(RxValidationTest, CorruptedInnerVxlanFrameRejectedPerClass) {
   tb.server().priority_db().add(c2.ip(), 7000, 2);
   tb.client().udp_send(c1, tb.client().cpu(1), 4444, c2.ip(), 7000,
                        std::vector<std::uint8_t>(64, 0x44));
-  tb.sim().run();
+  tb.run_until(sim::seconds(1));
   EXPECT_EQ(sock.received(), 0u);
   EXPECT_EQ(tb.server().faults().drops.count(DropReason::kChecksum, 2),
             1u);

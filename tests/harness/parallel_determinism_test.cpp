@@ -1,7 +1,8 @@
-// Cross-thread-count determinism of the parallel lane backend, on the
-// full stack: multi-pair clusters with fault injection and overload
-// control active must produce byte-identical telemetry, fault ledgers
-// and overload snapshots whether the lanes run on 1 OS thread or N.
+// Cross-thread-count determinism of the lane engine, on the full stack:
+// multi-pair clusters with fault injection and overload control active,
+// and the two-host paper testbed, must produce byte-identical telemetry,
+// fault ledgers and overload snapshots whether the lanes run on 1 OS
+// thread or N.
 // Repeated parallel runs must also match each other — a data race that
 // leaked simulation state across lanes would show up here first.
 #include <algorithm>
@@ -21,6 +22,20 @@
 
 namespace prism {
 namespace {
+
+/// Every proc surface a host exposes, discovered through
+/// prism/telemetry/index instead of a hard-coded list — new surfaces are
+/// covered by these determinism checks automatically.
+std::string snapshot_of(kernel::Host& h) {
+  std::string all;
+  for (const std::string& path : h.proc().paths()) {
+    all += path;
+    all += '\n';
+    all += h.proc().read(path);
+    all += '\n';
+  }
+  return all;
+}
 
 struct ClusterRun {
   /// One string per host: every proc surface that renders counter state.
@@ -86,22 +101,9 @@ ClusterRun run_cluster(int threads, std::uint64_t seed,
   cluster.run_until(sim::milliseconds(5), threads);
 
   ClusterRun r;
-  auto snap = [](kernel::Host& h) {
-    // Every proc surface the host exposes, discovered through
-    // prism/telemetry/index instead of a hard-coded list — new surfaces
-    // are covered by this determinism check automatically.
-    std::string all;
-    for (const std::string& path : h.proc().paths()) {
-      all += path;
-      all += '\n';
-      all += h.proc().read(path);
-      all += '\n';
-    }
-    return all;
-  };
   for (int p = 0; p < cluster.pairs(); ++p) {
-    r.host_snapshots.push_back(snap(cluster.client(p)));
-    r.host_snapshots.push_back(snap(cluster.server(p)));
+    r.host_snapshots.push_back(snapshot_of(cluster.client(p)));
+    r.host_snapshots.push_back(snapshot_of(cluster.server(p)));
     r.received.push_back(servers[static_cast<std::size_t>(p)]->received());
     r.replies.push_back(clients[static_cast<std::size_t>(p)]->replies());
     r.fc_hits.push_back(cluster.server(p).flow_cache().hits());
@@ -193,10 +195,20 @@ TEST(ParallelDeterminismTest, DifferentSeedsDiverge) {
   EXPECT_NE(a.host_snapshots, b.host_snapshots);
 }
 
-// Testbed lane mode: the paper testbed on two lanes must match itself
-// run-to-run (and its classic-engine counters must stay plausible).
-TEST(ParallelDeterminismTest, TestbedLaneModeIsRepeatable) {
-  auto run_testbed = [](int threads) {
+// The paper testbed runs its client and server on two lanes: one OS
+// thread or two must produce byte-identical hosts, app counters and
+// engine counters (the whole-testbed events_executed()/pending_events()
+// that perfbench reads). The deadline falls mid-traffic, so frames are
+// still queued when the counters are read.
+TEST(ParallelDeterminismTest, TestbedOneThreadVsTwoByteIdentical) {
+  struct TestbedRun {
+    std::vector<std::string> host_snapshots;
+    std::uint64_t received = 0;
+    std::uint64_t replies = 0;
+    std::uint64_t events = 0;
+    std::size_t pending = 0;
+  };
+  const auto run_testbed = [](int threads) {
     harness::TestbedConfig tc;
     tc.threads = threads;
     harness::Testbed tb(tc);
@@ -217,27 +229,29 @@ TEST(ParallelDeterminismTest, TestbedLaneModeIsRepeatable) {
     clc.stop_at = sim::milliseconds(4);
     apps::SockperfClient client(tb.client_sim(), clc);
     client.start();
-    tb.run_until(sim::milliseconds(5));
-    return tb.server().proc().read("prism/telemetry") +
-           std::to_string(server.received()) + "/" +
-           std::to_string(client.replies());
+    tb.run_until(sim::milliseconds(3));
+    TestbedRun r;
+    r.host_snapshots = {snapshot_of(tb.client()), snapshot_of(tb.server())};
+    r.received = server.received();
+    r.replies = client.replies();
+    r.events = tb.sim().events_executed();
+    r.pending = tb.sim().pending_events();
+    return r;
   };
-  const std::string lane_a = run_testbed(2);
-  const std::string lane_b = run_testbed(2);
-  EXPECT_EQ(lane_a, lane_b);
-  EXPECT_NE(lane_a.find("/"), std::string::npos);
-}
-
-TEST(ParallelDeterminismTest, TestbedClassicSimAccessorThrowsInLaneMode) {
-  harness::TestbedConfig tc;
-  tc.threads = 2;
-  harness::Testbed tb(tc);
-  EXPECT_TRUE(tb.parallel());
-  EXPECT_THROW(tb.sim(), std::logic_error);
-  tc.threads = 1;
-  harness::Testbed classic(tc);
-  EXPECT_FALSE(classic.parallel());
-  EXPECT_NO_THROW(classic.sim());
+  const TestbedRun serial = run_testbed(1);
+  const TestbedRun parallel = run_testbed(2);
+  ASSERT_GT(serial.events, 0u);
+  ASSERT_GT(serial.pending, 0u);
+  EXPECT_GT(serial.replies, 0u);
+  EXPECT_EQ(serial.received, parallel.received);
+  EXPECT_EQ(serial.replies, parallel.replies);
+  EXPECT_EQ(serial.events, parallel.events);
+  EXPECT_EQ(serial.pending, parallel.pending);
+  ASSERT_EQ(serial.host_snapshots.size(), parallel.host_snapshots.size());
+  for (std::size_t i = 0; i < serial.host_snapshots.size(); ++i) {
+    EXPECT_EQ(serial.host_snapshots[i], parallel.host_snapshots[i])
+        << (i == 0 ? "client" : "server") << " snapshot diverged";
+  }
 }
 
 }  // namespace

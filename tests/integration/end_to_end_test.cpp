@@ -11,6 +11,14 @@ namespace {
 using harness::Testbed;
 using harness::TestbedConfig;
 
+/// Runs the testbed a simulated second past its clock — past the last
+/// send of every test here — and checks it drained: no event recurs once
+/// the testbed is idle.
+void drain(Testbed& tb) {
+  tb.run_until(tb.client_sim().now() + sim::seconds(1));
+  EXPECT_EQ(tb.sim().pending_events(), 0u);
+}
+
 std::vector<std::uint8_t> bytes_of(const std::string& s) {
   return {s.begin(), s.end()};
 }
@@ -24,7 +32,7 @@ TEST(EndToEndTest, HostPathUdpDelivery) {
   auto& sock = tb.server().udp_bind(tb.server().root_ns(), 9000);
   tb.client().udp_send(tb.client().root_ns(), tb.client().cpu(1), 5555,
                        tb.server().ip(), 9000, bytes_of("native hello"));
-  tb.sim().run();
+  drain(tb);
   ASSERT_EQ(sock.received(), 1u);
   const auto d = sock.try_recv();
   ASSERT_TRUE(d.has_value());
@@ -44,7 +52,7 @@ TEST(EndToEndTest, OverlayUdpCrossHost) {
   auto& sock = tb.server().udp_bind(c2, 7000);
   tb.client().udp_send(c1, tb.client().cpu(1), 4444, c2.ip(), 7000,
                        bytes_of("over the overlay"));
-  tb.sim().run();
+  drain(tb);
   ASSERT_EQ(sock.received(), 1u);
   const auto d = sock.try_recv();
   ASSERT_TRUE(d.has_value());
@@ -72,7 +80,7 @@ TEST(EndToEndTest, OverlayUdpReplyPath) {
   });
   tb.client().udp_send(c1, tb.client().cpu(1), 4444, c2.ip(), 7000,
                        bytes_of("ping"));
-  tb.sim().run();
+  drain(tb);
   ASSERT_EQ(client_sock.received(), 1u);
   const auto d = client_sock.try_recv();
   ASSERT_TRUE(d.has_value());
@@ -87,7 +95,7 @@ TEST(EndToEndTest, SameHostContainerToContainer) {
   auto& sock = tb.server().udp_bind(b, 8000);
   tb.server().udp_send(a, tb.server().cpu(1), 1234, b.ip(), 8000,
                        bytes_of("local"));
-  tb.sim().run();
+  drain(tb);
   ASSERT_EQ(sock.received(), 1u);
   EXPECT_EQ(text_of(sock.try_recv()->payload), "local");
   // Never crossed the wire.
@@ -107,7 +115,7 @@ TEST(EndToEndTest, PrismClassifiesHighPriorityFlows) {
                        bytes_of("fast"));
   tb.client().udp_send(c1, tb.client().cpu(1), 4444, c2.ip(), 7001,
                        bytes_of("slow"));
-  tb.sim().run();
+  drain(tb);
   ASSERT_EQ(sock.received(), 1u);
   ASSERT_EQ(other.received(), 1u);
   EXPECT_TRUE(sock.try_recv()->high_priority);
@@ -122,7 +130,7 @@ TEST(EndToEndTest, VanillaIgnoresPriorityDb) {
   tb.server().priority_db().add(c2.ip(), 7000);
   tb.client().udp_send(c1, tb.client().cpu(1), 4444, c2.ip(), 7000,
                        bytes_of("x"));
-  tb.sim().run();
+  drain(tb);
   ASSERT_EQ(sock.received(), 1u);
   EXPECT_FALSE(sock.try_recv()->high_priority);
 }
@@ -151,7 +159,7 @@ TEST(EndToEndTest, UnroutableFramesAreDroppedAndCounted) {
   // No socket bound at the destination port.
   tb.client().udp_send(c1, tb.client().cpu(1), 4444, c2.ip(), 9999,
                        bytes_of("nobody home"));
-  tb.sim().run();
+  drain(tb);
   EXPECT_EQ(tb.server().deliverer().no_socket_drops(), 1u);
 }
 
@@ -183,7 +191,7 @@ TEST(EndToEndTest, TcpBulkTransferAcrossOverlay) {
     message[i] = static_cast<std::uint8_t>(i * 31);
   }
   sender.send(message, tb.client().cpu(1));
-  tb.sim().run();
+  drain(tb);
 
   EXPECT_EQ(received, message);
   // Sender fully acknowledged; no retransmissions on a clean link.
@@ -204,7 +212,7 @@ TEST(EndToEndTest, TcpHostPathTransfer) {
     total += data.size();
   };
   sender.send(std::vector<std::uint8_t>(10000, 0x5a), tb.client().cpu(1));
-  tb.sim().run();
+  drain(tb);
   EXPECT_EQ(total, 10000u);
   EXPECT_EQ(receiver.rcv_nxt(), 1u + 10000u);
 }
@@ -225,7 +233,7 @@ TEST(EndToEndTest, TcpRequestResponse) {
     got_response.append(data.begin(), data.end());
   };
   client_ep.send(bytes_of("REQUEST"), tb.client().cpu(1));
-  tb.sim().run();
+  drain(tb);
   EXPECT_EQ(got_request, "REQUEST");
   EXPECT_EQ(got_response, "RESPONSE");
 }
@@ -247,7 +255,7 @@ TEST(EndToEndTest, TcpRecoversFromDroppedSegments) {
   // 128 KB burst into a 16-slot ring: drops guaranteed.
   sender.send(std::vector<std::uint8_t>(128 * 1024, 0x77),
               tb.client().cpu(1));
-  tb.sim().run_until(sim::seconds(2));
+  tb.run_until(sim::seconds(2));
   EXPECT_EQ(total, 128u * 1024u);
   EXPECT_GT(sender.retransmissions(), 0u);
   EXPECT_GT(tb.server().nic().rx_dropped(), 0u);
@@ -260,12 +268,12 @@ TEST(EndToEndTest, DeterministicAcrossRuns) {
     auto& c2 = tb.add_server_container("c2");
     auto& sock = tb.server().udp_bind(c2, 7000);
     for (int i = 0; i < 50; ++i) {
-      tb.sim().schedule_at(i * 10'000, [&, i] {
+      tb.client_sim().schedule_at(i * 10'000, [&, i] {
         tb.client().udp_send(c1, tb.client().cpu(1), 4444, c2.ip(), 7000,
                              std::vector<std::uint8_t>(64, 0));
       });
     }
-    tb.sim().run();
+    drain(tb);
     std::vector<sim::Time> arrivals;
     while (auto d = sock.try_recv()) arrivals.push_back(d->enqueued_at);
     return arrivals;

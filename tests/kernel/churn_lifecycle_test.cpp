@@ -27,6 +27,13 @@ std::vector<std::uint8_t> payload(std::size_t n = 32) {
   return std::vector<std::uint8_t>(n, 0xab);
 }
 
+/// Runs the testbed a simulated second past its clock — past the last
+/// send and drain deadline of every test here — and checks it drained.
+void drain(harness::Testbed& tb) {
+  tb.run_until(tb.client_sim().now() + sim::seconds(1));
+  EXPECT_EQ(tb.sim().pending_events(), 0u);
+}
+
 TEST(ChurnLifecycleTest, StopDrainsThenDiesAndClosesSockets) {
   harness::Testbed tb;
   auto& c1 = tb.add_client_container("c1");
@@ -35,18 +42,18 @@ TEST(ChurnLifecycleTest, StopDrainsThenDiesAndClosesSockets) {
 
   tb.client().udp_send(c1, tb.client().cpu(1), 100, s1.ip(), 7000,
                        payload());
-  tb.sim().run();
+  drain(tb);
   EXPECT_EQ(sock.received(), 1u);
 
-  const sim::Duration drain = sim::microseconds(200);
-  tb.sim().schedule_at(tb.sim().now() + 10,
-                       [&] { tb.overlay().stop_container(s1, drain); });
-  tb.sim().run_until(tb.sim().now() + 100);
+  const sim::Duration window = sim::microseconds(200);
+  tb.server_sim().schedule_at(tb.server_sim().now() + 10,
+                              [&] { tb.overlay().stop_container(s1, window); });
+  tb.run_until(tb.server_sim().now() + 100);
   EXPECT_EQ(s1.state(), overlay::NetnsState::kDraining);
   EXPECT_FALSE(s1.accepting());
   EXPECT_FALSE(sock.closed());  // queued datagrams still drainable
 
-  tb.sim().run();
+  drain(tb);
   EXPECT_EQ(s1.state(), overlay::NetnsState::kDead);
   // The socket is a tombstone: closed, pointer still valid, count frozen.
   EXPECT_TRUE(sock.closed());
@@ -63,9 +70,9 @@ TEST(ChurnLifecycleTest, InFlightPacketLandsAsCountedDeadNetnsDrop) {
   // Stop the destination while the packet is still on the wire/pipeline.
   tb.client().udp_send(c1, tb.client().cpu(1), 100, s1.ip(), 7000,
                        payload());
-  tb.sim().schedule_at(tb.sim().now() + 600,  // past wire propagation
-                       [&] { tb.overlay().stop_container(s1); });
-  tb.sim().run();
+  tb.server_sim().schedule_at(tb.server_sim().now() + 600,  // past propagation
+                              [&] { tb.overlay().stop_container(s1); });
+  drain(tb);
 
   // Depending on where teardown catches the packet it lands as a
   // dead-netns drop (past the bridge) or an FDB-miss drop (the MAC was
@@ -88,7 +95,7 @@ TEST(ChurnLifecycleTest, RestartKeepsIdentityAndResumesDelivery) {
   const auto vni = s1.vni();
 
   tb.overlay().stop_container(s1);
-  tb.sim().run();
+  drain(tb);
   ASSERT_TRUE(s1.dead());
 
   overlay::Netns& fresh = tb.overlay().restart_container(s1);
@@ -102,7 +109,7 @@ TEST(ChurnLifecycleTest, RestartKeepsIdentityAndResumesDelivery) {
 
   UdpSocket& sock2 = tb.server().udp_bind(fresh, 7000);
   tb.client().udp_send(c1, tb.client().cpu(1), 100, ip, 7000, payload());
-  tb.sim().run();
+  drain(tb);
   EXPECT_EQ(sock2.received(), 1u);
 }
 
@@ -114,7 +121,7 @@ TEST(ChurnLifecycleTest, MigrationMovesDeliveryToTheOtherHost) {
   const auto ip = s1.ip();
 
   tb.client().udp_send(c1, tb.client().cpu(1), 100, ip, 7000, payload());
-  tb.sim().run();
+  drain(tb);
   ASSERT_EQ(old_sock.received(), 1u);
 
   overlay::Netns& fresh =
@@ -123,7 +130,7 @@ TEST(ChurnLifecycleTest, MigrationMovesDeliveryToTheOtherHost) {
   UdpSocket& new_sock = tb.client().udp_bind(fresh, 7000);
 
   tb.client().udp_send(c1, tb.client().cpu(1), 100, ip, 7000, payload());
-  tb.sim().run();
+  drain(tb);
   EXPECT_EQ(new_sock.received(), 1u);
   // The old incarnation's tombstone never moved.
   EXPECT_TRUE(old_sock.closed());
@@ -141,10 +148,10 @@ TEST(ChurnLifecycleTest, UnlearnedFdbMissDistinctFromNeverLearned) {
   // Keep the client's route to the server VTEP alive but unlearn the MAC
   // on the server bridge: frames for it are now unlearned misses.
   tb.overlay().stop_container(s1);
-  tb.sim().run();
+  drain(tb);
   tb.client().udp_send(c1, tb.client().cpu(1), 100, s1.ip(), 7000,
                        payload());
-  tb.sim().run();
+  drain(tb);
   EXPECT_EQ(fdb.unlearned_misses(), 1u);
 
   // A never-learned MAC is a plain miss, not an unlearned one.
@@ -155,7 +162,7 @@ TEST(ChurnLifecycleTest, UnlearnedFdbMissDistinctFromNeverLearned) {
                                 tb.server().ip(), tb.server().mac());
   tb.client().udp_send(c1, tb.client().cpu(1), 100, ghost_ip, 7000,
                        payload());
-  tb.sim().run();
+  drain(tb);
   EXPECT_EQ(fdb.unlearned_misses(), 1u);
   EXPECT_GE(fdb.misses(), 2u);
 }
@@ -169,7 +176,7 @@ TEST(ChurnLifecycleTest, MissingNeighborIsACountedUnroutableDrop) {
   tb.client().udp_send(c1, tb.client().cpu(1), 100,
                        net::Ipv4Addr::of(10, 99, 99, 99), 7000, payload(),
                        [&] { sent_cb = true; });
-  tb.sim().run();
+  drain(tb);
   EXPECT_EQ(tb.client().faults().drops.total(DropReason::kUnroutable), 1u);
   EXPECT_TRUE(sent_cb);
 }
@@ -180,12 +187,12 @@ TEST(ChurnLifecycleTest, SendFromTornDownNamespaceIsDeadNetnsDrop) {
   auto& s1 = tb.add_server_container("s1");
   tb.server().udp_bind(s1, 7000);
   tb.overlay().stop_container(c1);
-  tb.sim().run();
+  drain(tb);
 
   bool sent_cb = false;
   tb.client().udp_send(c1, tb.client().cpu(1), 100, s1.ip(), 7000,
                        payload(), [&] { sent_cb = true; });
-  tb.sim().run();
+  drain(tb);
   EXPECT_EQ(tb.client().faults().drops.total(DropReason::kDeadNetns), 1u);
   EXPECT_TRUE(sent_cb);
 }
@@ -210,15 +217,15 @@ TEST(ChurnLifecycleTest, FlowCacheTeardownInterleavingsNeverDangle) {
     // pointer to s1.
     tb.client().udp_send(c1, tb.client().cpu(1), 100, s1.ip(), 7000,
                          payload());
-    tb.sim().run();
+    drain(tb);
     ASSERT_EQ(sock.received(), 1u);
 
-    const sim::Time t0 = tb.sim().now();
+    const sim::Time t0 = tb.server_sim().now();
     tb.client().udp_send(c1, tb.client().cpu(1), 100, s1.ip(), 7000,
                          payload());
-    tb.sim().schedule_at(t0 + offset,
-                         [&] { tb.overlay().stop_container(s1); });
-    tb.sim().run();
+    tb.server_sim().schedule_at(t0 + offset,
+                                [&] { tb.overlay().stop_container(s1); });
+    drain(tb);
 
     const auto& drops = tb.server().faults().drops;
     const std::uint64_t ledgered = drops.total(DropReason::kDeadNetns) +
@@ -254,16 +261,16 @@ TEST(ChurnLifecycleTest, SockperfRetriesRecoverAcrossRestart) {
   client.start();
 
   // Outage: stop at 10 ms, restart (new incarnation + new app) at 13 ms.
-  tb.sim().schedule_at(sim::milliseconds(10),
-                       [&] { tb.overlay().stop_container(s1); });
-  tb.sim().schedule_at(sim::milliseconds(13), [&] {
+  tb.server_sim().schedule_at(sim::milliseconds(10),
+                              [&] { tb.overlay().stop_container(s1); });
+  tb.server_sim().schedule_at(sim::milliseconds(13), [&] {
     overlay::Netns& fresh = tb.overlay().restart_container(s1);
     server = std::make_unique<apps::SockperfServer>(
         tb.server_sim(),
         apps::SockperfServer::Config{&tb.server(), &fresh,
                                      &tb.server().cpu(1), 7000});
   });
-  tb.sim().run_until(sim::milliseconds(60));
+  tb.run_until(sim::milliseconds(60));
 
   EXPECT_GT(client.retransmits(), 0u) << "outage never forced a retry";
   EXPECT_EQ(client.probe_timeouts(), 0u)
@@ -293,9 +300,9 @@ TEST(ChurnLifecycleTest, SockperfAbandonsAfterMaxRetriesWithoutRestart) {
   apps::SockperfClient client(tb.client_sim(), ccfg);
   client.start();
 
-  tb.sim().schedule_at(sim::milliseconds(5),
-                       [&] { tb.overlay().stop_container(s1); });
-  tb.sim().run_until(sim::milliseconds(40));
+  tb.server_sim().schedule_at(sim::milliseconds(5),
+                              [&] { tb.overlay().stop_container(s1); });
+  tb.run_until(sim::milliseconds(40));
 
   EXPECT_GT(client.retransmits(), 0u);
   EXPECT_GT(client.probe_timeouts(), 0u)
@@ -325,16 +332,16 @@ TEST(ChurnLifecycleTest, MemaslapRetriesSameRequestAcrossOutage) {
   apps::MemaslapClient client(tb.client_sim(), mcfg);
   client.start();
 
-  tb.sim().schedule_at(sim::milliseconds(10),
-                       [&] { tb.overlay().stop_container(s1); });
-  tb.sim().schedule_at(sim::milliseconds(14), [&] {
+  tb.server_sim().schedule_at(sim::milliseconds(10),
+                              [&] { tb.overlay().stop_container(s1); });
+  tb.server_sim().schedule_at(sim::milliseconds(14), [&] {
     overlay::Netns& fresh = tb.overlay().restart_container(s1);
     server = std::make_unique<apps::MemcachedServer>(
         tb.server_sim(),
         apps::MemcachedServer::Config{&tb.server(), &fresh,
                                       &tb.server().cpu(1)});
   });
-  tb.sim().run_until(sim::milliseconds(80));
+  tb.run_until(sim::milliseconds(80));
 
   EXPECT_GT(client.retries(), 0u) << "outage never forced a retry";
   EXPECT_GT(client.completed(), 0u);

@@ -9,6 +9,14 @@
 namespace prism::kernel {
 namespace {
 
+/// Runs the testbed a simulated second past its clock — past the last
+/// send of every test here — and checks it drained: no event recurs once
+/// the testbed is idle.
+void drain(harness::Testbed& tb) {
+  tb.run_until(tb.client_sim().now() + sim::seconds(1));
+  EXPECT_EQ(tb.sim().pending_events(), 0u);
+}
+
 TEST(HostTest, ConfigValidation) {
   sim::Simulator sim;
   HostConfig bad;
@@ -86,7 +94,7 @@ TEST(HostTest, SeparateOverlaysAreIsolated) {
   auto& sock_b = tb.server().udp_bind(b2, 7000);
   tb.client().udp_send(a1, tb.client().cpu(1), 1000, a2.ip(), 7000,
                        std::vector<std::uint8_t>(32, 0xaa));
-  tb.sim().run();
+  drain(tb);
   EXPECT_EQ(sock_a.received(), 1u);
   EXPECT_EQ(sock_b.received(), 0u);
 }
@@ -108,7 +116,7 @@ TEST(HostTest, GroPreservesEveryByteAcrossMerges) {
     sent[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 24);
   }
   tx.send(sent, tb.client().cpu(1));
-  tb.sim().run();
+  drain(tb);
   EXPECT_EQ(got, sent);
   EXPECT_GT(tb.server().nic_napi(0).gro_merged(), 20u);
 }
@@ -130,7 +138,7 @@ TEST(HostTest, PriorityCheckChargedOnlyInPrismModes) {
       tb.client().udp_send(cli, tb.client().cpu(1), 1000, srv.ip(), 7000,
                            std::vector<std::uint8_t>(32, 0));
     }
-    tb.sim().run();
+    drain(tb);
     return tb.server_rx_cpu().accounting().busy_time();
   };
   const auto vanilla = busy_time(NapiMode::kVanilla);

@@ -37,7 +37,7 @@ RunResult run_scenario(kernel::NapiMode mode, bool pools_enabled) {
   tb.server().priority_db().add(srv.ip(), 11111);
 
   apps::SockperfServer server(
-      tb.sim(), {&tb.server(), &srv, &tb.server().cpu(1), 11111});
+      tb.server_sim(), {&tb.server(), &srv, &tb.server().cpu(1), 11111});
   apps::SockperfClient::Config cc;
   cc.host = &tb.client();
   cc.ns = &cli;
@@ -48,14 +48,14 @@ RunResult run_scenario(kernel::NapiMode mode, bool pools_enabled) {
   cc.burst = 32;
   cc.reply_every = 4;
   cc.stop_at = sim::milliseconds(4);
-  apps::SockperfClient client(tb.sim(), cc);
+  apps::SockperfClient client(tb.client_sim(), cc);
   client.start();
 
   trace::PollTrace trace;
-  tb.sim().schedule_at(sim::milliseconds(1), [&] {
+  tb.server_sim().schedule_at(sim::milliseconds(1), [&] {
     tb.server().set_poll_trace(tb.server().default_rx_cpu(), &trace);
   });
-  tb.sim().run_until(sim::milliseconds(5));
+  tb.run_until(sim::milliseconds(5));
   tb.server().set_poll_trace(tb.server().default_rx_cpu(), nullptr);
 
   RunResult r;

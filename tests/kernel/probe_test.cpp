@@ -148,19 +148,25 @@ class TracedJourneyTest : public ::testing::Test {
 #endif
     harness::TestbedConfig tc;
     tc.mode = NapiMode::kPrismBatch;
-    tc.threads = 1;
     tb_ = std::make_unique<harness::Testbed>(tc);
     auto& cli = tb_->add_client_container("cli");
     srv_ = &tb_->add_server_container("srv");
     tb_->server().udp_bind(*srv_, kPort);
     tb_->server().priority_db().add(srv_->ip(), kPort);
     for (int i = 0; i < kPackets; ++i) {
-      tb_->sim().schedule_at(i * sim::microseconds(50), [this, &cli] {
+      tb_->client_sim().schedule_at(i * sim::microseconds(50), [this, &cli] {
         const std::vector<std::uint8_t> payload(32, 0xab);
         tb_->client().udp_send(cli, tb_->client().cpu(1), 100, srv_->ip(),
                                kPort, payload);
       });
     }
+  }
+
+  /// Runs a simulated second past the clock — past the last send — and
+  /// checks the testbed drained.
+  void drain() {
+    tb_->run_until(tb_->client_sim().now() + sim::seconds(1));
+    EXPECT_EQ(tb_->sim().pending_events(), 0u);
   }
 
   /// Asserts that the server's traced journeys all closed — every ring
@@ -194,10 +200,10 @@ class TracedJourneyTest : public ::testing::Test {
 };
 
 TEST_F(TracedJourneyTest, FdbMissEndsTheJourney) {
-  tb_->sim().schedule_at(sim::milliseconds(1), [this] {
+  tb_->server_sim().schedule_at(sim::milliseconds(1), [this] {
     tb_->server().fdb(srv_->vni()).remove(srv_->mac());
   });
-  tb_->sim().run();
+  drain();
 
   const auto drops = closed_journeys();
   const std::uint64_t misses =
@@ -214,21 +220,21 @@ TEST_F(TracedJourneyTest, BacklogDeadNetnsEndsTheJourney) {
   // Advance past 1 ms until a packet sits in the server's backlog — the
   // bridge has routed it into the container — then tear the container
   // down before stage 3 runs.
-  tb_->sim().run_until(sim::milliseconds(1));
+  tb_->run_until(sim::milliseconds(1));
   const auto backlogged = [this] {
     for (const auto& row : tb_->server().softnet_rows()) {
       if (row.backlog_len > 0) return true;
     }
     return false;
   };
-  sim::Time t = tb_->sim().now();
+  sim::Time t = tb_->server_sim().now();
   while (!backlogged() && t < sim::milliseconds(2)) {
     t += 50;
-    tb_->sim().run_until(t);
+    tb_->run_until(t);
   }
   ASSERT_TRUE(backlogged()) << "no packet caught between stages 2 and 3";
   tb_->server().stop_container(*srv_);
-  tb_->sim().run();
+  drain();
 
   const auto drops = closed_journeys();
   int stage3_dead = 0;

@@ -12,6 +12,13 @@
 namespace prism::kernel {
 namespace {
 
+/// Runs the testbed a simulated second past its clock — past the last
+/// send of every test here — and checks it drained.
+void drain(harness::Testbed& tb) {
+  tb.run_until(tb.client_sim().now() + sim::seconds(1));
+  EXPECT_EQ(tb.sim().pending_events(), 0u);
+}
+
 harness::TestbedConfig rps_config() {
   harness::TestbedConfig tc;
   tc.server_rps_cpus = {0, 1, 2, 3};
@@ -29,7 +36,7 @@ TEST(RpsTest, ManyFlowsSpreadAcrossCpus) {
                          static_cast<std::uint16_t>(30000 + p), srv.ip(),
                          7000, std::vector<std::uint8_t>(32, 0));
   }
-  tb.sim().run();
+  drain(tb);
   EXPECT_EQ(sock.received(), 64u);
   // Steering happened for flows hashed away from CPU 0.
   auto& bridge = tb.server().bridge(tb.overlay().vni());
@@ -46,7 +53,7 @@ TEST(RpsTest, SingleFlowStaysOnOneCpu) {
     tb.client().udp_send(cli, tb.client().cpu(1), 30000, srv.ip(), 7000,
                          std::vector<std::uint8_t>(32, 0));
   }
-  tb.sim().run();
+  drain(tb);
   EXPECT_EQ(sock.received(), 50u);
   auto& bridge = tb.server().bridge(tb.overlay().vni());
   const auto steered =
@@ -68,7 +75,7 @@ TEST(RpsTest, DeliveryStillCorrectUnderSteering) {
                          static_cast<std::uint16_t>(30000 + p), srv.ip(),
                          7000, std::move(payload));
   }
-  tb.sim().run();
+  drain(tb);
   ASSERT_EQ(sock.received(), 32u);
   // Payload integrity across the steered path.
   std::set<std::uint8_t> seen;
@@ -91,7 +98,7 @@ TEST(RpsTest, PrismSyncHighPriorityBypassesSteering) {
                          static_cast<std::uint16_t>(30000 + p), srv.ip(),
                          7000, std::vector<std::uint8_t>(32, 0));
   }
-  tb.sim().run();
+  drain(tb);
   EXPECT_EQ(sock.received(), 32u);
   auto& bridge = tb.server().bridge(tb.overlay().vni());
   // Run-to-completion happens before netif_rx: nothing is steered.
@@ -119,7 +126,7 @@ TEST(RpsTest, RaisesMultiFlowCapacity) {
     harness::Testbed tb(tc);
     auto& cli = tb.add_client_container("cli");
     auto& srv = tb.add_server_container("srv");
-    apps::SockperfServer server(tb.sim(), {&tb.server(), &srv,
+    apps::SockperfServer server(tb.server_sim(), {&tb.server(), &srv,
                                            &tb.server().cpu(1), 11111});
     apps::SockperfClient::Config cc;
     cc.host = &tb.client();
@@ -132,9 +139,9 @@ TEST(RpsTest, RaisesMultiFlowCapacity) {
     cc.rate_pps = 600'000;
     cc.burst = 32;
     cc.stop_at = sim::milliseconds(100);
-    apps::SockperfClient client(tb.sim(), cc);
+    apps::SockperfClient client(tb.client_sim(), cc);
     client.start();
-    tb.sim().run_until(sim::milliseconds(130));
+    tb.run_until(sim::milliseconds(130));
     return server.received();
   };
   const auto without = delivered(false);

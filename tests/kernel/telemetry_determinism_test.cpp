@@ -51,7 +51,7 @@ RunResult run_scenario(kernel::NapiMode mode, bool instrumented) {
   }
 
   apps::SockperfServer server(
-      tb.sim(), {&tb.server(), &srv, &tb.server().cpu(1), 11111});
+      tb.server_sim(), {&tb.server(), &srv, &tb.server().cpu(1), 11111});
   apps::SockperfClient::Config cc;
   cc.host = &tb.client();
   cc.ns = &cli;
@@ -62,11 +62,11 @@ RunResult run_scenario(kernel::NapiMode mode, bool instrumented) {
   cc.burst = 32;
   cc.reply_every = 4;
   cc.stop_at = sim::milliseconds(4);
-  apps::SockperfClient client(tb.sim(), cc);
+  apps::SockperfClient client(tb.client_sim(), cc);
   client.start();
 
   trace::PollTrace trace;
-  tb.sim().schedule_at(sim::milliseconds(1), [&] {
+  tb.server_sim().schedule_at(sim::milliseconds(1), [&] {
     tb.server().set_poll_trace(tb.server().default_rx_cpu(), &trace);
     if (instrumented) {
       // Mid-flight snapshots must be pure reads.
@@ -76,7 +76,7 @@ RunResult run_scenario(kernel::NapiMode mode, bool instrumented) {
       (void)telemetry::flow_table_json(tb.server().flow_table());
     }
   });
-  tb.sim().run_until(sim::milliseconds(5));
+  tb.run_until(sim::milliseconds(5));
   tb.server().set_poll_trace(tb.server().default_rx_cpu(), nullptr);
 
 #if PRISM_TELEMETRY_ENABLED

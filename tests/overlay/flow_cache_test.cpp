@@ -170,14 +170,16 @@ TEST(FdbMutationTest, AddRemoveReportChangesAndCountOverwrites) {
 // ---------------------------------------------------------------- e2e
 
 /// Sends `n` UDP datagrams from the client container to `dst_port` of the
-/// server container and runs the simulation to completion.
+/// server container and runs until the testbed is idle again (a second
+/// past the sends; nothing recurs once it drains).
 void send_n(harness::Testbed& tb, Netns& from, Netns& to, int n,
             std::uint16_t src_port = 5555, std::uint16_t dst_port = 7000) {
   for (int i = 0; i < n; ++i) {
     tb.client().udp_send(from, tb.client().cpu(1), src_port, to.ip(),
                          dst_port, std::vector<std::uint8_t>(32, 0xab));
   }
-  tb.sim().run();
+  tb.run_until(tb.client_sim().now() + sim::seconds(1));
+  EXPECT_EQ(tb.sim().pending_events(), 0u);
 }
 
 TEST(FlowCacheE2ETest, SteadyFlowHitsAndClassificationMatchesPriorityDb) {

@@ -9,6 +9,14 @@
 namespace prism::overlay {
 namespace {
 
+/// Runs the testbed a simulated second past its clock — past the last
+/// send of every test here — and checks it drained: no event recurs once
+/// the testbed is idle.
+void drain(harness::Testbed& tb) {
+  tb.run_until(tb.client_sim().now() + sim::seconds(1));
+  EXPECT_EQ(tb.sim().pending_events(), 0u);
+}
+
 TEST(FdbTest, AddLookupRemove) {
   Fdb fdb;
   Netns ns("c1", net::Ipv4Addr::of(172, 17, 0, 2), net::MacAddr::make(1),
@@ -87,7 +95,7 @@ TEST(OverlayNetworkTest, VxlanEntropyVariesSourcePort) {
                        std::vector<std::uint8_t>(32, 1));
   tb.client().udp_send(c1, tb.client().cpu(1), 100, c2.ip(), 7001,
                        std::vector<std::uint8_t>(32, 2));
-  tb.sim().run();
+  drain(tb);
   EXPECT_EQ(tb.server().deliverer().no_socket_drops(), 0u);
 }
 
@@ -104,7 +112,7 @@ TEST(BridgeTest, UnknownInnerMacDroppedAndCounted) {
                                 tb.server().ip(), tb.server().mac());
   tb.client().udp_send(c1, tb.client().cpu(1), 100, ghost_ip, 9,
                        std::vector<std::uint8_t>(16, 0));
-  tb.sim().run();
+  drain(tb);
   auto& bridge = tb.server().bridge(tb.overlay().vni());
   EXPECT_EQ(
       bridge.stage(tb.server().default_rx_cpu()).dropped(), 1u);
@@ -120,7 +128,7 @@ TEST(BridgeTest, ForwardCountsIncrement) {
     tb.client().udp_send(c1, tb.client().cpu(1), 100, c2.ip(), 7000,
                          std::vector<std::uint8_t>(16, 0));
   }
-  tb.sim().run();
+  drain(tb);
   auto& bridge = tb.server().bridge(tb.overlay().vni());
   EXPECT_EQ(bridge.stage(tb.server().default_rx_cpu()).forwarded(), 5u);
 }

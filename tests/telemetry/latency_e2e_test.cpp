@@ -31,11 +31,11 @@ class LatencyE2eTest : public ::testing::Test {
     tb_->server().priority_db().add(srv_hi.ip(), 11111);
 
     hi_server_ = std::make_unique<apps::SockperfServer>(
-        tb_->sim(),
+        tb_->server_sim(),
         apps::SockperfServer::Config{&tb_->server(), &srv_hi,
                                      &tb_->server().cpu(1), 11111});
     bg_server_ = std::make_unique<apps::SockperfServer>(
-        tb_->sim(),
+        tb_->server_sim(),
         apps::SockperfServer::Config{&tb_->server(), &srv_bg,
                                      &tb_->server().cpu(2), 22222});
 
@@ -47,7 +47,8 @@ class LatencyE2eTest : public ::testing::Test {
     hi.dst_port = 11111;
     hi.rate_pps = 50'000;
     hi.stop_at = sim::milliseconds(4);
-    hi_client_ = std::make_unique<apps::SockperfClient>(tb_->sim(), hi);
+    hi_client_ =
+        std::make_unique<apps::SockperfClient>(tb_->client_sim(), hi);
 
     apps::SockperfClient::Config bg;
     bg.host = &tb_->client();
@@ -59,11 +60,12 @@ class LatencyE2eTest : public ::testing::Test {
     bg.rate_pps = 200'000;
     bg.burst = 32;
     bg.stop_at = sim::milliseconds(4);
-    bg_client_ = std::make_unique<apps::SockperfClient>(tb_->sim(), bg);
+    bg_client_ =
+        std::make_unique<apps::SockperfClient>(tb_->client_sim(), bg);
 
     hi_client_->start();
     bg_client_->start();
-    tb_->sim().run_until(sim::milliseconds(8));
+    tb_->run_until(sim::milliseconds(8));
   }
 
   std::unique_ptr<harness::Testbed> tb_;

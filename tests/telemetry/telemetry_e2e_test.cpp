@@ -32,11 +32,11 @@ class TelemetryE2eTest : public ::testing::Test {
     tb_->server().priority_db().add(srv_hi.ip(), 11111);
 
     hi_server_ = std::make_unique<apps::SockperfServer>(
-        tb_->sim(),
+        tb_->server_sim(),
         apps::SockperfServer::Config{&tb_->server(), &srv_hi,
                                      &tb_->server().cpu(1), 11111});
     bg_server_ = std::make_unique<apps::SockperfServer>(
-        tb_->sim(),
+        tb_->server_sim(),
         apps::SockperfServer::Config{&tb_->server(), &srv_bg,
                                      &tb_->server().cpu(2), 22222});
 
@@ -49,7 +49,8 @@ class TelemetryE2eTest : public ::testing::Test {
     hi.rate_pps = 50'000;
     hi.reply_every = 4;
     hi.stop_at = sim::milliseconds(4);
-    hi_client_ = std::make_unique<apps::SockperfClient>(tb_->sim(), hi);
+    hi_client_ =
+        std::make_unique<apps::SockperfClient>(tb_->client_sim(), hi);
 
     apps::SockperfClient::Config bg;
     bg.host = &tb_->client();
@@ -61,13 +62,14 @@ class TelemetryE2eTest : public ::testing::Test {
     bg.rate_pps = 300'000;
     bg.burst = 64;
     bg.stop_at = sim::milliseconds(4);
-    bg_client_ = std::make_unique<apps::SockperfClient>(tb_->sim(), bg);
+    bg_client_ =
+        std::make_unique<apps::SockperfClient>(tb_->client_sim(), bg);
 
     hi_client_->start();
     bg_client_->start();
     // Run well past the send window so sockets drain and every scheduled
     // enqueue lands.
-    tb_->sim().run_until(sim::milliseconds(8));
+    tb_->run_until(sim::milliseconds(8));
   }
 
   /// A single hot 400 kpps flow hammering a 64-deep backlog whose stage is
@@ -85,9 +87,9 @@ class TelemetryE2eTest : public ::testing::Test {
     auto& cli = tb_->add_client_container("cli");
     auto& srv = tb_->add_server_container("srv-bg");
     bg_server_ = std::make_unique<apps::SockperfServer>(
-        tb_->sim(), apps::SockperfServer::Config{&tb_->server(), &srv,
-                                                 &tb_->server().cpu(2),
-                                                 22222});
+        tb_->server_sim(),
+        apps::SockperfServer::Config{&tb_->server(), &srv,
+                                     &tb_->server().cpu(2), 22222});
     apps::SockperfClient::Config bg;
     bg.host = &tb_->client();
     bg.ns = &cli;
@@ -98,9 +100,10 @@ class TelemetryE2eTest : public ::testing::Test {
     bg.burst = 64;
     bg.reply_every = 0;
     bg.stop_at = sim::milliseconds(4);
-    bg_client_ = std::make_unique<apps::SockperfClient>(tb_->sim(), bg);
+    bg_client_ =
+        std::make_unique<apps::SockperfClient>(tb_->client_sim(), bg);
     bg_client_->start();
-    tb_->sim().run_until(sim::milliseconds(8));
+    tb_->run_until(sim::milliseconds(8));
   }
 
   std::unique_ptr<harness::Testbed> tb_;
@@ -293,8 +296,8 @@ TEST(TelemetryProcTest, SpanRingReportsTheAttachedTracer) {
   auto& cli = tb.add_client_container("cli");
   auto& srv = tb.add_server_container("srv");
   apps::SockperfServer server(
-      tb.sim(), apps::SockperfServer::Config{&tb.server(), &srv,
-                                             &tb.server().cpu(1), 11111});
+      tb.server_sim(), apps::SockperfServer::Config{
+                           &tb.server(), &srv, &tb.server().cpu(1), 11111});
   // The "spans" member of the server's prism/telemetry document.
   const auto spans_of = [&tb] {
     const std::string json = tb.server().proc().read("prism/telemetry");
@@ -318,7 +321,7 @@ TEST(TelemetryProcTest, SpanRingReportsTheAttachedTracer) {
   cc.dst_port = 11111;
   cc.rate_pps = 100'000;
   cc.stop_at = sim::milliseconds(2);
-  apps::SockperfClient client(tb.sim(), cc);
+  apps::SockperfClient client(tb.client_sim(), cc);
   client.start();
   tb.run_until(sim::milliseconds(2));
 
