@@ -39,8 +39,6 @@
 #include "fault/fault.h"
 #include "harness/testbed.h"
 #include "kernel/overload.h"
-#include "kernel/skb_pool.h"
-#include "sim/pool.h"
 #include "sim/rng.h"
 #include "stats/table.h"
 #include "telemetry/anomaly.h"
@@ -48,27 +46,6 @@
 
 namespace prism::bench {
 namespace {
-
-int g_failures = 0;
-
-void check(bool ok, const std::string& what) {
-  if (!ok) {
-    ++g_failures;
-    std::printf("FAIL: %s\n", what.c_str());
-  }
-}
-
-struct PoolBaseline {
-  std::uint64_t skb_outstanding;
-  std::uint64_t buf_outstanding;
-
-  static PoolBaseline capture() {
-    const auto& s = kernel::SkbPool::instance().stats();
-    const auto& b = sim::BufferPool::instance().stats();
-    return {s.acquired - s.released - s.discarded,
-            b.acquired - b.released - b.discarded};
-  }
-};
 
 constexpr sim::Time kMs = 1'000'000;  // sim::Time is ns
 

@@ -43,27 +43,6 @@ namespace {
 constexpr int kClasses = 3;
 constexpr std::uint64_t kPerClass = 300;
 
-int g_failures = 0;
-
-void check(bool ok, const std::string& what) {
-  if (!ok) {
-    ++g_failures;
-    std::printf("FAIL: %s\n", what.c_str());
-  }
-}
-
-struct PoolBaseline {
-  std::uint64_t skb_outstanding;
-  std::uint64_t buf_outstanding;
-
-  static PoolBaseline capture() {
-    const auto& s = kernel::SkbPool::instance().stats();
-    const auto& b = sim::BufferPool::instance().stats();
-    return {s.acquired - s.released - s.discarded,
-            b.acquired - b.released - b.discarded};
-  }
-};
-
 struct RunResult {
   std::array<std::uint64_t, kClasses> received{};
   std::array<std::uint64_t, kClasses> duplicates{};

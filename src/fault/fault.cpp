@@ -43,8 +43,8 @@ const char* drop_reason_name(DropReason r) noexcept {
 
 std::uint64_t DropLedger::total(DropReason reason) const noexcept {
   std::uint64_t sum = 0;
-  for (const std::uint64_t v : counts_[static_cast<std::size_t>(reason)]) {
-    sum += v;
+  for (const auto& c : counts_[static_cast<std::size_t>(reason)]) {
+    sum += c.value();
   }
   return sum;
 }
@@ -53,7 +53,7 @@ std::uint64_t DropLedger::class_total(int level) const noexcept {
   const int cls = clamp_class(level);
   std::uint64_t sum = 0;
   for (const auto& per_class : counts_) {
-    sum += per_class[static_cast<std::size_t>(cls)];
+    sum += per_class[static_cast<std::size_t>(cls)].value();
   }
   return sum;
 }
@@ -61,20 +61,25 @@ std::uint64_t DropLedger::class_total(int level) const noexcept {
 std::uint64_t DropLedger::total_drops() const noexcept {
   std::uint64_t sum = 0;
   for (const auto& per_class : counts_) {
-    for (const std::uint64_t v : per_class) sum += v;
+    for (const auto& c : per_class) sum += c.value();
   }
   return sum;
 }
 
 void DropLedger::reset() noexcept {
-  for (auto& per_class : counts_) per_class.fill(0);
+  for (auto& per_class : counts_) {
+    for (auto& c : per_class) c.reset();
+  }
 }
 
 void DropLedger::bind_telemetry(telemetry::Registry& reg,
                                 const std::string& prefix) {
   for (int r = 0; r < kNumDropReasons; ++r) {
-    t_reasons_[static_cast<std::size_t>(r)] = &reg.counter(
-        prefix + "drop." + drop_reason_name(static_cast<DropReason>(r)));
+    const std::string name =
+        prefix + "drop." + drop_reason_name(static_cast<DropReason>(r));
+    for (const auto& c : counts_[static_cast<std::size_t>(r)]) {
+      reg.add(name, c);
+    }
   }
 }
 

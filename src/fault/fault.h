@@ -83,14 +83,13 @@ class DropLedger {
  public:
   /// Records one drop. `level` outside [0, kNumFaultClasses) clamps.
   void record(DropReason reason, int level) {
-    ++counts_[static_cast<std::size_t>(reason)]
-             [static_cast<std::size_t>(clamp_class(level))];
-    t_reasons_[static_cast<std::size_t>(reason)]->inc();
+    auto& per_class = counts_[static_cast<std::size_t>(reason)];
+    per_class[static_cast<std::size_t>(clamp_class(level))].inc();
   }
 
   std::uint64_t count(DropReason reason, int level) const noexcept {
-    return counts_[static_cast<std::size_t>(reason)]
-                  [static_cast<std::size_t>(clamp_class(level))];
+    const auto& per_class = counts_[static_cast<std::size_t>(reason)];
+    return per_class[static_cast<std::size_t>(clamp_class(level))].value();
   }
 
   /// Total drops for one reason across classes.
@@ -104,21 +103,14 @@ class DropLedger {
 
   void reset() noexcept;
 
-  /// Registers one counter per reason under `prefix`
-  /// (e.g. "faults.drop.ring_full").
+  /// Adds each reason's class cells under one name per reason below
+  /// `prefix` (e.g. "faults.drop.ring_full" sums that reason's classes).
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix);
 
  private:
-  std::array<std::array<std::uint64_t, kNumFaultClasses>, kNumDropReasons>
+  std::array<std::array<telemetry::Counter, kNumFaultClasses>,
+             kNumDropReasons>
       counts_{};
-  std::array<telemetry::Counter*, kNumDropReasons> t_reasons_ =
-      sink_counters();
-
-  static std::array<telemetry::Counter*, kNumDropReasons> sink_counters() {
-    std::array<telemetry::Counter*, kNumDropReasons> a;
-    a.fill(&telemetry::Counter::sink());
-    return a;
-  }
 };
 
 /// Fault rates and parameters. All rates are probabilities in [0, 1];

@@ -236,7 +236,7 @@ class Host {
   /// The host's metrics registry and packet-journey consumers. Every
   /// component's counters are registered at construction under stable
   /// prefixes ("nic.q0.", "cpu0.", "overlay.br<vni>.", "sockets."); the
-  /// hot path only increments the resolved handles.
+  /// registry reads the components' own members.
   telemetry::Telemetry& telemetry() noexcept { return telemetry_; }
   telemetry::Registry& metrics() noexcept { return telemetry_.registry; }
 

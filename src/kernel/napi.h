@@ -129,8 +129,7 @@ class NapiStruct {
       const auto verdict =
           admission_->admit(*skb, level, pending_total(), queue_limit);
       if (verdict != AdmissionPolicy::Verdict::kAdmit) {
-        ++(level > 0 ? high_dropped_ : low_dropped_);
-        t_dropped_->inc();
+        (level > 0 ? high_dropped_ : low_dropped_).inc();
         const auto reason = verdict == AdmissionPolicy::Verdict::kFlowLimit
                                 ? fault::DropReason::kFlowLimit
                                 : fault::DropReason::kOverloadShed;
@@ -145,8 +144,7 @@ class NapiStruct {
       full = true;
     }
     if (full) {
-      ++(level > 0 ? high_dropped_ : low_dropped_);
-      t_dropped_->inc();
+      (level > 0 ? high_dropped_ : low_dropped_).inc();
       probe_->drop(fault::DropReason::kBacklogFull, level, *skb,
                    probe_stage_, last_done_stamp(*skb));
       // Returning false destroys the caller's skb, recycling it (and its
@@ -159,8 +157,8 @@ class NapiStruct {
                             head_class());
     }
     q.push_back(std::move(skb));
-    t_enqueued_->inc();
-    t_depth_->set(static_cast<std::int64_t>(q.size()));
+    enqueued_.inc();
+    depth_.set(static_cast<std::int64_t>(q.size()));
     return true;
   }
 
@@ -183,13 +181,14 @@ class NapiStruct {
     admission_ = admission;
   }
 
-  /// Binds this device's enqueue/drop counters and per-queue depth
-  /// watermark under `prefix` (several devices may share a prefix for
-  /// aggregate counting). Unbound devices count into the telemetry sink.
+  /// Adds this device's enqueue/drop counters and per-queue depth
+  /// watermark to `reg` under `prefix` (several devices may share a
+  /// prefix for aggregate counting). Low and high drops share "dropped".
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix) {
-    t_enqueued_ = &reg.counter(prefix + "enqueued");
-    t_dropped_ = &reg.counter(prefix + "dropped");
-    t_depth_ = &reg.gauge(prefix + "depth");
+    reg.add(prefix + "enqueued", enqueued_);
+    reg.add(prefix + "dropped", low_dropped_);
+    reg.add(prefix + "dropped", high_dropped_);
+    reg.add(prefix + "depth", depth_);
   }
 
   /// Packets currently queued across all priority levels (softnet
@@ -214,8 +213,12 @@ class NapiStruct {
     return level;
   }
 
-  std::uint64_t low_dropped() const noexcept { return low_dropped_; }
-  std::uint64_t high_dropped() const noexcept { return high_dropped_; }
+  std::uint64_t low_dropped() const noexcept {
+    return low_dropped_.value();
+  }
+  std::uint64_t high_dropped() const noexcept {
+    return high_dropped_.value();
+  }
 
   /// Per-level input packet queues. Vanilla uses level 0 only; the
   /// paper's two-level PRISM uses 0 and 1.
@@ -253,11 +256,10 @@ class NapiStruct {
   std::string name_;
   fault::FaultLayer* faults_ = nullptr;
   AdmissionPolicy* admission_ = nullptr;
-  std::uint64_t low_dropped_ = 0;
-  std::uint64_t high_dropped_ = 0;
-  telemetry::Counter* t_enqueued_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_dropped_ = &telemetry::Counter::sink();
-  telemetry::Gauge* t_depth_ = &telemetry::Gauge::sink();
+  telemetry::Counter enqueued_;
+  telemetry::Counter low_dropped_;
+  telemetry::Counter high_dropped_;
+  telemetry::Gauge depth_;
 };
 
 /// Queue-backed napi used by the bridge's gro_cells and the per-CPU

@@ -30,15 +30,15 @@ void NetRxEngine::set_span_tracer(telemetry::SpanTracer* tracer,
 
 void NetRxEngine::bind_telemetry(telemetry::Registry& reg,
                                  const std::string& prefix) {
-  t_softirqs_ = &reg.counter(prefix + "softirqs");
-  t_polls_ = &reg.counter(prefix + "polls");
-  t_packets_ = &reg.counter(prefix + "packets");
-  t_time_squeeze_ = &reg.counter(prefix + "time_squeeze");
-  t_budget_squeeze_ = &reg.counter(prefix + "budget_squeeze");
-  t_time_budget_squeeze_ = &reg.counter(prefix + "time_budget_squeeze");
-  t_ksoftirqd_runs_ = &reg.counter(prefix + "ksoftirqd_runs");
-  t_requeues_ = &reg.counter(prefix + "requeues");
-  t_head_inserts_ = &reg.counter(prefix + "prism_head_inserts");
+  reg.add(prefix + "softirqs", softirqs_);
+  reg.add(prefix + "polls", polls_);
+  reg.add(prefix + "packets", packets_);
+  reg.add(prefix + "time_squeeze", time_squeezes_);
+  reg.add(prefix + "budget_squeeze", budget_squeezes_);
+  reg.add(prefix + "time_budget_squeeze", time_budget_squeezes_);
+  reg.add(prefix + "ksoftirqd_runs", ksoftirqd_runs_);
+  reg.add(prefix + "requeues", requeues_);
+  reg.add(prefix + "prism_head_inserts", head_inserts_);
 }
 
 void NetRxEngine::napi_schedule(NapiStruct& napi, bool high) {
@@ -59,8 +59,7 @@ void NetRxEngine::napi_schedule(NapiStruct& napi, bool high) {
       napi.scheduled = true;
       if (head) {
         global_list_.push_front(&napi);
-        ++head_inserts_;
-        t_head_inserts_->inc();
+        head_inserts_.inc();
       } else {
         global_list_.push_back(&napi);
       }
@@ -68,8 +67,7 @@ void NetRxEngine::napi_schedule(NapiStruct& napi, bool high) {
       auto it = std::find(global_list_.begin(), global_list_.end(), &napi);
       if (it != global_list_.end()) {
         global_list_.splice(global_list_.begin(), global_list_, it);
-        ++head_inserts_;
-        t_head_inserts_->inc();
+        head_inserts_.inc();
       }
       // If the device is not in the list it is being polled right now;
       // the post-poll requeue (has_high_pending -> head) handles it.
@@ -98,8 +96,7 @@ sim::Duration NetRxEngine::ksoftirqd_chunk() {
   // softirq path left behind.
   if (in_softirq_ || softirq_pending_ || global_list_.empty()) return 0;
   ksoftirqd_ctx_ = true;
-  ++ksoftirqd_runs_;
-  t_ksoftirqd_runs_->inc();
+  ksoftirqd_runs_.inc();
   return entry_chunk();
 }
 
@@ -107,8 +104,7 @@ sim::Duration NetRxEngine::entry_chunk() {
   softirq_pending_ = false;
   in_softirq_ = true;
   softirq_started_ = sim_.now();
-  ++softirqs_;
-  t_softirqs_->inc();
+  softirqs_.inc();
   budget_ = cost_.napi_budget;
   if (mode_ == NapiMode::kVanilla) {
     // Fig. 2 line 8: move the global POLL_LIST onto the local list. This
@@ -142,11 +138,9 @@ sim::Duration NetRxEngine::poll_chunk() {
   const sim::Time poll_start = sim_.now();
   const PollOutcome out = dev->poll(cost_.napi_batch_size, poll_start);
   budget_ -= out.processed;
-  ++polls_;
-  t_polls_->inc();
+  polls_.inc();
   if (governor_ != nullptr) governor_->note_poll();
-  packets_ += static_cast<std::uint64_t>(out.processed);
-  t_packets_->inc(static_cast<std::uint64_t>(out.processed));
+  packets_.inc(static_cast<std::uint64_t>(out.processed));
 
   if (mode_ == NapiMode::kVanilla) {
     // Fig. 2 lines 16-17: a device with remaining packets is appended to
@@ -154,8 +148,7 @@ sim::Duration NetRxEngine::poll_chunk() {
     // net_rx_action invocation, which is what interleaves batches.
     if (out.has_more) {
       global_list_.push_back(dev);
-      ++requeues_;
-      t_requeues_->inc();
+      requeues_.inc();
     } else {
       dev->scheduled = false;
       dev->on_complete();
@@ -164,14 +157,11 @@ sim::Duration NetRxEngine::poll_chunk() {
     // Fig. 7 lines 13-16: requeue by pending priority.
     if (dev->has_high_pending() && mode_ != NapiMode::kPrismQueues) {
       global_list_.push_front(dev);
-      ++requeues_;
-      t_requeues_->inc();
-      ++head_inserts_;
-      t_head_inserts_->inc();
+      requeues_.inc();
+      head_inserts_.inc();
     } else if (dev->has_pending()) {
       global_list_.push_back(dev);
-      ++requeues_;
-      t_requeues_->inc();
+      requeues_.inc();
     } else {
       dev->scheduled = false;
       dev->on_complete();
@@ -196,15 +186,8 @@ sim::Duration NetRxEngine::poll_chunk() {
       // time_squeeze column counts (the kernel lumps both causes into
       // one column; the split is kept for diagnosis).
       squeezed = true;
-      ++time_squeezes_;
-      t_time_squeeze_->inc();
-      if (budget_out) {
-        ++budget_squeezes_;
-        t_budget_squeeze_->inc();
-      } else {
-        ++time_budget_squeezes_;
-        t_time_budget_squeeze_->inc();
-      }
+      time_squeezes_.inc();
+      (budget_out ? budget_squeezes_ : time_budget_squeezes_).inc();
     }
     finish_softirq(squeezed);
   } else if (ksoftirqd_ctx_) {

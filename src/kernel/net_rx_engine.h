@@ -101,34 +101,40 @@ class NetRxEngine {
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix);
 
   // Counters for tests and diagnostics.
-  std::uint64_t softirq_invocations() const noexcept { return softirqs_; }
-  std::uint64_t polls() const noexcept { return polls_; }
-  std::uint64_t packets_processed() const noexcept { return packets_; }
+  std::uint64_t softirq_invocations() const noexcept {
+    return softirqs_.value();
+  }
+  std::uint64_t polls() const noexcept { return polls_.value(); }
+  std::uint64_t packets_processed() const noexcept { return packets_.value(); }
   /// Softirq returns forced by budget exhaustion with work remaining —
   /// the kernel's softnet_stat time_squeeze column (packet budget and
   /// time budget combined, as the kernel counts it).
-  std::uint64_t time_squeezes() const noexcept { return time_squeezes_; }
+  std::uint64_t time_squeezes() const noexcept {
+    return time_squeezes_.value();
+  }
   /// time_squeezes split by cause: packet budget (napi_budget) hit.
   std::uint64_t budget_squeezes() const noexcept {
-    return budget_squeezes_;
+    return budget_squeezes_.value();
   }
   /// time_squeezes split by cause: time budget (netdev_budget_usecs) hit
   /// before the packet budget.
   std::uint64_t time_budget_squeezes() const noexcept {
-    return time_budget_squeezes_;
+    return time_budget_squeezes_.value();
   }
   /// Squeezed invocations whose remainder was handed to ksoftirqd.
   std::uint64_t ksoftirqd_deferrals() const noexcept {
     return ksoftirqd_deferrals_;
   }
   /// net_rx_action passes actually run in ksoftirqd context.
-  std::uint64_t ksoftirqd_runs() const noexcept { return ksoftirqd_runs_; }
+  std::uint64_t ksoftirqd_runs() const noexcept {
+    return ksoftirqd_runs_.value();
+  }
   /// True while the current softirq pass runs in ksoftirqd context.
   bool in_ksoftirqd() const noexcept { return ksoftirqd_ctx_; }
   /// Devices put back on the poll list with packets still pending.
-  std::uint64_t requeues() const noexcept { return requeues_; }
+  std::uint64_t requeues() const noexcept { return requeues_.value(); }
   /// PRISM head insertions/moves (batch-level preemptions).
-  std::uint64_t head_inserts() const noexcept { return head_inserts_; }
+  std::uint64_t head_inserts() const noexcept { return head_inserts_.value(); }
 
  private:
   void raise_softirq();
@@ -166,25 +172,16 @@ class NetRxEngine {
   telemetry::SpanTracer* tracer_ = nullptr;
   int track_ = 0;
   telemetry::SpanTracer::NameId softirq_span_name_ = 0;
-  std::uint64_t softirqs_ = 0;
-  std::uint64_t polls_ = 0;
-  std::uint64_t packets_ = 0;
-  std::uint64_t time_squeezes_ = 0;
-  std::uint64_t budget_squeezes_ = 0;
-  std::uint64_t time_budget_squeezes_ = 0;
+  telemetry::Counter softirqs_;
+  telemetry::Counter polls_;
+  telemetry::Counter packets_;
+  telemetry::Counter time_squeezes_;
+  telemetry::Counter budget_squeezes_;
+  telemetry::Counter time_budget_squeezes_;
   std::uint64_t ksoftirqd_deferrals_ = 0;
-  std::uint64_t ksoftirqd_runs_ = 0;
-  std::uint64_t requeues_ = 0;
-  std::uint64_t head_inserts_ = 0;
-  telemetry::Counter* t_softirqs_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_polls_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_packets_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_time_squeeze_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_budget_squeeze_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_time_budget_squeeze_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_ksoftirqd_runs_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_requeues_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_head_inserts_ = &telemetry::Counter::sink();
+  telemetry::Counter ksoftirqd_runs_;
+  telemetry::Counter requeues_;
+  telemetry::Counter head_inserts_;
 };
 
 }  // namespace prism::kernel

@@ -66,8 +66,7 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
       // buffers and inconsistent lengths all fail parse_frame_into.
       // Dropping here (instead of processing garbage) is what the kernel's
       // ip_rcv does; the ring entry's storage recycles on destruction.
-      ++dropped_malformed_;
-      t_malformed_->inc();
+      dropped_malformed_.inc();
       ctx_.probe->drop(fault::DropReason::kMalformed, entry->frame.bytes());
       out.cost += scaled(ctx_.cost->nic_stage_per_packet);
       continue;
@@ -194,8 +193,7 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
           (vxlan && ctx_.vxlan_lookup) ? ctx_.vxlan_lookup(vxlan->vni)
                                        : nullptr;
       if (bridge == nullptr) {
-        ++dropped_;
-        t_unroutable_->inc();
+        dropped_.inc();
         skb->parsed = std::move(inner);  // names the journey that ends here
         ctx_.probe->drop(fault::DropReason::kUnroutable, level, *skb, 1,
                          dequeued);
@@ -223,8 +221,7 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
       }
       skb->parsed = std::move(parsed);
     } else {
-      ++dropped_;
-      t_unroutable_->inc();
+      dropped_.inc();
       skb->parsed = std::move(parsed);  // names the journey that ends here
       ctx_.probe->drop(fault::DropReason::kUnroutable, level, *skb, 1,
                        dequeued);
@@ -239,8 +236,7 @@ PollOutcome NicNapi::poll(int batch, sim::Time start) {
       slot.skb->gro_chain.push_back(std::move(skb->buf));
       ++slot.skb->segments;
       ++slot.count;
-      ++gro_merged_;
-      t_gro_merged_->inc();
+      gro_merged_.inc();
       out.cost += scaled(ctx_.cost->gro_merge_per_segment);
       continue;
     }

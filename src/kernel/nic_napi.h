@@ -78,13 +78,15 @@ class NicNapi final : public NapiStruct {
   /// napi_complete: re-enable the queue's interrupt.
   void on_complete() override { ring_.enable_irq(); }
 
-  std::uint64_t dropped_unroutable() const noexcept { return dropped_; }
+  std::uint64_t dropped_unroutable() const noexcept {
+    return dropped_.value();
+  }
   /// Frames that failed wire-format validation (parse error, bad IPv4
   /// checksum, bad lengths) — distinct from unroutable, which parsed fine.
   std::uint64_t dropped_malformed() const noexcept {
-    return dropped_malformed_;
+    return dropped_malformed_.value();
   }
-  std::uint64_t gro_merged() const noexcept { return gro_merged_; }
+  std::uint64_t gro_merged() const noexcept { return gro_merged_.value(); }
 
   /// Called by the host's IRQ handler at the interrupt instant. The next
   /// poll records start - irq_at as the IRQ->poll latency; subsequent
@@ -96,9 +98,9 @@ class NicNapi final : public NapiStruct {
 
   /// Registers driver-poll counters under `prefix` (e.g. "nic.q0.").
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix) {
-    t_unroutable_ = &reg.counter(prefix + "unroutable_drops");
-    t_malformed_ = &reg.counter(prefix + "malformed_drops");
-    t_gro_merged_ = &reg.counter(prefix + "gro_merged");
+    reg.add(prefix + "unroutable_drops", dropped_);
+    reg.add(prefix + "malformed_drops", dropped_malformed_);
+    reg.add(prefix + "gro_merged", gro_merged_);
   }
 
  private:
@@ -121,12 +123,9 @@ class NicNapi final : public NapiStruct {
   nic::RxQueue& ring_;
   NicNapiContext ctx_;
   sim::Time irq_at_ = -1;  ///< pending IRQ instant, -1 = none
-  std::uint64_t dropped_ = 0;
-  std::uint64_t dropped_malformed_ = 0;
-  std::uint64_t gro_merged_ = 0;
-  telemetry::Counter* t_unroutable_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_malformed_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_gro_merged_ = &telemetry::Counter::sink();
+  telemetry::Counter dropped_;
+  telemetry::Counter dropped_malformed_;
+  telemetry::Counter gro_merged_;
 };
 
 }  // namespace prism::kernel

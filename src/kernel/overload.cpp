@@ -40,10 +40,9 @@ AdmissionPolicy::Verdict BacklogAdmission::admit(const Skb& skb, int level,
 }
 
 void OverloadGovernor::transition(State to, const char* cause) {
-  const State from = state_;
+  const State from = state();
   if (from == to) return;
-  state_ = to;
-  t_state_->set(static_cast<std::int64_t>(to));
+  state_.set(static_cast<std::int64_t>(to));
   const Transition t{sim_.now(), from, to, cause};
   if (log_.size() < cfg_.max_transitions) {
     log_.push_back(t);
@@ -52,12 +51,10 @@ void OverloadGovernor::transition(State to, const char* cause) {
   }
   if (transition_observer_) transition_observer_(t);
   if (to == State::kOverloaded && from == State::kNormal) {
-    ++entries_;
-    t_entries_->inc();
+    entries_.inc();
     if (moderation_hook_) moderation_hook_(true);
   } else if (to == State::kNormal) {
-    ++exits_;
-    t_exits_->inc();
+    exits_.inc();
     if (moderation_hook_) moderation_hook_(false);
   }
 }

@@ -235,17 +235,17 @@ class OverloadGovernor {
   }
 
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix) {
-    t_entries_ = &reg.counter(prefix + "entries");
-    t_exits_ = &reg.counter(prefix + "exits");
-    t_livelocks_ = &reg.counter(prefix + "livelocks");
-    t_state_ = &reg.gauge(prefix + "state");
+    reg.add(prefix + "entries", entries_);
+    reg.add(prefix + "exits", exits_);
+    reg.add(prefix + "livelocks", livelocks_);
+    reg.add(prefix + "state", state_);
   }
 
   // ------------------------------------------------ event notifications
   /// A backlog enqueue was attempted with `depth` packets already queued.
   void note_enqueue(std::size_t depth) {
     if (!cfg_.enabled) return;
-    if (state_ == State::kNormal) {
+    if (state() == State::kNormal) {
       if (depth >= enter_depth_) transition(State::kOverloaded, "depth");
       return;
     }
@@ -259,7 +259,7 @@ class OverloadGovernor {
     if (!cfg_.enabled) return;
     squeeze_streak_ = squeezed ? squeeze_streak_ + 1 : 0;
     residency_streak_ = residual > 0 ? residency_streak_ + 1 : 0;
-    if (state_ == State::kNormal) {
+    if (state() == State::kNormal) {
       if (squeeze_streak_ >= cfg_.squeeze_enter_streak) {
         transition(State::kOverloaded, "squeeze");
       } else if (residency_streak_ >= cfg_.residency_enter_streak) {
@@ -272,13 +272,12 @@ class OverloadGovernor {
 
   /// One device poll completed.
   void note_poll() {
-    if (!cfg_.enabled || state_ == State::kNormal) return;
+    if (!cfg_.enabled || state() == State::kNormal) return;
     ++polls_since_delivery_;
-    if (state_ == State::kOverloaded &&
+    if (state() == State::kOverloaded &&
         polls_since_delivery_ >= cfg_.livelock_polls &&
         irqs_since_delivery_ + arrivals_since_delivery_ > 0) {
-      ++livelocks_;
-      t_livelocks_->inc();
+      livelocks_.inc();
       transition(State::kLivelocked, "livelock");
     }
   }
@@ -288,8 +287,8 @@ class OverloadGovernor {
     polls_since_delivery_ = 0;
     irqs_since_delivery_ = 0;
     arrivals_since_delivery_ = 0;
-    if (!cfg_.enabled || state_ == State::kNormal) return;
-    if (state_ == State::kLivelocked) {
+    if (!cfg_.enabled || state() == State::kNormal) return;
+    if (state() == State::kLivelocked) {
       transition(State::kOverloaded, "delivery_resumed");
     }
     maybe_exit();
@@ -297,16 +296,16 @@ class OverloadGovernor {
 
   /// A NIC IRQ top-half fired.
   void note_irq() {
-    if (!cfg_.enabled || state_ == State::kNormal) return;
+    if (!cfg_.enabled || state() == State::kNormal) return;
     ++irqs_since_delivery_;
   }
 
   // ------------------------------------------------------------ queries
-  State state() const noexcept { return state_; }
-  std::uint64_t entries() const noexcept { return entries_; }
-  std::uint64_t exits() const noexcept { return exits_; }
+  State state() const noexcept { return static_cast<State>(state_.value()); }
+  std::uint64_t entries() const noexcept { return entries_.value(); }
+  std::uint64_t exits() const noexcept { return exits_.value(); }
   /// Watchdog fires (overloaded -> livelocked transitions).
-  std::uint64_t livelocks() const noexcept { return livelocks_; }
+  std::uint64_t livelocks() const noexcept { return livelocks_.value(); }
   const std::vector<Transition>& transitions() const noexcept {
     return log_;
   }
@@ -319,7 +318,7 @@ class OverloadGovernor {
 
  private:
   void maybe_exit() {
-    if (state_ != State::kOverloaded) return;
+    if (state() != State::kOverloaded) return;
     if (squeeze_streak_ != 0 || residency_streak_ != 0) return;
     if (depth_probe_ && depth_probe_() > exit_depth_) return;
     transition(State::kNormal, "recovered");
@@ -334,21 +333,19 @@ class OverloadGovernor {
   std::function<std::size_t()> depth_probe_;
   std::function<void(bool)> moderation_hook_;
   TransitionObserver transition_observer_;
-  State state_ = State::kNormal;
+  /// The current State as a gauge level (its high-water mark is the
+  /// worst state reached).
+  telemetry::Gauge state_;
   int squeeze_streak_ = 0;
   int residency_streak_ = 0;
   int polls_since_delivery_ = 0;
   std::uint64_t irqs_since_delivery_ = 0;
   std::uint64_t arrivals_since_delivery_ = 0;
-  std::uint64_t entries_ = 0;
-  std::uint64_t exits_ = 0;
-  std::uint64_t livelocks_ = 0;
+  telemetry::Counter entries_;
+  telemetry::Counter exits_;
+  telemetry::Counter livelocks_;
   std::vector<Transition> log_;
   std::uint64_t log_dropped_ = 0;
-  telemetry::Counter* t_entries_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_exits_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_livelocks_ = &telemetry::Counter::sink();
-  telemetry::Gauge* t_state_ = &telemetry::Gauge::sink();
 };
 
 /// Stable lowercase state name ("normal", "overloaded", "livelocked").

@@ -21,8 +21,7 @@ sim::Duration SocketDeliverer::deliver(Skb& skb, sim::Time at,
     // The namespace object is a tombstone — observing its state here is
     // exactly why stale Netns* pointers stay safe to hold.
     const int frames = 1 + static_cast<int>(skb.gro_chain.size());
-    dead_ns_drops_ += static_cast<std::uint64_t>(frames);
-    t_dead_ns_drops_->inc(static_cast<std::uint64_t>(frames));
+    dead_ns_drops_.inc(static_cast<std::uint64_t>(frames));
     probe_->drop(fault::DropReason::kDeadNetns, skb.priority, skb,
                  /*stage=*/4, at, frames);
     return 0;
@@ -49,8 +48,7 @@ sim::Duration SocketDeliverer::deliver_frame(
   }
   const auto* parsed = pre_parsed;
   if (!parsed) {
-    ++drops_;
-    t_no_socket_drops_->inc();
+    drops_.inc();
     probe_->drop(fault::DropReason::kMalformed, skb.priority);
     return 0;
   }
@@ -65,16 +63,14 @@ sim::Duration SocketDeliverer::deliver_frame(
         parsed->udp->length);
     if (!net::UdpHeader::verify_checksum(datagram, parsed->ip.src,
                                          parsed->ip.dst)) {
-      ++csum_drops_;
-      t_csum_drops_->inc();
+      csum_drops_.inc();
       probe_->drop_frame(fault::DropReason::kChecksum, skb, *parsed,
                          frame.size(), at);
       return 0;
     }
     UdpSocket* sock = ns.sockets().lookup_udp(parsed->udp->dst_port);
     if (sock == nullptr) {
-      ++drops_;
-      t_no_socket_drops_->inc();
+      drops_.inc();
       probe_->drop_frame(fault::DropReason::kNoSocket, skb, *parsed,
                          frame.size(), at);
       return 0;
@@ -98,8 +94,7 @@ sim::Duration SocketDeliverer::deliver_frame(
     d.priority = skb.priority;
     d.ts = skb.ts;
     sock->enqueue(std::move(d), at);
-    ++delivered_;
-    t_delivered_->inc();
+    delivered_.inc();
     if (governor_ != nullptr) governor_->note_delivery();
     probe_->deliver_frame(skb, *parsed, frame.size(), at);
     return 0;
@@ -110,29 +105,25 @@ sim::Duration SocketDeliverer::deliver_frame(
         net::TcpHeader::kSize + parsed->l4_payload.size());
     if (!net::TcpHeader::verify_checksum(segment, parsed->ip.src,
                                          parsed->ip.dst)) {
-      ++csum_drops_;
-      t_csum_drops_->inc();
+      csum_drops_.inc();
       probe_->drop_frame(fault::DropReason::kChecksum, skb, *parsed,
                          frame.size(), at);
       return 0;
     }
     TcpEndpoint* ep = ns.sockets().lookup_tcp(net::flow_of(*parsed));
     if (ep == nullptr) {
-      ++drops_;
-      t_no_socket_drops_->inc();
+      drops_.inc();
       probe_->drop_frame(fault::DropReason::kNoSocket, skb, *parsed,
                          frame.size(), at);
       return 0;
     }
-    ++delivered_;
-    t_delivered_->inc();
+    delivered_.inc();
     if (governor_ != nullptr) governor_->note_delivery();
     probe_->deliver_frame(skb, *parsed, frame.size(), at);
     return ep->handle_segment(*parsed->tcp, parsed->l4_payload, at,
                               final_frame);
   }
-  ++drops_;
-  t_no_socket_drops_->inc();
+  drops_.inc();
   probe_->drop_frame(fault::DropReason::kNoSocket, skb, *parsed,
                      frame.size(), at);
   return 0;

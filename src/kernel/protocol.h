@@ -40,12 +40,14 @@ class SocketDeliverer {
   /// dropped and counted.
   sim::Duration deliver(Skb& skb, sim::Time at, overlay::Netns& ns);
 
-  std::uint64_t no_socket_drops() const noexcept { return drops_; }
+  std::uint64_t no_socket_drops() const noexcept { return drops_.value(); }
   /// Frames rejected by receive-side L4 checksum verification.
-  std::uint64_t csum_drops() const noexcept { return csum_drops_; }
+  std::uint64_t csum_drops() const noexcept { return csum_drops_.value(); }
   /// Frames addressed to a draining or torn-down namespace.
-  std::uint64_t dead_ns_drops() const noexcept { return dead_ns_drops_; }
-  std::uint64_t delivered() const noexcept { return delivered_; }
+  std::uint64_t dead_ns_drops() const noexcept {
+    return dead_ns_drops_.value();
+  }
+  std::uint64_t delivered() const noexcept { return delivered_.value(); }
 
   /// Attaches the host's fault plan (buffer alloc-failure injection).
   /// nullptr detaches.
@@ -61,10 +63,10 @@ class SocketDeliverer {
 
   /// Registers delivery counters under `prefix` (e.g. "sockets.").
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix) {
-    t_delivered_ = &reg.counter(prefix + "delivered");
-    t_no_socket_drops_ = &reg.counter(prefix + "no_socket_drops");
-    t_csum_drops_ = &reg.counter(prefix + "csum_drops");
-    t_dead_ns_drops_ = &reg.counter(prefix + "dead_ns_drops");
+    reg.add(prefix + "delivered", delivered_);
+    reg.add(prefix + "no_socket_drops", drops_);
+    reg.add(prefix + "csum_drops", csum_drops_);
+    reg.add(prefix + "dead_ns_drops", dead_ns_drops_);
   }
 
  private:
@@ -81,14 +83,10 @@ class SocketDeliverer {
   const PacketProbe* probe_ = &PacketProbe::detached();
   fault::FaultLayer* faults_ = nullptr;
   OverloadGovernor* governor_ = nullptr;
-  std::uint64_t drops_ = 0;
-  std::uint64_t csum_drops_ = 0;
-  std::uint64_t dead_ns_drops_ = 0;
-  std::uint64_t delivered_ = 0;
-  telemetry::Counter* t_delivered_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_no_socket_drops_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_csum_drops_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_dead_ns_drops_ = &telemetry::Counter::sink();
+  telemetry::Counter drops_;
+  telemetry::Counter csum_drops_;
+  telemetry::Counter dead_ns_drops_;
+  telemetry::Counter delivered_;
 };
 
 }  // namespace prism::kernel

@@ -30,17 +30,15 @@ void UdpSocket::enqueue(Datagram d, sim::Time at) {
       return;
     }
     if (queue_.size() >= capacity_) {
-      ++dropped_;
-      t_dropped_->inc();
+      dropped_.inc();
       probe_->drop(fault::DropReason::kRcvbufFull, d.priority);
       // Returning destroys the datagram, recycling its payload storage
       // through the BufferPool.
       return;
     }
-    ++received_;
-    t_enqueued_->inc();
+    received_.inc();
     queue_.push_back(std::move(d));
-    t_depth_->set(static_cast<std::int64_t>(queue_.size()));
+    depth_.set(static_cast<std::int64_t>(queue_.size()));
     if (on_readable_) on_readable_();
   });
 }
@@ -49,7 +47,7 @@ void UdpSocket::close() {
   if (closed_) return;
   closed_ = true;
   queue_.clear();  // datagram dtors recycle payload storage
-  t_depth_->set(0);
+  depth_.set(0);
 }
 
 void SocketTable::close_all_udp() {

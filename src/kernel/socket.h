@@ -76,8 +76,8 @@ class UdpSocket {
   /// does when applications fall behind.
   void enqueue(Datagram d, sim::Time at);
 
-  std::uint64_t received() const noexcept { return received_; }
-  std::uint64_t dropped() const noexcept { return dropped_; }
+  std::uint64_t received() const noexcept { return received_.value(); }
+  std::uint64_t dropped() const noexcept { return dropped_.value(); }
 
   /// Closes the socket: purges queued datagrams (their payload storage
   /// recycles through the BufferPool) and refuses every later enqueue as
@@ -89,9 +89,9 @@ class UdpSocket {
   /// Registers receive-buffer counters under `prefix`. Several sockets
   /// may share one prefix (aggregate rcvbuf accounting per host).
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix) {
-    t_enqueued_ = &reg.counter(prefix + "rcvbuf_enqueued");
-    t_dropped_ = &reg.counter(prefix + "rcvbuf_drops");
-    t_depth_ = &reg.gauge(prefix + "rcvbuf_depth");
+    reg.add(prefix + "rcvbuf_enqueued", received_);
+    reg.add(prefix + "rcvbuf_drops", dropped_);
+    reg.add(prefix + "rcvbuf_depth", depth_);
   }
 
   /// Attaches the host's packet probe: each try_recv reports the
@@ -107,11 +107,9 @@ class UdpSocket {
   std::function<void()> on_readable_;
   bool closed_ = false;
   const PacketProbe* probe_ = &PacketProbe::detached();
-  std::uint64_t received_ = 0;
-  std::uint64_t dropped_ = 0;
-  telemetry::Counter* t_enqueued_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_dropped_ = &telemetry::Counter::sink();
-  telemetry::Gauge* t_depth_ = &telemetry::Gauge::sink();
+  telemetry::Counter received_;
+  telemetry::Counter dropped_;
+  telemetry::Gauge depth_;
 };
 
 /// Per-namespace socket demultiplexer.

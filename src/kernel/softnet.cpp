@@ -14,8 +14,7 @@ sim::Duration BacklogStage::process_one(SkbPtr skb, sim::Time at,
   if (skb->dst_netns == nullptr) {
     // No destination namespace (skb injected past the bridge without
     // routing): drop and recycle rather than dereferencing null.
-    ++dropped_;
-    t_dropped_->inc();
+    dropped_.inc();
     probe_->drop(fault::DropReason::kNullNetns, skb->priority, *skb,
                  /*stage=*/3, at);
     return cost;
@@ -26,15 +25,13 @@ sim::Duration BacklogStage::process_one(SkbPtr skb, sim::Time at,
     // pointer is a tombstone, safe to inspect; the packet drops with one
     // kDeadNetns record per carried frame, matching the deliverer's
     // per-frame accounting.
-    ++dropped_;
-    t_dropped_->inc();
+    dropped_.inc();
     const int frames = 1 + static_cast<int>(skb->gro_chain.size());
     probe_->drop(fault::DropReason::kDeadNetns, skb->priority, *skb,
                  /*stage=*/3, at, frames);
     return cost;
   }
-  ++delivered_;
-  t_delivered_->inc();
+  delivered_.inc();
   cost += deliverer_.deliver(*skb, at + cost, *skb->dst_netns);
   return cost;
 }

@@ -33,13 +33,13 @@ class BacklogStage final : public PacketStage {
 
   const std::string& name() const override { return name_; }
 
-  std::uint64_t delivered() const noexcept { return delivered_; }
-  std::uint64_t dropped() const noexcept { return dropped_; }
+  std::uint64_t delivered() const noexcept { return delivered_.value(); }
+  std::uint64_t dropped() const noexcept { return dropped_.value(); }
 
   /// Registers stage counters under `prefix` (e.g. "cpu0.veth.").
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix) {
-    t_delivered_ = &reg.counter(prefix + "delivered");
-    t_dropped_ = &reg.counter(prefix + "dropped");
+    reg.add(prefix + "delivered", delivered_);
+    reg.add(prefix + "dropped", dropped_);
   }
 
   /// Attaches the host's packet probe: null/dead-netns drops end the
@@ -51,10 +51,8 @@ class BacklogStage final : public PacketStage {
   const CostModel& cost_;
   const PacketProbe* probe_ = &PacketProbe::detached();
   SocketDeliverer& deliverer_;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t dropped_ = 0;
-  telemetry::Counter* t_delivered_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_dropped_ = &telemetry::Counter::sink();
+  telemetry::Counter delivered_;
+  telemetry::Counter dropped_;
 };
 
 }  // namespace prism::kernel

@@ -25,12 +25,12 @@ void RxQueue::set_irq_handler(std::function<void()> handler) {
 
 void RxQueue::bind_telemetry(telemetry::Registry& reg,
                              const std::string& prefix) {
-  t_frames_ = &reg.counter(prefix + "frames");
-  t_ring_drops_ = &reg.counter(prefix + "ring_drops");
-  t_irqs_ = &reg.counter(prefix + "irqs");
-  t_irq_unmask_ = &reg.counter(prefix + "irq_unmask");
-  t_mod_fires_ = &reg.counter(prefix + "moderation_fires");
-  t_ring_depth_ = &reg.gauge(prefix + "ring_depth");
+  reg.add(prefix + "frames", received_);
+  reg.add(prefix + "ring_drops", dropped_);
+  reg.add(prefix + "irqs", irqs_);
+  reg.add(prefix + "irq_unmask", irq_unmasks_);
+  reg.add(prefix + "moderation_fires", moderation_fires_);
+  reg.add(prefix + "ring_depth", ring_depth_);
 }
 
 void RxQueue::push(net::PacketBuf frame) {
@@ -39,15 +39,13 @@ void RxQueue::push(net::PacketBuf frame) {
     full = true;
   }
   if (full) {
-    ++dropped_;
-    t_ring_drops_->inc();
+    dropped_.inc();
     probe_->drop(fault::DropReason::kRingFull, frame.bytes());
     return;
   }
   ring_.push_back(Entry{std::move(frame), sim_.now()});
-  ++received_;
-  t_frames_->inc();
-  t_ring_depth_->set(static_cast<std::int64_t>(ring_.size()));
+  received_.inc();
+  ring_depth_.set(static_cast<std::int64_t>(ring_.size()));
   maybe_fire();
 }
 
@@ -70,7 +68,7 @@ void RxQueue::maybe_fire() {
   sim_.schedule_at(last_fire_ + coalesce_.usecs, [this, epoch] {
     if (epoch != epoch_) return;  // an earlier fire superseded this timer
     timer_armed_ = false;
-    t_mod_fires_->inc();
+    moderation_fires_.inc();
     if (irq_enabled_ && !ring_.empty()) fire_irq();
   });
 }
@@ -84,7 +82,7 @@ std::optional<RxQueue::Entry> RxQueue::pop() {
 
 void RxQueue::enable_irq() {
   irq_enabled_ = true;
-  t_irq_unmask_->inc();
+  irq_unmasks_.inc();
   maybe_fire();
 }
 
@@ -93,8 +91,7 @@ void RxQueue::fire_irq() {
   last_fire_ = sim_.now();
   ++epoch_;
   timer_armed_ = false;
-  ++irqs_;
-  t_irqs_->inc();
+  irqs_.inc();
   if (!irq_handler_) return;
   if (faults_ != nullptr && faults_->plan.active()) {
     const sim::Duration delay = faults_->plan.irq_fire_delay();
@@ -129,8 +126,8 @@ Nic::Nic(sim::Simulator& sim, int num_queues, std::size_t ring_capacity,
 
 void Nic::bind_telemetry(telemetry::Registry& reg,
                          const std::string& prefix) {
-  t_tx_ = &reg.counter(prefix + "tx_frames");
-  t_rx_ = &reg.counter(prefix + "rx_frames");
+  reg.add(prefix + "tx_frames", tx_frames_);
+  reg.add(prefix + "rx_frames", rx_frames_);
   for (std::size_t i = 0; i < queues_.size(); ++i) {
     queues_[i]->bind_telemetry(reg,
                                prefix + "q" + std::to_string(i) + ".");
@@ -141,8 +138,7 @@ void Nic::transmit(net::PacketBuf frame) {
   if (wire_ == nullptr) {
     throw std::logic_error("Nic::transmit: no wire attached");
   }
-  ++tx_frames_;
-  t_tx_->inc();
+  tx_frames_.inc();
   wire_->transmit_from(*this, std::move(frame));
 }
 
@@ -183,8 +179,7 @@ void Nic::receive(net::PacketBuf frame) {
 }
 
 void Nic::deliver_to_ring(net::PacketBuf frame) {
-  ++rx_frames_;
-  t_rx_->inc();
+  rx_frames_.inc();
   const int q = rss_hash(frame.bytes());
   queues_[static_cast<std::size_t>(q)]->push(std::move(frame));
 }

@@ -76,9 +76,9 @@ class RxQueue {
   /// re-check the kernel performs.
   void enable_irq();
 
-  std::uint64_t frames_received() const noexcept { return received_; }
-  std::uint64_t frames_dropped() const noexcept { return dropped_; }
-  std::uint64_t irqs_fired() const noexcept { return irqs_; }
+  std::uint64_t frames_received() const noexcept { return received_.value(); }
+  std::uint64_t frames_dropped() const noexcept { return dropped_.value(); }
+  std::uint64_t irqs_fired() const noexcept { return irqs_.value(); }
 
   /// Replaces the moderation parameters at runtime (ethtool -C; the
   /// overload governor stretches usecs under declared overload). The new
@@ -115,15 +115,12 @@ class RxQueue {
   sim::Time last_fire_ = sim::Time{-1} << 40;  // "long ago"
   bool timer_armed_ = false;
   std::uint64_t epoch_ = 0;  // invalidates stale coalesce timers
-  std::uint64_t received_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t irqs_ = 0;
-  telemetry::Counter* t_frames_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_ring_drops_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_irqs_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_irq_unmask_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_mod_fires_ = &telemetry::Counter::sink();
-  telemetry::Gauge* t_ring_depth_ = &telemetry::Gauge::sink();
+  telemetry::Counter received_;
+  telemetry::Counter dropped_;
+  telemetry::Counter irqs_;
+  telemetry::Counter irq_unmasks_;
+  telemetry::Counter moderation_fires_;
+  telemetry::Gauge ring_depth_;
 };
 
 /// Multi-queue NIC attached to one wire.
@@ -150,8 +147,8 @@ class Nic {
   }
   RxQueue& queue(int i) { return *queues_[static_cast<std::size_t>(i)]; }
 
-  std::uint64_t tx_frames() const noexcept { return tx_frames_; }
-  std::uint64_t rx_frames() const noexcept { return rx_frames_; }
+  std::uint64_t tx_frames() const noexcept { return tx_frames_.value(); }
+  std::uint64_t rx_frames() const noexcept { return rx_frames_.value(); }
 
   /// Total drops across all queue rings.
   std::uint64_t rx_dropped() const;
@@ -180,10 +177,8 @@ class Nic {
   fault::FaultLayer* faults_ = nullptr;
   const kernel::PacketProbe* probe_ = &kernel::PacketProbe::detached();
   Wire* wire_ = nullptr;
-  std::uint64_t tx_frames_ = 0;
-  std::uint64_t rx_frames_ = 0;
-  telemetry::Counter* t_tx_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_rx_ = &telemetry::Counter::sink();
+  telemetry::Counter tx_frames_;
+  telemetry::Counter rx_frames_;
 };
 
 }  // namespace prism::nic

@@ -26,14 +26,12 @@ sim::Duration BridgeStage::process_one(kernel::SkbPtr skb, sim::Time at,
     // Unknown destination: a real bridge would flood; with static FDB
     // entries for every container a miss is a wiring error — drop and
     // count so tests catch it. The skb recycles on return.
-    ++dropped_;
-    t_fdb_drops_->inc();
+    dropped_.inc();
     probe_->drop(fault::DropReason::kFdbMiss, skb->priority, *skb,
                  /*stage=*/2, at);
     return cost;
   }
-  ++forwarded_;
-  t_forwarded_->inc();
+  forwarded_.inc();
   skb->dst_netns = dst;
   skb->stage = 3;
 
@@ -63,8 +61,7 @@ sim::Duration BridgeStage::process_one(kernel::SkbPtr skb, sim::Time at,
               }();
     const RpsTarget& target = rps_targets_[hash % rps_targets_.size()];
     if (target.backlog != &backlog_) {
-      ++rps_steered_;
-      t_rps_steered_->inc();
+      rps_steered_.inc();
       cost += cost_.rps_steer_cost;
       // The packet becomes visible on the target CPU one IPI later. The
       // skb is move-captured (InlineFn supports move-only callables): if

@@ -55,16 +55,18 @@ class BridgeStage final : public kernel::PacketStage {
 
   const std::string& name() const override { return name_; }
 
-  std::uint64_t forwarded() const noexcept { return forwarded_; }
-  std::uint64_t dropped() const noexcept { return dropped_; }
-  std::uint64_t rps_steered() const noexcept { return rps_steered_; }
+  std::uint64_t forwarded() const noexcept { return forwarded_.value(); }
+  std::uint64_t dropped() const noexcept { return dropped_.value(); }
+  std::uint64_t rps_steered() const noexcept {
+    return rps_steered_.value();
+  }
 
   /// Registers forwarding counters under `prefix` (e.g. "overlay.br42.").
   /// The per-CPU stages of one bridge share a prefix and aggregate.
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix) {
-    t_forwarded_ = &reg.counter(prefix + "forwarded");
-    t_fdb_drops_ = &reg.counter(prefix + "fdb_drops");
-    t_rps_steered_ = &reg.counter(prefix + "rps_steered");
+    reg.add(prefix + "forwarded", forwarded_);
+    reg.add(prefix + "fdb_drops", dropped_);
+    reg.add(prefix + "rps_steered", rps_steered_);
   }
 
   /// Attaches the host's packet probe: an FDB miss ends the packet's
@@ -92,12 +94,9 @@ class BridgeStage final : public kernel::PacketStage {
   kernel::QueueNapi& backlog_;
   std::vector<RpsTarget> rps_targets_;
   sim::Simulator* sim_ = nullptr;
-  std::uint64_t forwarded_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t rps_steered_ = 0;
-  telemetry::Counter* t_forwarded_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_fdb_drops_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_rps_steered_ = &telemetry::Counter::sink();
+  telemetry::Counter forwarded_;
+  telemetry::Counter dropped_;
+  telemetry::Counter rps_steered_;
 };
 
 /// One overlay bridge (one VNI) on one host: FDB plus per-CPU gro_cells.

@@ -69,22 +69,20 @@ class Fdb {
   Netns* lookup(net::MacAddr mac) {
     const auto it = entries_.find(mac);
     if (it == entries_.end()) {
-      ++misses_;
-      t_miss_->inc();
-      if (removed_.count(mac) != 0) {
-        ++unlearned_misses_;
-        t_unlearned_miss_->inc();
-      }
+      misses_.inc();
+      if (removed_.count(mac) != 0) unlearned_misses_.inc();
       return nullptr;
     }
     return it->second;
   }
 
   std::size_t size() const noexcept { return entries_.size(); }
-  std::uint64_t misses() const noexcept { return misses_; }
+  std::uint64_t misses() const noexcept { return misses_.value(); }
   /// Misses on MACs that were explicitly removed (teardown / migration),
   /// as opposed to never-learned MACs. Subset of misses().
-  std::uint64_t unlearned_misses() const noexcept { return unlearned_misses_; }
+  std::uint64_t unlearned_misses() const noexcept {
+    return unlearned_misses_.value();
+  }
   /// `add` calls that replaced an existing MAC's port with a different one.
   std::uint64_t overwrites() const noexcept { return overwrites_; }
   /// Monotonic mutation counter: incremented by every table change.
@@ -99,8 +97,8 @@ class Fdb {
   /// Registers miss counters under `prefix` (e.g. "overlay.br42.fdb.miss"
   /// and "overlay.br42.fdb.unlearned_miss").
   void bind_telemetry(telemetry::Registry& reg, const std::string& prefix) {
-    t_miss_ = &reg.counter(prefix + "fdb.miss");
-    t_unlearned_miss_ = &reg.counter(prefix + "fdb.unlearned_miss");
+    reg.add(prefix + "fdb.miss", misses_);
+    reg.add(prefix + "fdb.unlearned_miss", unlearned_misses_);
   }
 
  private:
@@ -111,13 +109,11 @@ class Fdb {
 
   std::unordered_map<net::MacAddr, Netns*> entries_;
   std::unordered_set<net::MacAddr> removed_;
-  std::uint64_t misses_ = 0;
-  std::uint64_t unlearned_misses_ = 0;
+  telemetry::Counter misses_;
+  telemetry::Counter unlearned_misses_;
   std::uint64_t overwrites_ = 0;
   std::uint64_t generation_ = 0;
   std::function<void()> mutation_hook_;
-  telemetry::Counter* t_miss_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_unlearned_miss_ = &telemetry::Counter::sink();
 };
 
 }  // namespace prism::overlay

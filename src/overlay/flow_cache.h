@@ -110,8 +110,7 @@ class FlowCache {
   /// reclaimed lazily, on their next (stale) hit or by LRU eviction.
   void invalidate() noexcept {
     ++generation_;
-    ++invalidations_;
-    t_invalidations_->inc();
+    invalidations_.inc();
   }
 
   /// Returns the still-valid transform for (flow, vni), or nullptr. A
@@ -130,19 +129,21 @@ class FlowCache {
   // ------------------------------------------------------------- stats
   std::size_t size() const noexcept { return map_.size(); }
   std::size_t capacity() const noexcept { return capacity_; }
-  std::uint64_t hits() const noexcept { return hits_; }
-  std::uint64_t misses() const noexcept { return misses_; }
+  std::uint64_t hits() const noexcept { return hits_.value(); }
+  std::uint64_t misses() const noexcept { return misses_.value(); }
   /// Lookups that found an entry from a voided generation (subset of
   /// misses() — every stale hit is also counted as a miss).
-  std::uint64_t stale_hits() const noexcept { return stale_; }
-  std::uint64_t insertions() const noexcept { return insertions_; }
-  std::uint64_t evictions() const noexcept { return evictions_; }
-  std::uint64_t invalidations() const noexcept { return invalidations_; }
+  std::uint64_t stale_hits() const noexcept { return stale_.value(); }
+  std::uint64_t insertions() const noexcept { return insertions_.value(); }
+  std::uint64_t evictions() const noexcept { return evictions_.value(); }
+  std::uint64_t invalidations() const noexcept {
+    return invalidations_.value();
+  }
   /// Steady-state quality: hits / (hits + misses), 0 when idle.
   double hit_rate() const noexcept {
-    const std::uint64_t total = hits_ + misses_;
+    const std::uint64_t total = hits() + misses();
     return total == 0 ? 0.0
-                      : static_cast<double>(hits_) /
+                      : static_cast<double>(hits()) /
                             static_cast<double>(total);
   }
 
@@ -161,18 +162,12 @@ class FlowCache {
   LruList lru_;  ///< front = most recently used
   std::unordered_map<FlowCacheKey, LruList::iterator, FlowCacheKeyHash>
       map_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t stale_ = 0;
-  std::uint64_t insertions_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t invalidations_ = 0;
-  telemetry::Counter* t_hits_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_misses_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_stale_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_insertions_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_evictions_ = &telemetry::Counter::sink();
-  telemetry::Counter* t_invalidations_ = &telemetry::Counter::sink();
+  telemetry::Counter hits_;
+  telemetry::Counter misses_;
+  telemetry::Counter stale_;
+  telemetry::Counter insertions_;
+  telemetry::Counter evictions_;
+  telemetry::Counter invalidations_;
 };
 
 }  // namespace prism::overlay

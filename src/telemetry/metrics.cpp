@@ -1,63 +1,68 @@
 #include "telemetry/metrics.h"
 
+#include <algorithm>
+#include <unordered_map>
+
 namespace prism::telemetry {
 
-Counter& Counter::sink() noexcept {
-  static Counter sink;
-  return sink;
+namespace {
+
+template <class T>
+void add_entry(std::vector<std::pair<std::string, const T*>>& entries,
+               std::string_view name, const T& member) {
+  for (const auto& [n, m] : entries) {
+    if (m == &member && n == name) return;
+  }
+  entries.emplace_back(std::string(name), &member);
 }
 
-Gauge& Gauge::sink() noexcept {
-  static Gauge sink;
-  return sink;
+/// Merges `entries` by name in first-seen order: `fold(sample, member)`
+/// accumulates each member into its name's sample.
+template <class Sample, class T, class Fold>
+std::vector<Sample> merge(
+    const std::vector<std::pair<std::string, const T*>>& entries,
+    Fold fold) {
+  std::vector<Sample> out;
+  std::unordered_map<std::string_view, std::size_t> slot;
+  for (const auto& [name, member] : entries) {
+    const auto [it, fresh] = slot.emplace(name, out.size());
+    if (fresh) out.push_back(Sample{name});
+    fold(out[it->second], *member);
+  }
+  return out;
 }
 
-Counter& Registry::counter(std::string_view name) {
-  const auto it = counter_index_.find(name);
-  if (it != counter_index_.end()) return *it->second;
-  counters_.push_back(NamedCounter{std::string(name), Counter{}});
-  NamedCounter& slot = counters_.back();
-  counter_index_.emplace(slot.name, &slot.counter);
-  return slot.counter;
+}  // namespace
+
+void Registry::add(std::string_view name, const Counter& counter) {
+  add_entry(counters_, name, counter);
 }
 
-Gauge& Registry::gauge(std::string_view name) {
-  const auto it = gauge_index_.find(name);
-  if (it != gauge_index_.end()) return *it->second;
-  gauges_.push_back(NamedGauge{std::string(name), Gauge{}});
-  NamedGauge& slot = gauges_.back();
-  gauge_index_.emplace(slot.name, &slot.gauge);
-  return slot.gauge;
+void Registry::add(std::string_view name, const Gauge& gauge) {
+  add_entry(gauges_, name, gauge);
 }
 
 std::uint64_t Registry::counter_value(
     std::string_view name) const noexcept {
-  const auto it = counter_index_.find(name);
-  return it == counter_index_.end() ? 0 : it->second->value();
+  std::uint64_t sum = 0;
+  for (const auto& [n, c] : counters_) {
+    if (n == name) sum += c->value();
+  }
+  return sum;
 }
 
 std::vector<CounterSample> Registry::counters() const {
-  std::vector<CounterSample> out;
-  out.reserve(counters_.size());
-  for (const auto& c : counters_) {
-    out.push_back(CounterSample{c.name, c.counter.value()});
-  }
-  return out;
+  return merge<CounterSample>(
+      counters_, [](CounterSample& s, const Counter& c) {
+        s.value += c.value();
+      });
 }
 
 std::vector<GaugeSample> Registry::gauges() const {
-  std::vector<GaugeSample> out;
-  out.reserve(gauges_.size());
-  for (const auto& g : gauges_) {
-    out.push_back(
-        GaugeSample{g.name, g.gauge.value(), g.gauge.max_value()});
-  }
-  return out;
-}
-
-void Registry::reset() {
-  for (auto& c : counters_) c.counter.reset();
-  for (auto& g : gauges_) g.gauge.reset();
+  return merge<GaugeSample>(gauges_, [](GaugeSample& s, const Gauge& g) {
+    s.value += g.value();
+    s.max_value = std::max(s.max_value, g.max_value());
+  });
 }
 
 }  // namespace prism::telemetry

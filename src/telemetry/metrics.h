@@ -1,24 +1,27 @@
-// Zero-allocation metrics registry.
+// Counters, gauges, and the registry that indexes them by name.
 //
 // The paper's analysis leans on kernel counters (softnet_stat, ring drops,
-// NAPI budget exhaustion) to explain where time and packets go. This
-// registry gives the simulated stack the same substrate: components
-// register named counters/gauges once (cold path, resolves a stable
-// handle) and the hot path performs plain uint64 increments through that
-// handle — no hashing, no locking, no allocation in steady state.
+// NAPI budget exhaustion) to explain where time and packets go. Like the
+// kernel, the simulated stack keeps each of these numbers once, in the
+// component whose datapath updates it: a Counter or Gauge member that the
+// hot path bumps with a plain add and the component's accessor reads.
 //
-// Unbound instrumentation points write to a process-wide sink counter, so
-// hot paths never branch on "is telemetry attached". Building with
-// -DPRISM_TELEMETRY_ENABLED=0 (cmake -DPRISM_TELEMETRY=OFF) compiles the
-// increments out entirely; registration and snapshotting still work, every
-// value just reads 0.
+// A Registry stores no values. Each component's bind_telemetry() adds its
+// members under their names (cold path), and snapshots read the members
+// through those entries. Components may share a name: every UDP socket
+// under "sockets.", the per-CPU stages and cells of one bridge. Snapshots
+// merge a shared name in first-seen order: counters and gauge levels sum,
+// and a gauge's high-water mark is the largest of the members' marks.
+//
+// Counters and gauges count in every build. -DPRISM_TELEMETRY=OFF
+// (PRISM_TELEMETRY_ENABLED=0) compiles out only the per-packet recorders
+// (see telemetry.h); this header supplies the macro's default.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #ifndef PRISM_TELEMETRY_ENABLED
@@ -27,25 +30,18 @@
 
 namespace prism::telemetry {
 
-/// Monotonic event counter. Handles stay valid for the registry's (or the
-/// sink's) lifetime; increments are a single add on the hot path.
+/// Monotonic event counter, owned by the component that counts. Neither
+/// copyable nor movable, so a registry entry can never dangle behind a
+/// moved-from member.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) noexcept {
-#if PRISM_TELEMETRY_ENABLED
-    value_ += n;
-#else
-    (void)n;
-#endif
-  }
+  Counter() = default;
+  Counter(const Counter&) = delete;
+  Counter& operator=(const Counter&) = delete;
 
+  void inc(std::uint64_t n = 1) noexcept { value_ += n; }
   std::uint64_t value() const noexcept { return value_; }
   void reset() noexcept { value_ = 0; }
-
-  /// Process-wide bit bucket for instrumentation points no registry has
-  /// been bound to. Its value is meaningless (many components share it);
-  /// it exists so hot paths can increment unconditionally.
-  static Counter& sink() noexcept;
 
  private:
   std::uint64_t value_ = 0;
@@ -54,23 +50,17 @@ class Counter {
 /// Level gauge with a high-watermark, for queue/backlog depths.
 class Gauge {
  public:
+  Gauge() = default;
+  Gauge(const Gauge&) = delete;
+  Gauge& operator=(const Gauge&) = delete;
+
   void set(std::int64_t v) noexcept {
-#if PRISM_TELEMETRY_ENABLED
     value_ = v;
     if (v > max_) max_ = v;
-#else
-    (void)v;
-#endif
   }
-
-  void add(std::int64_t d) noexcept { set(value_ + d); }
 
   std::int64_t value() const noexcept { return value_; }
   std::int64_t max_value() const noexcept { return max_; }
-  void reset() noexcept { value_ = 0; max_ = 0; }
-
-  /// See Counter::sink().
-  static Gauge& sink() noexcept;
 
  private:
   std::int64_t value_ = 0;
@@ -90,50 +80,31 @@ struct GaugeSample {
   std::int64_t max_value = 0;
 };
 
-/// Owns named counters and gauges. Registration is idempotent: the same
-/// name always resolves to the same handle, so independent components may
-/// share an aggregate counter by name. Handle addresses are stable for the
-/// registry's lifetime (deque storage, entries are never erased).
+/// Name index over component-owned counters and gauges. Every added
+/// member must outlive the registry's last snapshot (components and the
+/// registry live in the same Host).
 class Registry {
  public:
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Registers (or finds) a counter. Cold path: one map lookup.
-  Counter& counter(std::string_view name);
+  /// Indexes `counter` under `name`. Re-adding the same member under the
+  /// same name is a no-op, so binding a component twice never counts it
+  /// twice.
+  void add(std::string_view name, const Counter& counter);
+  void add(std::string_view name, const Gauge& gauge);
 
-  /// Registers (or finds) a gauge.
-  Gauge& gauge(std::string_view name);
-
-  /// Value of a registered counter; 0 when the name is unknown.
+  /// Sum of the counters added under `name`; 0 when the name is unknown.
   std::uint64_t counter_value(std::string_view name) const noexcept;
 
-  /// Snapshots in registration order.
+  /// One sample per distinct name, in first-registration order.
   std::vector<CounterSample> counters() const;
   std::vector<GaugeSample> gauges() const;
 
-  std::size_t counter_count() const noexcept { return counters_.size(); }
-  std::size_t gauge_count() const noexcept { return gauges_.size(); }
-
-  /// Zeroes every counter and gauge (handles stay valid).
-  void reset();
-
  private:
-  struct NamedCounter {
-    std::string name;
-    Counter counter;
-  };
-  struct NamedGauge {
-    std::string name;
-    Gauge gauge;
-  };
-
-  std::deque<NamedCounter> counters_;
-  std::deque<NamedGauge> gauges_;
-  // Keys are views into the deque-owned names (never erased, so stable).
-  std::unordered_map<std::string_view, Counter*> counter_index_;
-  std::unordered_map<std::string_view, Gauge*> gauge_index_;
+  std::vector<std::pair<std::string, const Counter*>> counters_;
+  std::vector<std::pair<std::string, const Gauge*>> gauges_;
 };
 
 }  // namespace prism::telemetry

@@ -10,12 +10,13 @@
 
 namespace prism::telemetry {
 
-/// Everything one Host's instrumentation binds to. The registry is always
-/// live (counters are near-free). The latency ledger and flow table
-/// record on every delivery unless disabled at runtime (set_enabled) or
-/// compiled out (-DPRISM_TELEMETRY=OFF). Span tracers are not part of the
-/// bundle: one is attached from outside (Host::set_span_tracer), often
-/// shared by several hosts.
+/// Everything one Host's instrumentation binds to. The registry names the
+/// components' own counters and gauges, which count in every build. The
+/// recorders (latency ledger, flow table, flight recorder, anomaly bank)
+/// record unless disabled at runtime (set_enabled) or compiled out
+/// (-DPRISM_TELEMETRY=OFF). Span tracers are not part of the bundle: one
+/// is attached from outside (Host::set_span_tracer), often shared by
+/// several hosts.
 struct Telemetry {
   Registry registry;
   LatencyLedger latency;

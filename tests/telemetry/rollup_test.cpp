@@ -20,23 +20,26 @@ constexpr auto npos = std::string::npos;
 TEST(RollupTest, MergeCountersSumsByNameInFirstSeenOrder) {
   Registry a;
   Registry b;
-  a.counter("rx").inc(3);
-  a.counter("tx").inc(1);
-  b.counter("tx").inc(5);
-  b.counter("drops").inc(2);
+  Counter a_rx;
+  Counter a_tx;
+  Counter b_tx;
+  Counter b_drops;
+  a.add("rx", a_rx);
+  a.add("tx", a_tx);
+  b.add("tx", b_tx);
+  b.add("drops", b_drops);
+  a_rx.inc(3);
+  a_tx.inc(1);
+  b_tx.inc(5);
+  b_drops.inc(2);
   const auto merged = merge_counters({&a, &b});
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].name, "rx");
   EXPECT_EQ(merged[1].name, "tx");
   EXPECT_EQ(merged[2].name, "drops");
-#if PRISM_TELEMETRY_ENABLED
   EXPECT_EQ(merged[0].value, 3u);
   EXPECT_EQ(merged[1].value, 6u);
   EXPECT_EQ(merged[2].value, 2u);
-#else
-  // Increments compile out; the merge still sees every registered name.
-  for (const auto& c : merged) EXPECT_EQ(c.value, 0u);
-#endif
   // Null registries are tolerated (a host that never initialized).
   EXPECT_EQ(merge_counters({nullptr, &a}).size(), 2u);
 }
@@ -44,36 +47,35 @@ TEST(RollupTest, MergeCountersSumsByNameInFirstSeenOrder) {
 TEST(RollupTest, MergeGaugesSumsValuesAndHighWaters) {
   Registry a;
   Registry b;
-  a.gauge("backlog").set(7);
-  a.gauge("backlog").set(3);  // max stays 7
-  b.gauge("backlog").set(10);
+  Gauge a_backlog;
+  Gauge b_backlog;
+  a.add("backlog", a_backlog);
+  b.add("backlog", b_backlog);
+  a_backlog.set(7);
+  a_backlog.set(3);  // max stays 7
+  b_backlog.set(10);
   const auto merged = merge_gauges({&a, &b});
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(merged[0].name, "backlog");
-#if PRISM_TELEMETRY_ENABLED
   EXPECT_EQ(merged[0].value, 13);
   // Summed high-waters: a conservative fleet-wide bound (the per-host
   // maxima need not have coincided in time).
   EXPECT_EQ(merged[0].max_value, 17);
-#else
-  EXPECT_EQ(merged[0].value, 0);
-  EXPECT_EQ(merged[0].max_value, 0);
-#endif
 }
 
 TEST(RollupTest, MergedRegistryJsonHasBothSections) {
   Registry a;
-  a.counter("rx").inc(4);
-  a.gauge("depth").set(2);
+  Counter rx;
+  Gauge depth;
+  a.add("rx", rx);
+  a.add("depth", depth);
+  rx.inc(4);
+  depth.set(2);
   JsonWriter w;
   write_merged_registry_json(w, {&a});
   const std::string doc = w.take();
-#if PRISM_TELEMETRY_ENABLED
   EXPECT_NE(doc.find("\"counters\":{\"rx\":4}"), npos) << doc;
   EXPECT_NE(doc.find("\"depth\":{\"value\":2,\"max\":2}"), npos) << doc;
-#else
-  EXPECT_NE(doc.find("\"counters\":{\"rx\":0}"), npos) << doc;
-#endif
 }
 
 TEST(RollupTest, MergedLatencyCountsEqualSumOfHosts) {

@@ -71,14 +71,17 @@ TEST(NetDevTest, RendersHeaderAndDeviceRows) {
 }
 
 TEST(RegistryJsonTest, EmitsCountersAndGauges) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out: counters read 0";
-#endif
   Registry reg;
-  reg.counter("nic.rx_frames").inc(123);
-  reg.counter("cpu0.packets").inc(45);
-  reg.gauge("nic.q0.ring_depth").set(17);
-  reg.gauge("nic.q0.ring_depth").set(9);  // max stays 17
+  Counter rx_frames;
+  Counter packets;
+  Gauge ring_depth;
+  reg.add("nic.rx_frames", rx_frames);
+  reg.add("cpu0.packets", packets);
+  reg.add("nic.q0.ring_depth", ring_depth);
+  rx_frames.inc(123);
+  packets.inc(45);
+  ring_depth.set(17);
+  ring_depth.set(9);  // max stays 17
 
   const std::string json = registry_json(reg);
   EXPECT_TRUE(::prism::testing::is_valid_json(json)) << json;
@@ -97,7 +100,9 @@ TEST(RegistryJsonTest, EmptyRegistryIsStillValidJson) {
 
 TEST(RegistryJsonTest, EscapesAwkwardNames) {
   Registry reg;
-  reg.counter("weird\"name\n").inc(1);
+  Counter weird;
+  reg.add("weird\"name\n", weird);
+  weird.inc(1);
   const std::string json = registry_json(reg);
   EXPECT_TRUE(::prism::testing::is_valid_json(json)) << json;
   EXPECT_NE(json.find("weird\\\"name\\n"), std::string::npos);

@@ -1,8 +1,8 @@
 // End-to-end reconciliation: after a two-flow run (high-priority probe
 // flow + low-priority bulk flow), the telemetry registry, the
 // softnet_stat rows, and the /proc files must agree with the components'
-// own ground-truth accessors. This is the guard that the mirrored
-// counters never drift from the counters they mirror.
+// own ground-truth accessors. This is the guard that every registered
+// name is wired to the component member it claims to report.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/sockperf.h"
 #include "harness/testbed.h"
@@ -113,54 +114,156 @@ class TelemetryE2eTest : public ::testing::Test {
   std::unique_ptr<apps::SockperfClient> bg_client_;
 };
 
+/// Every registered counter that a component accessor also reports must
+/// read exactly that accessor's value: the check that each name is wired
+/// to the right member. `sockets` are the host's UDP sockets the test can
+/// reach (the clients' reply sockets are private to the app).
+void expect_registry_matches_components(
+    kernel::Host& host, const std::vector<kernel::UdpSocket*>& sockets) {
+  SCOPED_TRACE(host.name());
+  const telemetry::Registry& m = host.metrics();
+  const auto value = [&m](const std::string& name) {
+    return m.counter_value(name);
+  };
+
+  // Socket layer: the deliverer and the receive buffers it fills. All the
+  // traffic is UDP, so every delivery entered a buffer or dropped at one.
+  const auto& d = host.deliverer();
+  EXPECT_EQ(value("sockets.delivered"), d.delivered());
+  EXPECT_EQ(value("sockets.no_socket_drops"), d.no_socket_drops());
+  EXPECT_EQ(value("sockets.csum_drops"), d.csum_drops());
+  EXPECT_EQ(value("sockets.dead_ns_drops"), d.dead_ns_drops());
+  EXPECT_EQ(value("sockets.rcvbuf_enqueued") + value("sockets.rcvbuf_drops"),
+            d.delivered());
+  if (!sockets.empty()) {
+    std::uint64_t enqueued = 0;
+    std::uint64_t drops = 0;
+    for (const kernel::UdpSocket* s : sockets) {
+      enqueued += s->received();
+      drops += s->dropped();
+    }
+    EXPECT_EQ(value("sockets.rcvbuf_enqueued"), enqueued);
+    EXPECT_EQ(value("sockets.rcvbuf_drops"), drops);
+  }
+
+  // NIC, its RSS queues, and the driver poll of each queue. Every
+  // arriving frame is either ring-buffered or ring-dropped.
+  auto& nic = host.nic();
+  EXPECT_EQ(value("nic.rx_frames"), nic.rx_frames());
+  EXPECT_EQ(value("nic.tx_frames"), nic.tx_frames());
+  EXPECT_GT(value("nic.rx_frames"), 0u);
+  std::uint64_t queued = 0;
+  for (int q = 0; q < nic.num_queues(); ++q) {
+    const std::string p = "nic.q" + std::to_string(q) + ".";
+    const nic::RxQueue& ring = nic.queue(q);
+    EXPECT_EQ(value(p + "frames"), ring.frames_received());
+    EXPECT_EQ(value(p + "ring_drops"), ring.frames_dropped());
+    EXPECT_EQ(value(p + "irqs"), ring.irqs_fired());
+    const kernel::NicNapi& napi = host.nic_napi(q);
+    EXPECT_EQ(value(p + "unroutable_drops"), napi.dropped_unroutable());
+    EXPECT_EQ(value(p + "malformed_drops"), napi.dropped_malformed());
+    EXPECT_EQ(value(p + "gro_merged"), napi.gro_merged());
+    queued += value(p + "frames") + value(p + "ring_drops");
+  }
+  EXPECT_EQ(value("nic.rx_frames"), queued);
+
+  // Softirq engines, and each CPU's backlog napi and veth stage. The
+  // stages have no per-CPU accessor: their sums must match the "veth" row
+  // of net/dev, and on each CPU the backlog's enqueues are the stage's
+  // packets plus what is still queued (vanilla never bypasses a backlog).
+  const auto rows = host.softnet_rows();
+  std::uint64_t veth_delivered = 0;
+  std::uint64_t veth_dropped = 0;
+  for (int i = 0; i < host.num_cpus(); ++i) {
+    const std::string p = "cpu" + std::to_string(i) + ".";
+    const kernel::NetRxEngine& e = host.engine(i);
+    EXPECT_EQ(value(p + "softirqs"), e.softirq_invocations());
+    EXPECT_EQ(value(p + "polls"), e.polls());
+    EXPECT_EQ(value(p + "packets"), e.packets_processed());
+    EXPECT_EQ(value(p + "time_squeeze"), e.time_squeezes());
+    EXPECT_EQ(value(p + "budget_squeeze"), e.budget_squeezes());
+    EXPECT_EQ(value(p + "time_budget_squeeze"), e.time_budget_squeezes());
+    EXPECT_EQ(value(p + "ksoftirqd_runs"), e.ksoftirqd_runs());
+    EXPECT_EQ(value(p + "requeues"), e.requeues());
+    EXPECT_EQ(value(p + "prism_head_inserts"), e.head_inserts());
+    const telemetry::SoftnetRow& row = rows[static_cast<std::size_t>(i)];
+    EXPECT_EQ(value(p + "backlog.dropped"), row.dropped);
+    EXPECT_EQ(value(p + "backlog.enqueued"),
+              value(p + "veth.delivered") + value(p + "veth.dropped") +
+                  row.backlog_len);
+    veth_delivered += value(p + "veth.delivered");
+    veth_dropped += value(p + "veth.dropped") + value(p + "backlog.dropped");
+  }
+  const auto dev = host.net_dev_rows();
+  const auto veth = std::find_if(dev.begin(), dev.end(), [](const auto& r) {
+    return r.name == "veth";
+  });
+  ASSERT_NE(veth, dev.end());
+  EXPECT_EQ(veth->rx_packets, veth_delivered);
+  EXPECT_EQ(veth->rx_dropped, veth_dropped);
+
+  // The overlay bridge: its per-CPU stages and cells share one prefix.
+  // Each cell enqueue was forwarded, FDB-dropped, or is still queued.
+  const std::uint32_t vni = harness::TestbedConfig{}.vni;
+  const std::string br = "overlay.br" + std::to_string(vni) + ".";
+  overlay::Bridge& bridge = host.bridge(vni);
+  std::uint64_t forwarded = 0;
+  std::uint64_t fdb_drops = 0;
+  std::uint64_t rps_steered = 0;
+  std::uint64_t cell_dropped = 0;
+  std::uint64_t cell_queued = 0;
+  for (int c = 0; c < host.num_cpus(); ++c) {
+    forwarded += bridge.stage(c).forwarded();
+    fdb_drops += bridge.stage(c).dropped();
+    rps_steered += bridge.stage(c).rps_steered();
+    const kernel::QueueNapi& cell = bridge.cell(c);
+    cell_dropped += cell.low_dropped() + cell.high_dropped();
+    cell_queued += cell.pending_total();
+  }
+  EXPECT_EQ(value(br + "forwarded"), forwarded);
+  EXPECT_EQ(value(br + "fdb_drops"), fdb_drops);
+  EXPECT_EQ(value(br + "rps_steered"), rps_steered);
+  EXPECT_EQ(value(br + "cell.dropped"), cell_dropped);
+  EXPECT_EQ(value(br + "cell.enqueued"), forwarded + fdb_drops + cell_queued);
+  EXPECT_EQ(value(br + "fdb.miss"), host.fdb(vni).misses());
+  EXPECT_EQ(value(br + "fdb.unlearned_miss"),
+            host.fdb(vni).unlearned_misses());
+
+  // Flow cache and overload governor.
+  const overlay::FlowCache& fc = host.flow_cache();
+  EXPECT_EQ(value("flowcache.hits"), fc.hits());
+  EXPECT_EQ(value("flowcache.misses"), fc.misses());
+  EXPECT_EQ(value("flowcache.stale"), fc.stale_hits());
+  EXPECT_EQ(value("flowcache.insertions"), fc.insertions());
+  EXPECT_EQ(value("flowcache.evictions"), fc.evictions());
+  EXPECT_EQ(value("flowcache.invalidations"), fc.invalidations());
+  const kernel::OverloadGovernor& gov = host.governor();
+  EXPECT_EQ(value("overload.entries"), gov.entries());
+  EXPECT_EQ(value("overload.exits"), gov.exits());
+  EXPECT_EQ(value("overload.livelocks"), gov.livelocks());
+
+  // One drop-ledger name per reason, summing that reason's classes.
+  for (int r = 0; r < fault::kNumDropReasons; ++r) {
+    const auto reason = static_cast<fault::DropReason>(r);
+    const std::string name =
+        std::string("faults.drop.") + fault::drop_reason_name(reason);
+    EXPECT_EQ(value(name), host.faults().drops.total(reason)) << name;
+  }
+}
+
 TEST_F(TelemetryE2eTest, RegistryMatchesComponentGroundTruth) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out: counters read 0";
-#endif
   run(kernel::NapiMode::kVanilla);
-  auto& server = tb_->server();
-  auto& m = server.metrics();
 
   // Both flows actually ran.
   EXPECT_GT(hi_server_->received(), 0u);
   EXPECT_GT(bg_server_->received(), 0u);
 
-  // Socket layer: the registry mirrors the deliverer exactly.
-  EXPECT_EQ(m.counter_value("sockets.delivered"),
-            server.deliverer().delivered());
-  EXPECT_EQ(m.counter_value("sockets.no_socket_drops"),
-            server.deliverer().no_socket_drops());
-
-  // NIC: every arriving frame is either ring-buffered or ring-dropped.
-  // The paper's server has a single RSS queue (q0).
-  const std::uint64_t queued = m.counter_value("nic.q0.frames") +
-                               m.counter_value("nic.q0.ring_drops");
-  EXPECT_EQ(m.counter_value("nic.rx_frames"), queued);
-  EXPECT_EQ(m.counter_value("nic.rx_frames"), server.nic().rx_frames());
-  EXPECT_EQ(m.counter_value("nic.tx_frames"), server.nic().tx_frames());
-  EXPECT_GT(m.counter_value("nic.rx_frames"), 0u);
-
-  // Softirq engines: per-CPU counters mirror the engines.
-  for (int i = 0; i < server.num_cpus(); ++i) {
-    const std::string p = "cpu" + std::to_string(i) + ".";
-    EXPECT_EQ(m.counter_value(p + "packets"),
-              server.engine(i).packets_processed());
-    EXPECT_EQ(m.counter_value(p + "polls"), server.engine(i).polls());
-    EXPECT_EQ(m.counter_value(p + "softirqs"),
-              server.engine(i).softirq_invocations());
-    EXPECT_EQ(m.counter_value(p + "time_squeeze"),
-              server.engine(i).time_squeezes());
-    EXPECT_EQ(m.counter_value(p + "requeues"),
-              server.engine(i).requeues());
-    EXPECT_EQ(m.counter_value(p + "prism_head_inserts"),
-              server.engine(i).head_inserts());
-  }
+  expect_registry_matches_components(
+      tb_->server(), {&hi_server_->socket(), &bg_server_->socket()});
+  expect_registry_matches_components(tb_->client(), {});
 }
 
 TEST_F(TelemetryE2eTest, DeliveredPlusDroppedReconciles) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out: counters read 0";
-#endif
   run(kernel::NapiMode::kPrismBatch);
   auto& server = tb_->server();
   auto& m = server.metrics();
