@@ -11,8 +11,7 @@
 #include "bench_util.h"
 #include "harness/testbed.h"
 
-int main(int argc, char** argv) {
-  prism::bench::parse_threads(argc, argv);
+int main() {
   using namespace prism;
   bench::print_header(
       "Extension", "multiple priority levels under heavy load");

@@ -78,8 +78,7 @@ Result run(bool rps, prism::kernel::NapiMode mode, double rate_pps,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  prism::bench::parse_threads(argc, argv);
+int main() {
   using namespace prism;
   bench::print_header("Ablation",
                       "RPS (flow parallelism) vs PRISM (prioritization)");

@@ -25,8 +25,7 @@ prism::sim::Time first_delivery(prism::kernel::NapiMode mode, int stages) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  prism::bench::parse_threads(argc, argv);
+int main() {
   using namespace prism;
   bench::print_header(
       "Ablation", "pipeline depth (NFV-chain scaling), first-batch "

@@ -43,39 +43,6 @@ inline long parse_long_or_die(const char* text, const char* what) {
   return value;
 }
 
-/// Parses `--threads N` / `--threads=N` (or the PRISM_THREADS environment
-/// variable; the flag wins) and installs the result as the harness-wide
-/// default via harness::set_default_threads(). Every testbed the bench
-/// builds then runs its two lanes on N OS threads (N >= 2) or on the
-/// serial path (N = 1, the default), with no per-bench plumbing; the
-/// output is the same either way. Returns the resolved count. Malformed
-/// or non-positive values exit with an error. Call first thing in
-/// main().
-inline int parse_threads(int argc, char** argv) {
-  long threads = 1;
-  if (const char* env = std::getenv("PRISM_THREADS")) {
-    threads = parse_long_or_die(env, "PRISM_THREADS");
-  }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = parse_long_or_die(argv[i + 1], "--threads");
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = parse_long_or_die(argv[i] + 10, "--threads");
-    }
-  }
-  if (threads < 1 || threads > 1024) {
-    std::fprintf(stderr, "error: --threads: %ld not in [1, 1024]\n",
-                 threads);
-    std::exit(2);
-  }
-  harness::set_default_threads(static_cast<int>(threads));
-  if (threads > 1) {
-    std::printf("engine: parallel lanes on %d threads\n\n",
-                static_cast<int>(threads));
-  }
-  return static_cast<int>(threads);
-}
-
 /// Generic `--flag N` / `--flag=N` integer parser for the bench flags
 /// below. Returns `fallback` when the flag is absent; a present flag
 /// with a malformed value exits with an error.

@@ -10,8 +10,7 @@
 #include "harness/experiment.h"
 #include "stats/cdf.h"
 
-int main(int argc, char** argv) {
-  prism::bench::parse_threads(argc, argv);
+int main() {
   using namespace prism;
   bench::print_header(
       "Figure 3",

@@ -67,7 +67,6 @@ prism::trace::PollTrace trace_mode(
 
 int main(int argc, char** argv) {
   using namespace prism;
-  bench::parse_threads(argc, argv);
   const char* trace_out = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {

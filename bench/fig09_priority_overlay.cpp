@@ -16,7 +16,6 @@
 #include "stats/cdf.h"
 
 int main(int argc, char** argv) {
-  prism::bench::parse_threads(argc, argv);
   using namespace prism;
   bench::print_header(
       "Figure 9", "high-priority overlay latency vs background traffic");

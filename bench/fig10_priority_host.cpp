@@ -13,7 +13,6 @@
 #include "stats/cdf.h"
 
 int main(int argc, char** argv) {
-  prism::bench::parse_threads(argc, argv);
   using namespace prism;
   bench::print_header(
       "Figure 10", "high-priority HOST-path latency vs background traffic");

@@ -15,8 +15,7 @@
 #include "bench_util.h"
 #include "harness/experiment.h"
 
-int main(int argc, char** argv) {
-  prism::bench::parse_threads(argc, argv);
+int main() {
   using namespace prism;
   bench::print_header(
       "Figure 13", "web latency/throughput under TCP bulk background");

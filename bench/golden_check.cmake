@@ -7,9 +7,8 @@
 # Run through ctest: `ctest -L golden`. To accept a deliberate change,
 # copy the reported OUT file over the golden.
 
-# The benches read these to override their defaults; goldens are the
+# The benches read this to override their default; goldens are the
 # defaults.
-unset(ENV{PRISM_THREADS})
 unset(ENV{PRISM_SEED})
 
 execute_process(COMMAND "${BENCH}" OUTPUT_FILE "${OUT}" RESULT_VARIABLE rc)

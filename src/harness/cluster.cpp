@@ -190,7 +190,6 @@ std::string Cluster::cluster_json() {
       .member("lanes", static_cast<std::int64_t>(lanes_.num_lanes()))
       .member("windows_run", lanes_.windows_run())
       .member("messages_posted", lanes_.messages_posted())
-      .member("inbox_spills", lanes_.inbox_spills())
       .end_object();
   w.key("lanes");
   telemetry::write_lanes_json(w, profiler_.get());

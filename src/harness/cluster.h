@@ -2,13 +2,14 @@
 // event lane per host.
 //
 // The paper's testbed is one client/server pair on one wire; Cluster
-// replicates that pair P times (2P hosts) and assigns every host its own
-// simulation lane, so an 8-host cluster runs on up to 8 real threads.
-// Each pair gets its own wire, VXLAN overlay (distinct VNI), and address
-// range; pairs interact only through the shared wall clock, which makes
-// the topology an honest scaling benchmark for the conservative-window
-// scheduler — the wires' propagation delay is the lookahead that decides
-// how often the lanes synchronize.
+// replicates that pair P times (2P hosts) and gives every host its own
+// simulation lane. Each pair gets its own wire, VXLAN overlay (distinct
+// VNI), and address range, so pairs never exchange a frame: every pair
+// is one connected component of the lane engine, and a P-pair cluster
+// runs on up to P real threads, one pair per thread. Within a pair the
+// wire's propagation delay is the lookahead that decides how often the
+// pair's two lanes synchronize; across pairs nothing synchronizes until
+// run_until() returns.
 #pragma once
 
 #include <cstdint>
@@ -91,8 +92,9 @@ class Cluster {
   overlay::Netns& add_client_container(int pair, const std::string& name);
   overlay::Netns& add_server_container(int pair, const std::string& name);
 
-  /// Advances every lane to `deadline` on `threads` OS threads.
-  /// Deterministic for any thread count.
+  /// Advances every lane to `deadline`, running the pairs on up to
+  /// `threads` OS threads (one pair at a time per thread). Deterministic
+  /// for any thread count.
   void run_until(sim::Time deadline, int threads = 1) {
     lanes_.run_until(deadline, threads);
   }
@@ -102,9 +104,9 @@ class Cluster {
   /// the lane engine; subsequent run_until calls are profiled. The
   /// profiler never alters the schedule, so profiled runs stay
   /// byte-identical to unprofiled ones. `round_capacity` sizes the
-  /// per-round record rings (0 = LaneProfiler's default) and
+  /// window-record ring (0 = LaneProfiler's default) and
   /// `sample_every` the wall-clock sampling period (0 = default; 1 =
-  /// every round, for tests and fine-grained traces); both ignored when
+  /// every window, for tests and fine-grained traces); both ignored when
   /// the profiler already exists. Under -DPRISM_TELEMETRY=OFF the
   /// profiler is created but the engine ignores the attach, so every
   /// reading stays zero.
@@ -113,10 +115,9 @@ class Cluster {
   /// nullptr until enable_lane_profiler() is called.
   sim::LaneProfiler* lane_profiler() noexcept { return profiler_.get(); }
 
-  /// Replays the profiled rounds into `tracer` as per-lane tracks
+  /// Replays the profiled windows into `tracer` as per-lane tracks
   /// (telemetry::export_lane_trace): lane i's windows on track
-  /// `track_base + 2i`, its barrier stalls on `track_base + 2i + 1`.
-  /// No-op until the profiler is enabled.
+  /// `track_base + i`. No-op until the profiler is enabled.
   void export_lane_trace(telemetry::SpanTracer& tracer,
                          int track_base = 0) const;
 

@@ -4,8 +4,6 @@ namespace prism::harness {
 
 namespace {
 
-int g_default_threads = 1;
-
 kernel::HostConfig client_config(const TestbedConfig& cfg) {
   kernel::HostConfig h;
   h.name = "client";
@@ -39,20 +37,10 @@ kernel::HostConfig server_config(const TestbedConfig& cfg) {
   return h;
 }
 
-int resolve_threads(int configured) {
-  int t = configured == 0 ? g_default_threads : configured;
-  return t < 1 ? 1 : t;
-}
-
 }  // namespace
 
-void set_default_threads(int threads) {
-  g_default_threads = threads < 1 ? 1 : threads;
-}
-
 Testbed::Testbed(const TestbedConfig& config)
-    : threads_(resolve_threads(config.threads)),
-      client_(client_sim(), client_config(config)),
+    : client_(client_sim(), client_config(config)),
       server_(server_sim(), server_config(config)),
       wire_(lanes_, 0, 1, config.wire_gbps, config.propagation),
       overlay_(config.vni) {
@@ -61,10 +49,6 @@ Testbed::Testbed(const TestbedConfig& config)
   server_.nic().attach_wire(wire_);
   client_.add_neighbor(server_.ip(), server_.mac());
   server_.add_neighbor(client_.ip(), client_.mac());
-}
-
-void Testbed::run_until(sim::Time deadline) {
-  lanes_.run_until(deadline, tracer_shared_ ? 1 : threads_);
 }
 
 overlay::Netns& Testbed::add_client_container(const std::string& name) {

@@ -9,11 +9,10 @@
 //
 // The testbed runs on the lane engine (sim/lane.h): each host owns a
 // simulation lane (client lane 0, server lane 1) and the wire's
-// propagation delay is the conservative lookahead. TestbedConfig::threads
-// only picks how many OS threads execute the two lanes; results are the
-// same for every thread count. Callers schedule on the lane of the host
-// whose state a callback touches (client_sim()/server_sim()) and drive
-// the clock through run_until().
+// propagation delay is the conservative lookahead. The two lanes form one
+// connected component, so they always run on the caller's thread.
+// Callers schedule on the lane of the host whose state a callback touches
+// (client_sim()/server_sim()) and drive the clock through run_until().
 #pragma once
 
 #include <cstdint>
@@ -25,11 +24,6 @@
 #include "sim/lane.h"
 
 namespace prism::harness {
-
-/// Process-wide default for TestbedConfig::threads == 0 (and thus for
-/// every scenario the harness builds). Benches set it once from a
-/// --threads flag, with no per-bench plumbing. Values < 1 clamp to 1.
-void set_default_threads(int threads);
 
 /// Testbed parameters. Defaults mirror the paper's setup.
 struct TestbedConfig {
@@ -62,10 +56,10 @@ struct TestbedConfig {
   /// Overlay flow cache (ONCache-style stage-1 fast path) on both hosts.
   /// Off by default so baselines measure the full pipeline.
   bool flow_cache = false;
-  /// OS threads that execute the two lanes: 0 = the set_default_threads()
-  /// value; 1 = the serial path; >= 2 = one thread per lane (clamped to
-  /// the lane count). Results are identical for every value.
-  int threads = 0;
+  /// Kept for callers that set it; it changes nothing. The lane engine
+  /// clamps its worker threads to the number of connected components,
+  /// and a Testbed is one component, so it always runs on one thread.
+  int threads = 1;
 };
 
 /// Two hosts, a wire, and one overlay network.
@@ -85,10 +79,8 @@ class Testbed {
   sim::Simulator& client_sim() noexcept { return lanes_.lane(0); }
   sim::Simulator& server_sim() noexcept { return lanes_.lane(1); }
 
-  /// Advances both lanes to `deadline` on the configured thread count
-  /// (forced to one thread, with identical results, while a shared span
-  /// tracer is attached).
-  void run_until(sim::Time deadline);
+  /// Advances both lanes to `deadline` on the caller's thread.
+  void run_until(sim::Time deadline) { lanes_.run_until(deadline); }
 
   kernel::Host& client() noexcept { return client_; }
   kernel::Host& server() noexcept { return server_; }
@@ -111,22 +103,18 @@ class Testbed {
   /// Attaches one shared span tracer to both hosts: server CPUs on
   /// tracks [0, server_cpus), client CPUs on the tracks after them, so
   /// one exported trace shows every core of the testbed as its own row.
-  /// This forces windows onto a single thread (the tracer is not
-  /// thread-safe); the simulation results are unchanged.
+  /// Both hosts run on one thread, so they can share the tracer.
   void attach_span_tracer(telemetry::SpanTracer& tracer) {
-    tracer_shared_ = true;
     server_.set_span_tracer(&tracer, 0);
     client_.set_span_tracer(&tracer, server_.num_cpus());
   }
 
  private:
-  int threads_;
   sim::LaneSet lanes_{2};
   kernel::Host client_;
   kernel::Host server_;
   nic::Wire wire_;
   overlay::OverlayNetwork overlay_;
-  bool tracer_shared_ = false;
   std::uint8_t next_container_ip_ = 2;
 };
 

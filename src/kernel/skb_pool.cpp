@@ -21,9 +21,11 @@ struct TlsSkbPool {
 }  // namespace
 
 SkbPool& SkbPool::instance() noexcept {
-  // One slab per thread, so each parallel lane allocates and recycles
-  // skbs lock-free. Skbs never cross lanes (only raw frames travel the
-  // wire), so every skb is released to the pool that issued it.
+  // One slab per thread, so each lane-engine worker allocates and
+  // recycles skbs lock-free. Skbs never cross lanes (only raw frames
+  // travel the wire); one still queued when run_until returns may be
+  // released on another worker in a later run, which is harmless — a
+  // free list has no affinity requirement.
   thread_local TlsSkbPool tls;
   return *tls.pool;
 }

@@ -6,9 +6,10 @@
 //
 // A wire always joins two simulation lanes (each host owns its own lane):
 // the endpoints live on different Simulators, and delivery crosses through
-// the LaneSet's SPSC inboxes. The propagation delay doubles as the
-// conservative lookahead that lets the lanes run concurrently — the wire
-// registers it with the LaneSet at construction.
+// the LaneSet's inboxes. The propagation delay doubles as the
+// conservative lookahead that lets each lane run ahead of the other — the
+// wire registers it with the LaneSet at construction, which also puts the
+// two lanes in one connected component.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,10 @@
 #include "sim/lane.h"
 
 #include <algorithm>
-#include <barrier>
+#include <atomic>
 #include <cassert>
 #include <chrono>
+#include <exception>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -12,25 +13,91 @@
 
 namespace prism::sim {
 
+/// One connected component of the link graph and its window loop's
+/// state. Only the worker running the component touches it, and it is
+/// cache-line aligned so two components never share a line.
+struct alignas(64) LaneSet::Component {
+  struct Link {
+    std::size_t peer = 0;  ///< member index
+    Duration propagation = 0;
+  };
+
+  /// Computes every member's window horizon from `next`.
+  void compute_window(Time deadline);
+
+  std::vector<int> lanes;                ///< member lanes, ascending
+  std::vector<std::vector<Link>> links;  ///< [member]
+  // Per member, indexed like `lanes`.
+  std::vector<Time> next;  ///< earliest pending event, or kMaxTime
+  std::vector<Time> release;
+  std::vector<Time> window_end;
+  std::vector<std::uint32_t> drained;  ///< arrivals moved, sampled windows
+  std::uint64_t windows = 0;           ///< windows of the current run
+};
+
+void LaneSet::Component::compute_window(Time deadline) {
+  if (lanes.size() == 2) {
+    // A pair (the Testbed, and every Cluster pair): the release-time
+    // fixpoint collapses to a closed form. This runs once per window, so
+    // the shortcut is worth it.
+    const Duration p = links[0][0].propagation;
+    for (std::size_t i = 0; i < 2; ++i) {
+      const Time ni = next[i];
+      const Time nj = next[1 - i];
+      const Time via = ni >= kMaxTime - p - 1 ? kMaxTime : ni + p + 1;
+      const Time rj = nj < via ? nj : via;
+      window_end[i] = rj >= kMaxTime - p ? deadline
+                      : rj + p > deadline ? deadline
+                                          : rj + p;
+    }
+    return;
+  }
+  // Release times: the earliest instant each member could execute
+  // anything this window — its next pending event, or a wake-up by a
+  // message it has not received yet (possibly a multi-hop chain within
+  // the window), which cannot beat release(neighbor) + serialization +
+  // propagation.
+  release = next;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      for (const Link& l : links[i]) {
+        const Time rj = release[l.peer];
+        const Time via = rj >= kMaxTime - l.propagation - 1
+                             ? kMaxTime
+                             : rj + l.propagation + 1;
+        if (via < release[i]) {
+          release[i] = via;
+          changed = true;
+        }
+      }
+    }
+  }
+  // Horizons: nothing from neighbor j can arrive at or before release(j)
+  // + propagation, so member i may run through that instant inclusive.
+  // The window still makes progress because the member holding the
+  // earliest event has release == that event <= its horizon.
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    Time w = kMaxTime;
+    for (const Link& l : links[i]) {
+      const Time rj = release[l.peer];
+      const Time horizon =
+          rj >= kMaxTime - l.propagation ? kMaxTime : rj + l.propagation;
+      if (horizon < w) w = horizon;
+    }
+    window_end[i] = w > deadline ? deadline : w;
+  }
+}
+
 LaneSet::LaneSet(int lanes) {
   if (lanes < 1) {
     throw std::invalid_argument("LaneSet: need at least one lane");
   }
-  lanes_.reserve(static_cast<std::size_t>(lanes));
-  mailboxes_.resize(static_cast<std::size_t>(lanes));
-  post_seq_.assign(static_cast<std::size_t>(lanes), 0);
-  linked_.assign(static_cast<std::size_t>(lanes), 0);
-  neighbors_.resize(static_cast<std::size_t>(lanes));
-  next_time_.assign(static_cast<std::size_t>(lanes), kMaxTime);
-  release_.assign(static_cast<std::size_t>(lanes), kMaxTime);
-  window_end_.assign(static_cast<std::size_t>(lanes), 0);
-  drained_msgs_.assign(static_cast<std::size_t>(lanes), 0);
-  for (int i = 0; i < lanes; ++i) {
-    lanes_.push_back(std::make_unique<Simulator>());
-    mailboxes_[static_cast<std::size_t>(i)].from.resize(
-        static_cast<std::size_t>(lanes));
-  }
+  lanes_ = std::vector<Lane>(static_cast<std::size_t>(lanes));
 }
+
+LaneSet::~LaneSet() = default;
 
 void LaneSet::register_link(int a, int b, Duration propagation) {
   if (a < 0 || a >= num_lanes() || b < 0 || b >= num_lanes()) {
@@ -41,16 +108,9 @@ void LaneSet::register_link(int a, int b, Duration propagation) {
         "LaneSet::register_link: negative propagation");
   }
   if (a == b) return;  // a lane needs no handoff to itself
-  for (auto [src, dst] : {std::pair{a, b}, std::pair{b, a}}) {
-    auto& q = mailboxes_[static_cast<std::size_t>(dst)]
-                  .from[static_cast<std::size_t>(src)];
-    if (q == nullptr) q = std::make_unique<SpscQueue<Message>>();
-  }
-  linked_[static_cast<std::size_t>(a)] = 1;
-  linked_[static_cast<std::size_t>(b)] = 1;
   if (propagation < lookahead_) lookahead_ = propagation;
   auto add = [this](int from, int to, Duration prop) {
-    auto& nbs = neighbors_[static_cast<std::size_t>(from)];
+    auto& nbs = lanes_[static_cast<std::size_t>(from)].neighbors;
     for (Neighbor& nb : nbs) {
       if (nb.lane == to) {
         // Parallel wires between the same lane pair: the shortest delay
@@ -63,23 +123,66 @@ void LaneSet::register_link(int a, int b, Duration propagation) {
   };
   add(a, b, propagation);
   add(b, a, propagation);
-  pairwise_ = pairwise_ &&
-              neighbors_[static_cast<std::size_t>(a)].size() <= 1 &&
-              neighbors_[static_cast<std::size_t>(b)].size() <= 1;
+  components_stale_ = true;
+}
+
+void LaneSet::build_components() {
+  components_.clear();
+  const std::size_t n = lanes_.size();
+  std::vector<std::size_t> component_of(n, n);  // n = not yet assigned
+  std::vector<std::size_t> member(n, 0);
+  for (std::size_t root = 0; root < n; ++root) {
+    if (component_of[root] != n) continue;
+    const std::size_t id = components_.size();
+    auto c = std::make_unique<Component>();
+    component_of[root] = id;
+    c->lanes.push_back(static_cast<int>(root));
+    for (std::size_t k = 0; k < c->lanes.size(); ++k) {
+      const Lane& l = lanes_[static_cast<std::size_t>(c->lanes[k])];
+      for (const Neighbor& nb : l.neighbors) {
+        const auto j = static_cast<std::size_t>(nb.lane);
+        if (component_of[j] == n) {
+          component_of[j] = id;
+          c->lanes.push_back(nb.lane);
+        }
+      }
+    }
+    std::sort(c->lanes.begin(), c->lanes.end());
+    const std::size_t m = c->lanes.size();
+    for (std::size_t k = 0; k < m; ++k) {
+      member[static_cast<std::size_t>(c->lanes[k])] = k;
+    }
+    c->links.resize(m);
+    for (std::size_t k = 0; k < m; ++k) {
+      const Lane& l = lanes_[static_cast<std::size_t>(c->lanes[k])];
+      for (const Neighbor& nb : l.neighbors) {
+        c->links[k].push_back(Component::Link{
+            member[static_cast<std::size_t>(nb.lane)], nb.propagation});
+      }
+    }
+    c->next.assign(m, kMaxTime);
+    c->release.assign(m, kMaxTime);
+    c->window_end.assign(m, 0);
+    c->drained.assign(m, 0);
+    components_.push_back(std::move(c));
+  }
+  components_stale_ = false;
 }
 
 void LaneSet::post(int src, int dst, Time at, EventFn fn) {
   assert(src >= 0 && src < num_lanes() && dst >= 0 && dst < num_lanes());
   assert(src != dst && "same-lane events schedule directly");
+  Lane& from = lanes_[static_cast<std::size_t>(src)];
+  Lane& to = lanes_[static_cast<std::size_t>(dst)];
 #ifndef NDEBUG
   // Conservative-window safety: the horizons assume every message lands
   // strictly after the sender's clock plus the link's propagation delay
   // (the Wire's >= 1ns serialization provides the strict part).
   {
     bool found = false;
-    for (const Neighbor& nb : neighbors_[static_cast<std::size_t>(src)]) {
+    for (const Neighbor& nb : from.neighbors) {
       if (nb.lane == dst) {
-        assert(at > lane(src).now() + nb.propagation &&
+        assert(at > from.sim.now() + nb.propagation &&
                "cross-lane post inside the conservative window");
         found = true;
         break;
@@ -88,310 +191,187 @@ void LaneSet::post(int src, int dst, Time at, EventFn fn) {
     assert(found && "cross-lane post without a registered link");
   }
 #endif
-  Message m;
-  m.at = at;
-  m.src = static_cast<std::uint32_t>(src);
-  m.seq = post_seq_[static_cast<std::size_t>(src)]++;
-  m.fn = std::move(fn);
-  mailboxes_[static_cast<std::size_t>(dst)]
-      .from[static_cast<std::size_t>(src)]
-      ->push(std::move(m));
+  to.inbox.push_back(
+      Message{at, static_cast<std::uint32_t>(src), from.posted++,
+              std::move(fn)});
+  ++to.received;
+  if (to.inbox.size() > to.high_water) to.high_water = to.inbox.size();
 }
 
-std::size_t LaneSet::drain_inboxes(int dst) {
-  Mailbox& mb = mailboxes_[static_cast<std::size_t>(dst)];
-  mb.scratch.clear();
-  // Messages only travel over registered links (post() asserts it), and
-  // only those have an inbox.
-  for (const Neighbor& nb : neighbors_[static_cast<std::size_t>(dst)]) {
-    mb.from[static_cast<std::size_t>(nb.lane)]->drain_into(mb.scratch);
-  }
-  const std::size_t drained = mb.scratch.size();
-  if (mb.scratch.empty()) return drained;
+std::size_t LaneSet::drain_inbox(Lane& l) {
+  std::vector<Message>& in = l.inbox;
+  const std::size_t n = in.size();
+  if (n == 0) return 0;
   // (arrival, src lane, per-src sequence) is a total order, so the
-  // destination queue receives an identical schedule at any thread count.
-  std::sort(mb.scratch.begin(), mb.scratch.end(),
-            [](const Message& x, const Message& y) {
-              if (x.at != y.at) return x.at < y.at;
-              if (x.src != y.src) return x.src < y.src;
-              return x.seq < y.seq;
-            });
-  Simulator& sim = lane(dst);
-  for (Message& m : mb.scratch) {
-    assert(m.at > sim.now() && "cross-lane arrival in the lane's past");
-    sim.schedule_at(m.at, std::move(m.fn));
+  // destination queue receives the same schedule however the sources'
+  // windows were ordered.
+  std::sort(in.begin(), in.end(), [](const Message& x, const Message& y) {
+    if (x.at != y.at) return x.at < y.at;
+    if (x.src != y.src) return x.src < y.src;
+    return x.seq < y.seq;
+  });
+  for (Message& m : in) {
+    assert(m.at > l.sim.now() && "cross-lane arrival in the lane's past");
+    l.sim.schedule_at(m.at, std::move(m.fn));
   }
-  mb.scratch.clear();
-  return drained;
+  in.clear();
+  return n;
 }
 
-void LaneSet::compute_window(Time deadline) {
-  Time t_min = kMaxTime;
-  // The critical lane: the one whose next pending event bounds the
-  // release-time fixpoint from below this round (ties -> lowest index).
-  // Every other lane's window ultimately derives from it, so it is the
-  // round's pace-setter — the profiler's critical-path attribution.
-  int critical = -1;
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    if (linked_[i] && next_time_[i] < t_min) {
-      t_min = next_time_[i];
-      critical = static_cast<int>(i);
-    }
-  }
-  if (t_min == kMaxTime || t_min > deadline) {
-    done_ = true;
-    return;
-  }
-  // Release times: the earliest instant each lane could execute
-  // anything this round — its next pending event, or a wake-up by a
-  // message it has not received yet (possibly a multi-hop chain within
-  // the round), which cannot beat release(neighbor) + serialization
-  // + propagation. When every lane has exactly one peer (the Testbed
-  // and every pair Cluster), the fixpoint collapses to a closed form
-  // per pair; this runs once per window, so the shortcut is worth it.
-  if (pairwise_) {
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      if (!linked_[i]) continue;
-      const Neighbor& nb = neighbors_[i][0];
-      const Time ni = next_time_[i];
-      const Time nj = next_time_[static_cast<std::size_t>(nb.lane)];
-      const Time via = ni >= kMaxTime - nb.propagation - 1
-                           ? kMaxTime
-                           : ni + nb.propagation + 1;
-      const Time rj = nj < via ? nj : via;
-      window_end_[i] = rj >= kMaxTime - nb.propagation ? deadline
-                       : rj + nb.propagation > deadline
-                           ? deadline
-                           : rj + nb.propagation;
-    }
-    ++windows_;
-    if (profiler_ != nullptr) profiler_->record_window(windows_, critical);
-    return;
-  }
-  release_ = next_time_;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      if (!linked_[i]) continue;
-      for (const Neighbor& nb : neighbors_[i]) {
-        const Time rj = release_[static_cast<std::size_t>(nb.lane)];
-        const Time via = rj >= kMaxTime - nb.propagation - 1
-                             ? kMaxTime
-                             : rj + nb.propagation + 1;
-        if (via < release_[i]) {
-          release_[i] = via;
-          changed = true;
-        }
-      }
-    }
-  }
-  // Per-lane horizons: nothing from neighbor j can arrive at or before
-  // release(j) + propagation, so lane i may run through that instant
-  // inclusive. Lanes with disjoint neighborhoods advance independently;
-  // the round still makes progress because the lane holding t_min has
-  // release == t_min <= horizon, so its earliest event always executes.
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    if (!linked_[i]) continue;
-    Time w = kMaxTime;
-    for (const Neighbor& nb : neighbors_[i]) {
-      const Time rj = release_[static_cast<std::size_t>(nb.lane)];
-      const Time horizon =
-          rj >= kMaxTime - nb.propagation ? kMaxTime : rj + nb.propagation;
-      if (horizon < w) w = horizon;
-    }
-    window_end_[i] = w > deadline ? deadline : w;
-  }
-  ++windows_;
-  if (profiler_ != nullptr) profiler_->record_window(windows_, critical);
-}
-
-template <typename Barrier>
-void LaneSet::worker_loop(int worker, int threads, Time deadline,
-                          Barrier& barrier) {
-  const int n = num_lanes();
-  // Profiling instruments the loop with steady_clock reads; detached
-  // (prof == nullptr, always the case under -DPRISM_TELEMETRY=OFF) the
-  // loop pays one predictable branch per phase. Clock reads and record
-  // stores are sampled (1 in sample_every() rounds) because rounds are
-  // often shorter than the six clockgettime calls full timing costs;
-  // an unsampled round pays only the sampling check — the exact totals
-  // come from counters the engine maintains anyway, snapshotted in
-  // begin/finish_profiled_run(). All readings observe the schedule
-  // without influencing it, so profiled runs stay byte-identical to
-  // unprofiled ones.
+void LaneSet::run_component(Component& c, Time deadline) {
+  c.windows = 0;
+  // Profiling reads the clock only on sampled windows (1 in
+  // sample_every()); an unsampled window pays the sampling check. The
+  // readings observe the schedule without influencing it, so profiled
+  // runs stay byte-identical to unprofiled ones.
   LaneProfiler* const prof = profiler_;
   const std::uint64_t sample_every =
       prof != nullptr ? prof->sample_every() : 1;
   using ProfClock = std::chrono::steady_clock;
-  const auto prof_ns = [](ProfClock::time_point a,
-                          ProfClock::time_point b) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
-            .count());
-  };
-  while (true) {
-    // Sampling decision for the upcoming round. windows_ still holds the
-    // previous round's number here (the completion step that increments
-    // it runs at the next barrier), but every worker passed the same
-    // barrier to get here, so all see the same value and sample the same
-    // rounds — the decision is schedule-deterministic, not timing-based.
-    const bool sample =
-        prof != nullptr && (windows_ % sample_every) == 0;
-    ProfClock::time_point round_start{};
-    if (sample) round_start = ProfClock::now();
-    // Drain phase: every inbox is quiescent (producers parked since the
-    // previous barrier), so the consumer empties it and reports the
-    // lane's earliest pending event for the window computation.
-    for (int i = worker; i < n; i += threads) {
-      if (!linked_[static_cast<std::size_t>(i)]) continue;
-      const std::size_t drained = drain_inboxes(i);
-      if (sample) {
-        drained_msgs_[static_cast<std::size_t>(i)] =
-            static_cast<std::uint32_t>(drained);
+  const std::size_t m = c.lanes.size();
+  // A lone lane has no links, so no window: it free-runs below.
+  while (m > 1) {
+    // Keyed on the component's own window counter, so the sampled
+    // windows are the same at any thread count.
+    const bool sample = prof != nullptr && c.windows % sample_every == 0;
+    // Window edge: move arrivals into the lanes' queues and read each
+    // lane's earliest pending event.
+    Time t_min = kMaxTime;
+    for (std::size_t k = 0; k < m; ++k) {
+      Lane& l = lanes_[static_cast<std::size_t>(c.lanes[k])];
+      const std::size_t drained = drain_inbox(l);
+      if (sample) c.drained[k] = static_cast<std::uint32_t>(drained);
+      const Time t =
+          l.sim.pending_events() == 0 ? kMaxTime : l.sim.next_event_time();
+      c.next[k] = t;
+      if (t < t_min) t_min = t;
+    }
+    if (t_min == kMaxTime || t_min > deadline) break;
+    c.compute_window(deadline);
+    ++c.windows;
+    // Each member runs every event up to and including its own horizon;
+    // arrivals it produces land strictly beyond the receiver's. A member
+    // with nothing inside its horizon sits the window out without even
+    // touching its clock — safe, because arrivals always land beyond the
+    // horizon that was current when they were sent.
+    for (std::size_t k = 0; k < m; ++k) {
+      const Time w = c.window_end[k];
+      if (c.next[k] > w) continue;
+      Simulator& s = lanes_[static_cast<std::size_t>(c.lanes[k])].sim;
+      if (w <= s.now()) continue;
+      if (!sample) {
+        s.run_until(w);
+        continue;
       }
-      Simulator& s = lane(i);
-      next_time_[static_cast<std::size_t>(i)] =
-          s.pending_events() == 0 ? kMaxTime : s.next_event_time();
-    }
-    ProfClock::time_point bar0{};
-    if (sample) bar0 = ProfClock::now();
-    barrier.arrive_and_wait();  // completion: compute_window / done_
-    std::uint64_t barrier_wait_ns = 0;
-    std::uint64_t busy_ns = 0;
-    if (sample) {
-      const ProfClock::time_point t = ProfClock::now();
-      barrier_wait_ns = prof_ns(bar0, t);
-      // Drain work is busy time; the window between round_start and bar0
-      // was all drains for this worker's lanes.
-      busy_ns = prof_ns(round_start, bar0);
-    }
-    if (done_) break;
-    const std::uint64_t round = windows_;  // set by the completion step
-    // Execute phase: each linked lane runs every event up to and
-    // including its own horizon; arrivals it produces land strictly
-    // beyond the receiver's. A lane with nothing inside its horizon
-    // sits the round out without even touching its clock — safe,
-    // because arrivals always land beyond the horizon that was current
-    // when they were sent, so a stale clock never sees one in its past.
-    for (int i = worker; i < n; i += threads) {
-      if (!linked_[static_cast<std::size_t>(i)]) continue;
-      const Time w = window_end_[static_cast<std::size_t>(i)];
-      if (next_time_[static_cast<std::size_t>(i)] <= w) {
-        Simulator& s = lane(i);
-        if (w > s.now()) {
-          if (sample) {
-            const Time start = s.now();
-            const std::uint64_t ev0 = s.events_executed();
-            const ProfClock::time_point e0 = ProfClock::now();
-            s.run_until(w);
-            const ProfClock::time_point e1 = ProfClock::now();
-            const std::uint64_t lane_busy = prof_ns(e0, e1);
-            busy_ns += lane_busy;
-            prof->record_lane_sample(
-                round, i, worker, start, w, s.events_executed() - ev0,
-                lane_busy, drained_msgs_[static_cast<std::size_t>(i)]);
-          } else {
-            s.run_until(w);
-          }
-        }
-      }
-    }
-    ProfClock::time_point bar1{};
-    if (sample) bar1 = ProfClock::now();
-    barrier.arrive_and_wait();  // completion: no-op (phase toggle)
-    if (sample) {
-      const ProfClock::time_point round_end = ProfClock::now();
-      barrier_wait_ns += prof_ns(bar1, round_end);
-      prof->record_worker_round(round, worker,
-                                prof_ns(round_start, round_end),
-                                barrier_wait_ns, busy_ns);
+      const Time start = s.now();
+      const std::uint64_t ev0 = s.events_executed();
+      const ProfClock::time_point e0 = ProfClock::now();
+      s.run_until(w);
+      const ProfClock::time_point e1 = ProfClock::now();
+      prof->record_lane_sample(
+          c.windows, c.lanes[k], start, w, s.events_executed() - ev0,
+          static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(e1 - e0)
+                  .count()),
+          c.drained[k]);
     }
   }
-  // Settle: clocks advance to the deadline, and link-less lanes (which
-  // neither send nor receive) free-run their entire schedule here.
-  for (int i = worker; i < n; i += threads) {
-    lane(i).run_until(deadline);
+  // Settle: clocks advance to the deadline, and a lone lane runs its
+  // entire schedule here.
+  for (int i : c.lanes) {
+    lanes_[static_cast<std::size_t>(i)].sim.run_until(deadline);
   }
 }
 
 void LaneSet::run_until(Time deadline, int threads) {
-  if (threads < 1) threads = 1;
-  if (threads > num_lanes()) threads = num_lanes();
-  std::fill(next_time_.begin(), next_time_.end(), kMaxTime);
-  done_ = false;
-  completion_is_window_ = true;
-  windows_ = 0;
-  if (profiler_ != nullptr) profiler_->begin_run(num_lanes(), threads);
-  begin_profiled_run();
+  if (components_stale_) build_components();
+  const std::size_t n = components_.size();
+  const int workers =
+      static_cast<int>(std::min<std::size_t>(threads < 1 ? 1 : threads, n));
+  LaneProfiler* const prof = profiler_;
+  if (prof != nullptr) begin_profiled_run(workers);
 
-  if (threads == 1) {
-    // Serial fast path: the same phase sequence, but the "barrier" is a
-    // direct call — a single-participant std::barrier still pays two
-    // atomic round-trips per window, which is measurable at millions of
-    // windows per run.
-    struct SerialBarrier {
-      LaneSet& set;
-      Time deadline;
-      void arrive_and_wait() noexcept {
-        if (set.completion_is_window_) set.compute_window(deadline);
-        set.completion_is_window_ = !set.completion_is_window_;
-      }
-    } serial{*this, deadline};
-    worker_loop(0, 1, deadline, serial);
-    finish_profiled_run();
-    return;
-  }
-
-  auto completion = [this, deadline]() noexcept {
-    if (completion_is_window_) compute_window(deadline);
-    completion_is_window_ = !completion_is_window_;
+  // Per-worker wall-clock totals, read by the profiler after the join.
+  using Clock = std::chrono::steady_clock;
+  struct alignas(64) WorkerRun {
+    std::uint64_t busy_ns = 0;
+    std::uint64_t windows = 0;
+    Clock::time_point done{};
   };
-  std::barrier<decltype(completion)> barrier(threads, completion);
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(threads - 1));
-  for (int w = 1; w < threads; ++w) {
-    workers.emplace_back([this, w, threads, deadline, &barrier] {
-      worker_loop(w, threads, deadline, barrier);
-    });
+  const auto ns = [](Clock::time_point a, Clock::time_point b) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
+  };
+  std::vector<WorkerRun> runs(static_cast<std::size_t>(workers));
+  std::vector<std::exception_ptr> errors(n);
+  std::atomic<std::size_t> claimed{0};
+  const Clock::time_point start = prof != nullptr ? Clock::now()
+                                                  : Clock::time_point{};
+  const auto work = [&](int w) {
+    WorkerRun& r = runs[static_cast<std::size_t>(w)];
+    for (std::size_t id;
+         (id = claimed.fetch_add(1, std::memory_order_relaxed)) < n;) {
+      Component& c = *components_[id];
+      const Clock::time_point t0 =
+          prof != nullptr ? Clock::now() : Clock::time_point{};
+      try {
+        run_component(c, deadline);
+      } catch (...) {
+        errors[id] = std::current_exception();
+      }
+      if (prof != nullptr) r.busy_ns += ns(t0, Clock::now());
+      r.windows += c.windows;
+    }
+    if (prof != nullptr) r.done = Clock::now();
+  };
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(static_cast<std::size_t>(workers - 1));
+    for (int w = 1; w < workers; ++w) helpers.emplace_back(work, w);
+    work(0);
+  }  // the one join
+
+  windows_ = 0;
+  for (const auto& c : components_) windows_ += c->windows;
+  if (prof != nullptr) {
+    const Clock::time_point end = Clock::now();
+    for (int w = 0; w < workers; ++w) {
+      const WorkerRun& r = runs[static_cast<std::size_t>(w)];
+      prof->add_worker_run(w, ns(start, end), r.busy_ns, ns(r.done, end),
+                           r.windows);
+    }
+    finish_profiled_run();
   }
-  worker_loop(0, threads, deadline, barrier);
-  for (std::thread& t : workers) t.join();
-  finish_profiled_run();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
-void LaneSet::begin_profiled_run() {
-  if (profiler_ == nullptr) return;
+void LaneSet::begin_profiled_run(int workers) {
+  profiler_->begin_run(num_lanes(), workers);
   const std::size_t n = lanes_.size();
   run_events0_.resize(n);
   run_sim0_.resize(n);
   run_msgs0_.resize(n);
-  run_spills0_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const int li = static_cast<int>(i);
-    run_events0_[i] = lanes_[i]->events_executed();
-    run_sim0_[i] = lanes_[i]->now();
-    run_msgs0_[i] = lane_inbox_pushed(li);
-    run_spills0_[i] = lane_inbox_spills(li);
+    run_events0_[i] = lanes_[i].sim.events_executed();
+    run_sim0_[i] = lanes_[i].sim.now();
+    run_msgs0_[i] = lanes_[i].received;
   }
   run_messages0_ = messages_posted();
 }
 
 void LaneSet::finish_profiled_run() {
-  if (profiler_ == nullptr) return;
-  for (int i = 0; i < num_lanes(); ++i) {
-    const std::size_t si = static_cast<std::size_t>(i);
-    const Simulator& s = *lanes_[si];
-    const std::size_t hw = lane_inbox_high_water(i);
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    const Lane& l = lanes_[i];
     profiler_->add_lane_run_totals(
-        i, s.events_executed() - run_events0_[si],
-        s.now() > run_sim0_[si] ? s.now() - run_sim0_[si] : 0,
-        lane_inbox_pushed(i) - run_msgs0_[si],
+        static_cast<int>(i), l.sim.events_executed() - run_events0_[i],
+        l.sim.now() > run_sim0_[i] ? l.sim.now() - run_sim0_[i] : 0,
+        l.received - run_msgs0_[i],
         static_cast<std::uint32_t>(std::min<std::size_t>(
-            hw, std::numeric_limits<std::uint32_t>::max())),
-        lane_inbox_spills(i) - run_spills0_[si]);
+            l.high_water, std::numeric_limits<std::uint32_t>::max())));
   }
-  profiler_->end_run(messages_posted() - run_messages0_);
+  profiler_->end_run(windows_, messages_posted() - run_messages0_);
 }
 
 void LaneSet::set_profiler(LaneProfiler* profiler) noexcept {
@@ -406,50 +386,20 @@ void LaneSet::set_profiler(LaneProfiler* profiler) noexcept {
 
 std::uint64_t LaneSet::events_executed() const {
   std::uint64_t total = 0;
-  for (const auto& l : lanes_) total += l->events_executed();
+  for (const Lane& l : lanes_) total += l.sim.events_executed();
   return total;
 }
 
 std::size_t LaneSet::pending_events() const {
   std::size_t total = 0;
-  for (const auto& l : lanes_) total += l->pending_events();
+  for (const Lane& l : lanes_) total += l.sim.pending_events();
   return total;
 }
 
 std::uint64_t LaneSet::messages_posted() const {
   std::uint64_t total = 0;
-  for (int i = 0; i < num_lanes(); ++i) total += lane_inbox_pushed(i);
+  for (const Lane& l : lanes_) total += l.received;
   return total;
-}
-
-std::uint64_t LaneSet::inbox_spills() const {
-  std::uint64_t total = 0;
-  for (int i = 0; i < num_lanes(); ++i) total += lane_inbox_spills(i);
-  return total;
-}
-
-std::uint64_t LaneSet::lane_inbox_spills(int dst) const {
-  std::uint64_t total = 0;
-  for (const auto& q : mailboxes_[static_cast<std::size_t>(dst)].from) {
-    if (q != nullptr) total += q->spill_count();
-  }
-  return total;
-}
-
-std::uint64_t LaneSet::lane_inbox_pushed(int dst) const {
-  std::uint64_t total = 0;
-  for (const auto& q : mailboxes_[static_cast<std::size_t>(dst)].from) {
-    if (q != nullptr) total += q->pushed_count();
-  }
-  return total;
-}
-
-std::size_t LaneSet::lane_inbox_high_water(int dst) const {
-  std::size_t max = 0;
-  for (const auto& q : mailboxes_[static_cast<std::size_t>(dst)].from) {
-    if (q != nullptr) max = std::max(max, q->high_water());
-  }
-  return max;
 }
 
 }  // namespace prism::sim

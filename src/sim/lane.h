@@ -1,43 +1,50 @@
 // Parallel conservative discrete-event engine: one Simulator lane per
-// simulated host, synchronized with time windows at the wire boundary.
+// simulated host, synchronized with time windows at the wire boundary,
+// with the connected component of registered links as the unit of
+// parallel work.
 //
 // The single-threaded Simulator stays the per-lane engine; LaneSet owns N
-// of them and advances all lanes together through conservative windows.
-// Link propagation delay is the natural lookahead: a frame transmitted by
-// lane j at time t cannot arrive before t + serialization(>=1ns) +
-// propagation. Each round first computes every lane's *release time* —
-// the earliest instant it could possibly execute anything, pending or
-// future — as the fixpoint of
+// of them. Link propagation delay is the natural lookahead: a frame
+// transmitted by lane j at time t cannot arrive before t +
+// serialization(>=1ns) + propagation. Each window first computes every
+// lane's *release time* — the earliest instant it could possibly execute
+// anything, pending or future — as the fixpoint of
 //
 //   release(j) = min(next pending event of j,
 //                    min over neighbors k of (release(k) + 1ns
 //                                             + propagation(j, k)))
 //
 // (the second term covers j being woken by a message it has not received
-// yet, including multi-hop chains within the round). Lane i may then
+// yet, including multi-hop chains within the window). Lane i may then
 // safely execute all events up to its own horizon
 //
 //   window_end(i) = min over neighbors j of (release(j)
 //                                            + propagation(i, j))
 //
-// since nothing from j can arrive at or before that. Windows are per
-// lane, not global: two pairs of hosts that never exchange traffic
-// advance independently instead of locksteping to the globally earliest
-// event. Cross-lane deliveries travel through per-(src,dst) SPSC inboxes
-// and are drained at window edges in (arrival time, src lane, sequence)
-// order, so the schedule a lane observes is identical regardless of how
-// many OS threads execute the windows — run_until(d, 1) and
-// run_until(d, N) produce byte-identical simulations.
+// since nothing from j can arrive at or before that.
+//
+// Both rules only read lanes that share a link path, so lanes in
+// different connected components never constrain each other.
+// run_until() hands whole components to worker threads, and each worker
+// runs a component's drain -> window -> execute loop to the deadline on
+// its own; workers meet once, at the join. A component's windows depend
+// only on its own lanes' event times, so it replays the same schedule
+// whichever thread runs it, next to whatever else. Cross-lane messages
+// never leave their component, so each destination lane's inbox is a
+// plain vector, drained at window edges in (arrival time, src lane,
+// sequence) order. run_until(d, 1) and run_until(d, N) therefore execute
+// byte-identical simulations.
 //
 // Degenerate cases fall out of the window rule rather than being special:
 // zero propagation delay makes window_end(i) == the neighborhood's
 // minimum event time, i.e. lockstep single-instant windows (correct
 // because serialization still adds >= 1 ns, so no arrival can land
 // inside the instant that produced it); a lane with no registered links
-// can neither send nor receive, so it has no horizon to respect and
-// free-runs to the deadline.
+// is its own component, can neither send nor receive, and free-runs to
+// the deadline.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -45,30 +52,32 @@
 
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
-#include "sim/spsc.h"
 #include "sim/time.h"
 
 namespace prism::sim {
 
 class LaneProfiler;
 
-/// A set of per-host event lanes advanced through conservative windows.
+/// A set of per-host event lanes advanced through conservative windows,
+/// one connected component per worker thread.
 class LaneSet {
  public:
   explicit LaneSet(int lanes);
+  ~LaneSet();
 
   LaneSet(const LaneSet&) = delete;
   LaneSet& operator=(const LaneSet&) = delete;
 
   int num_lanes() const noexcept { return static_cast<int>(lanes_.size()); }
-  Simulator& lane(int i) { return *lanes_[static_cast<std::size_t>(i)]; }
+  Simulator& lane(int i) { return lanes_[static_cast<std::size_t>(i)].sim; }
 
   /// Declares a cross-lane link with the given propagation delay (the
-  /// Wire calls this at construction) and creates the inbox for each of
-  /// its two directions. Each endpoint's window horizon then tracks the
-  /// other's event clock plus this delay; registering the same lane pair
-  /// again keeps the smaller delay. Self-links (a == b) are ignored: a
-  /// lane needs no handoff to itself.
+  /// Wire calls this at construction), joining the two lanes' connected
+  /// components. Each endpoint's window horizon then tracks the other's
+  /// event clock plus this delay; registering the same lane pair again
+  /// keeps the smaller delay. Self-links (a == b) are ignored: a lane
+  /// needs no handoff to itself. Must not be called while run_until()
+  /// is executing.
   void register_link(int a, int b, Duration propagation);
 
   /// Global lookahead floor (min registered propagation; kMaxTime when
@@ -77,18 +86,25 @@ class LaneSet {
   Duration lookahead() const noexcept { return lookahead_; }
 
   /// Posts a cross-lane event: `fn` runs at absolute time `at` on lane
-  /// `dst`. Must be called from lane `src`'s executing thread during a
-  /// window, with `at` strictly after src's current time plus the
-  /// (src,dst) link's propagation delay — the Wire's serialization
-  /// (>= 1ns) + propagation guarantees this, and the window horizons
-  /// assume it.
+  /// `dst`. Must be called from an event executing on lane `src`, with
+  /// `at` strictly after src's current time plus the (src,dst) link's
+  /// propagation delay — the Wire's serialization (>= 1ns) +
+  /// propagation guarantees this, and the window horizons assume it.
   void post(int src, int dst, Time at, EventFn fn);
 
-  /// Advances every lane to `deadline` using `threads` OS threads
-  /// (clamped to [1, num_lanes()]). Events at exactly `deadline` run;
-  /// later events stay queued; every lane's clock ends at >= deadline
-  /// (matching Simulator::run_until semantics). The caller's thread
-  /// participates as worker 0. Deterministic for any thread count.
+  /// Advances every lane to `deadline`. Events at exactly `deadline`
+  /// run; later events stay queued; every lane's clock ends at >=
+  /// deadline (matching Simulator::run_until semantics). The connected
+  /// components are shared among min(threads, components) workers,
+  /// which claim them in order from one atomic index; the caller's
+  /// thread is worker 0, and with one worker no thread is started.
+  /// Deterministic for any thread count.
+  ///
+  /// An exception thrown by an event stops that event's component. The
+  /// other components still run; once every worker has joined, the
+  /// exception of the lowest-numbered component that threw (components
+  /// are numbered by their lowest lane) is rethrown to the caller. The
+  /// set's state is unspecified after a throw.
   void run_until(Time deadline, int threads = 1);
 
   /// Total events executed across all lanes.
@@ -99,29 +115,33 @@ class LaneSet {
   /// backlog.
   std::size_t pending_events() const;
 
-  /// Number of synchronization windows the last run_until executed.
+  /// Number of synchronization windows the last run_until executed,
+  /// summed over components.
   std::uint64_t windows_run() const noexcept { return windows_; }
 
-  /// Total cross-lane messages handed off so far (the inboxes' push
-  /// counts, summed).
+  /// Total cross-lane messages handed off so far.
   std::uint64_t messages_posted() const;
 
-  /// Cross-lane messages that overflowed an inbox ring onto the mutex
-  /// spill path (diagnostic: should stay ~0 for well-sized rings).
-  std::uint64_t inbox_spills() const;
+  /// Always 0: an inbox is an unbounded vector filled and drained by
+  /// the one thread that runs its component, so nothing overflows onto
+  /// a slower path. Kept because perfbench's per-layer report reads it.
+  std::uint64_t inbox_spills() const noexcept { return 0; }
 
-  /// Per-destination-lane inbox diagnostics (summed/maxed over that
-  /// lane's per-link queues; 0 for a lane with no links). All three are
-  /// schedule-deterministic: identical at any thread count for the same
-  /// simulation.
-  std::uint64_t lane_inbox_spills(int dst) const;
-  std::uint64_t lane_inbox_pushed(int dst) const;
-  std::size_t lane_inbox_high_water(int dst) const;
+  /// Per-destination-lane inbox diagnostics (0 for a lane with no
+  /// links): messages received, and the deepest inbox backlog seen at
+  /// post time. Both are schedule-deterministic: identical at any
+  /// thread count for the same simulation.
+  std::uint64_t lane_inbox_pushed(int dst) const {
+    return lanes_[static_cast<std::size_t>(dst)].received;
+  }
+  std::size_t lane_inbox_high_water(int dst) const {
+    return lanes_[static_cast<std::size_t>(dst)].high_water;
+  }
 
-  /// Attaches a wall-clock profiler (sim/lane_profiler.h): every window
-  /// round then records per-lane busy/window/inbox stats and per-worker
-  /// barrier/idle accounting. nullptr detaches; a detached engine pays
-  /// one branch per round. Compiled out (the attach is ignored) under
+  /// Attaches a wall-clock profiler (sim/lane_profiler.h): sampled
+  /// windows then record per-lane busy/window/inbox stats, and each run
+  /// records per-worker totals. nullptr detaches; a detached engine pays
+  /// one branch per window. Compiled out (the attach is ignored) under
   /// -DPRISM_TELEMETRY=OFF. Must not be changed while run_until() is
   /// executing.
   void set_profiler(LaneProfiler* profiler) noexcept;
@@ -137,76 +157,53 @@ class LaneSet {
     EventFn fn;
   };
 
-  /// Per-destination mailbox: one SPSC queue per linked source lane
-  /// (null for lanes with no link to this one, so an N-lane set holds
-  /// one queue per link direction rather than N*N) plus the
-  /// consumer-side scratch used to sort a window's arrivals.
-  struct Mailbox {
-    std::vector<std::unique_ptr<SpscQueue<Message>>> from;  // [src lane]
-    std::vector<Message> scratch;  ///< consumer-private drain buffer
-  };
-
-  /// Drains every inbox of lane `dst` into its event queue in
-  /// (arrival, src, seq) order. Consumer-side only. Returns the number
-  /// of messages drained (the profiler's inbox-depth sample).
-  std::size_t drain_inboxes(int dst);
-
-  /// Computes every linked lane's release time and window horizon (or
-  /// sets done_) from next_time_. Runs as the barrier completion step:
-  /// exactly one thread, all others parked.
-  void compute_window(Time deadline);
-
-  /// Snapshots per-lane engine counters so finish_profiled_run() can
-  /// hand the profiler exact per-run deltas without any hot-path work.
-  void begin_profiled_run();
-  /// Folds the run's per-lane counter deltas (events, sim time, inbox
-  /// traffic/spills) and message total into the attached profiler.
-  void finish_profiled_run();
-
-  /// One worker's share of lanes: worker w owns lanes {i : i % threads ==
-  /// w}. `barrier` is the run's phase barrier (std::barrier, type-erased
-  /// behind a caller-side wrapper so <barrier> stays out of this header).
-  template <typename Barrier>
-  void worker_loop(int worker, int threads, Time deadline, Barrier& barrier);
-
   struct Neighbor {
     int lane = 0;
     Duration propagation = 0;
   };
 
-  std::vector<std::unique_ptr<Simulator>> lanes_;
-  std::vector<Mailbox> mailboxes_;                  // [dst lane]
-  std::vector<std::uint64_t> post_seq_;             // [src lane], producer-private
-  std::vector<std::uint8_t> linked_;                // [lane] has any link?
-  std::vector<std::vector<Neighbor>> neighbors_;    // [lane]
-  /// True while every linked lane has exactly one peer (pair
-  /// topologies); enables the closed-form window computation.
-  bool pairwise_ = true;
+  /// One lane's engine, links and inbox. Written only by the thread
+  /// running the lane's component; cache-line aligned so lanes of two
+  /// components never share a line.
+  struct alignas(64) Lane {
+    Simulator sim;
+    std::vector<Neighbor> neighbors;
+    std::vector<Message> inbox;  ///< posted since the last window edge
+    std::uint64_t posted = 0;    ///< sequence number of its next post
+    std::uint64_t received = 0;
+    std::size_t high_water = 0;
+  };
+
+  struct Component;
+
+  /// Regroups lanes into connected components after register_link.
+  void build_components();
+
+  /// Runs component `c` to `deadline` on the calling thread.
+  void run_component(Component& c, Time deadline);
+
+  /// Moves lane `l`'s inbox into its event queue in (arrival, src, seq)
+  /// order. Returns the number of messages moved.
+  static std::size_t drain_inbox(Lane& l);
+
+  /// Sizes the attached profiler for the run and snapshots the per-lane
+  /// counters; finish_profiled_run() folds their deltas, the window
+  /// count and the message total into the profiler.
+  void begin_profiled_run(int workers);
+  void finish_profiled_run();
+
+  std::vector<Lane> lanes_;
+  /// Numbered by their lowest lane; workers claim them in this order.
+  std::vector<std::unique_ptr<Component>> components_;
+  bool components_stale_ = true;
   Duration lookahead_ = kMaxTime;
   LaneProfiler* profiler_ = nullptr;
-  /// [lane] messages drained at the current round's window edge. Each
-  /// entry is written and read only by the lane's owning worker; it
-  /// carries the drain-phase count into the execute phase for the
-  /// profiler's per-round record (written on sampled rounds only).
-  std::vector<std::uint32_t> drained_msgs_;
-  /// Per-lane counter baselines captured by begin_profiled_run() (cold;
-  /// sized lazily on the first profiled run).
+  /// Per-lane counter baselines captured when a profiled run starts
+  /// (cold; sized lazily on the first profiled run).
   std::vector<std::uint64_t> run_events0_;
   std::vector<Time> run_sim0_;
   std::vector<std::uint64_t> run_msgs0_;
-  std::vector<std::uint64_t> run_spills0_;
   std::uint64_t run_messages0_ = 0;
-
-  // ---- per-run_until window coordination (written by the completion
-  // step while all workers are parked at the barrier, read by workers
-  // after they are released — the barrier orders the accesses) ----
-  std::vector<Time> next_time_;  ///< [lane] earliest pending event or kMaxTime
-  std::vector<Time> release_;    ///< [lane] earliest possible execution
-  std::vector<Time> window_end_;  ///< [lane] this round's horizon
-  bool done_ = false;
-  /// The one barrier alternates phases; the completion step computes the
-  /// window only after the drain phase.
-  bool completion_is_window_ = true;
   std::uint64_t windows_ = 0;
 };
 

@@ -6,13 +6,8 @@ namespace prism::sim {
 
 LaneProfiler::LaneProfiler(std::size_t round_capacity,
                            std::uint64_t sample_every)
-    : sample_every_(sample_every == 0 ? kDefaultSampleEvery : sample_every) {
-  if (round_capacity < 1) round_capacity = 1;
-  lane_ring_.capacity = round_capacity;
-  lane_ring_.data.resize(round_capacity);
-  worker_ring_.capacity = round_capacity;
-  worker_ring_.data.resize(round_capacity);
-}
+    : ring_(round_capacity < 1 ? 1 : round_capacity),
+      sample_every_(sample_every == 0 ? kDefaultSampleEvery : sample_every) {}
 
 void LaneProfiler::begin_run(int lanes, int workers) {
   if (static_cast<std::size_t>(lanes) > lanes_.size()) {
@@ -24,14 +19,13 @@ void LaneProfiler::begin_run(int lanes, int workers) {
 }
 
 void LaneProfiler::record_lane_sample(std::uint64_t round, int lane,
-                                      int worker, Time window_start,
-                                      Time window_end, std::uint64_t events,
+                                      Time window_start, Time window_end,
+                                      std::uint64_t events,
                                       std::uint64_t busy_ns,
                                       std::uint32_t inbox_msgs) {
   LaneRound r;
   r.round = round;
   r.lane = static_cast<std::uint32_t>(lane);
-  r.worker = static_cast<std::uint32_t>(worker);
   r.window_start = window_start;
   r.window_end = window_end;
   r.events = events;
@@ -39,7 +33,13 @@ void LaneProfiler::record_lane_sample(std::uint64_t round, int lane,
   r.inbox_msgs = inbox_msgs;
   {
     const std::lock_guard<std::mutex> lock(ring_mu_);
-    lane_ring_.push(r);
+    if (size_ < ring_.size()) {
+      ring_[size_++] = r;
+    } else {
+      ring_[head_] = r;
+      head_ = (head_ + 1) % ring_.size();
+      ++dropped_;
+    }
   }
 
   LaneTotals& t = lanes_[static_cast<std::size_t>(lane)];
@@ -47,32 +47,20 @@ void LaneProfiler::record_lane_sample(std::uint64_t round, int lane,
   t.busy_ns += busy_ns;
 }
 
-void LaneProfiler::record_worker_round(std::uint64_t round, int worker,
-                                       std::uint64_t wall_ns,
-                                       std::uint64_t barrier_wait_ns,
-                                       std::uint64_t busy_ns) {
-  WorkerRound r;
-  r.round = round;
-  r.worker = static_cast<std::uint32_t>(worker);
-  r.wall_ns = wall_ns;
-  r.barrier_wait_ns = barrier_wait_ns;
-  r.busy_ns = busy_ns;
-  {
-    const std::lock_guard<std::mutex> lock(ring_mu_);
-    worker_ring_.push(r);
-  }
-
+void LaneProfiler::add_worker_run(int worker, std::uint64_t wall_ns,
+                                  std::uint64_t busy_ns,
+                                  std::uint64_t barrier_wait_ns,
+                                  std::uint64_t windows) {
   WorkerTotals& t = workers_[static_cast<std::size_t>(worker)];
-  ++t.rounds;
+  t.rounds += windows;
   t.wall_ns += wall_ns;
-  t.barrier_wait_ns += barrier_wait_ns;
   t.busy_ns += busy_ns;
+  t.barrier_wait_ns += barrier_wait_ns;
 }
 
 void LaneProfiler::add_lane_run_totals(int lane, std::uint64_t events,
                                        Time sim_ns, std::uint64_t inbox_msgs,
-                                       std::uint32_t inbox_high_water,
-                                       std::uint64_t inbox_spills) {
+                                       std::uint32_t inbox_high_water) {
   LaneTotals& t = lanes_[static_cast<std::size_t>(lane)];
   t.events += events;
   t.sim_ns += sim_ns;
@@ -80,10 +68,11 @@ void LaneProfiler::add_lane_run_totals(int lane, std::uint64_t events,
   if (inbox_high_water > t.inbox_high_water) {
     t.inbox_high_water = inbox_high_water;
   }
-  t.inbox_spills += inbox_spills;
 }
 
-void LaneProfiler::end_run(std::uint64_t messages_posted) {
+void LaneProfiler::end_run(std::uint64_t windows,
+                           std::uint64_t messages_posted) {
+  windows_ += windows;
   messages_ += messages_posted;
 }
 
@@ -119,8 +108,9 @@ double LaneProfiler::event_imbalance() const noexcept {
 void LaneProfiler::reset() {
   std::fill(lanes_.begin(), lanes_.end(), LaneTotals{});
   std::fill(workers_.begin(), workers_.end(), WorkerTotals{});
-  lane_ring_.clear();
-  worker_ring_.clear();
+  size_ = 0;
+  head_ = 0;
+  dropped_ = 0;
   windows_ = 0;
   messages_ = 0;
 }

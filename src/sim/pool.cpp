@@ -10,7 +10,7 @@ namespace {
 /// Lane workers compare against it to decide their pool's fate at exit.
 const std::thread::id kMainThread = std::this_thread::get_id();
 
-/// Thread-exit holder: parallel lane workers free their pool when the
+/// Thread-exit holder: lane-engine worker threads free their pool when the
 /// thread dies (LeakSanitizer would otherwise report the unreachable
 /// thread-local allocation), while the main thread's pool is intentionally
 /// leaked — PacketBufs owned by objects with static storage duration
@@ -26,11 +26,11 @@ struct TlsBufferPool {
 }  // namespace
 
 BufferPool& BufferPool::instance() noexcept {
-  // One pool per thread: each parallel simulation lane recycles buffers
+  // One pool per thread: each lane-engine worker recycles buffers
   // through its own free list, so the packet hot path stays lock-free at
-  // any thread count. Buffers migrate between pools when frames cross
-  // lanes (acquired on the sender's thread, released on the receiver's),
-  // which is harmless — a free list has no affinity requirement.
+  // any thread count. Buffers migrate between pools when a component runs
+  // on another worker in a later run_until than the one that acquired
+  // them, which is harmless — a free list has no affinity requirement.
   thread_local TlsBufferPool tls;
   return *tls.pool;
 }

@@ -193,8 +193,6 @@ void write_lanes_json(JsonWriter& w, const sim::LaneProfiler* profiler) {
     w.member("inbox_msgs", l.inbox_msgs);
     w.member("inbox_high_water",
              static_cast<std::uint64_t>(l.inbox_high_water));
-    w.member("inbox_spills", l.inbox_spills);
-    w.member("critical_rounds", l.critical_rounds);
     w.end_object();
   }
   w.end_array();
@@ -216,9 +214,6 @@ void write_lanes_json(JsonWriter& w, const sim::LaneProfiler* profiler) {
       .member("lane_retained",
               static_cast<std::uint64_t>(p.lane_round_count()))
       .member("lane_dropped", p.lane_rounds_dropped())
-      .member("worker_retained",
-              static_cast<std::uint64_t>(p.worker_round_count()))
-      .member("worker_dropped", p.worker_rounds_dropped())
       .end_object();
   w.end_object();
 }
@@ -232,37 +227,20 @@ std::string lanes_json(const sim::LaneProfiler* profiler) {
 void export_lane_trace(const sim::LaneProfiler& profiler, SpanTracer& tracer,
                        int track_base) {
   const auto window_id = tracer.intern("window");
-  const auto stall_id = tracer.intern("barrier_stall");
   for (int i = 0; i < profiler.num_lanes(); ++i) {
-    const std::string lane = "lane" + std::to_string(i);
-    tracer.set_track_label(track_base + 2 * i, lane + ".window");
-    tracer.set_track_label(track_base + 2 * i + 1, lane + ".stall");
-  }
-  // Worker barrier waits by (round, worker), so each lane's stall track
-  // shows the wait of the worker that ran it that round. Export-time
-  // allocation is fine: this is a cold path over retained records.
-  std::map<std::pair<std::uint64_t, std::uint32_t>, std::uint64_t> stalls;
-  for (std::size_t i = 0; i < profiler.worker_round_count(); ++i) {
-    const auto& r = profiler.worker_round(i);
-    stalls[{r.round, r.worker}] = r.barrier_wait_ns;
+    tracer.set_track_label(track_base + i,
+                           "lane" + std::to_string(i) + ".window");
   }
   for (std::size_t i = 0; i < profiler.lane_round_count(); ++i) {
     const auto& r = profiler.lane_round(i);
-    const int lane = static_cast<int>(r.lane);
     const sim::Duration len =
         r.window_end > r.window_start ? r.window_end - r.window_start : 0;
-    tracer.span(track_base + 2 * lane, window_id, r.window_start, len,
+    tracer.span(track_base + static_cast<int>(r.lane), window_id,
+                r.window_start, len,
                 static_cast<std::uint32_t>(std::min<std::uint64_t>(
                     r.events, UINT32_MAX)),
                 static_cast<std::uint32_t>(std::min<std::uint64_t>(
                     r.busy_ns, UINT32_MAX)));
-    const auto it = stalls.find({r.round, r.worker});
-    if (it != stalls.end() && it->second > 0) {
-      // Wall-clock stall duration drawn on the sim-time axis, anchored
-      // at the window edge the worker was waiting to cross.
-      tracer.span(track_base + 2 * lane + 1, stall_id, r.window_end,
-                  static_cast<sim::Duration>(it->second));
-    }
   }
 }
 

@@ -63,22 +63,17 @@ void write_merged_anomalies_json(JsonWriter& w,
                                  const std::vector<const AnomalyBank*>& banks);
 
 /// Writes the lane profiler document (the "prism/lanes" proc file):
-/// per-lane busy/events/window/inbox totals with critical-path
-/// attribution, per-worker wall/barrier/busy/idle accounting, imbalance
-/// ratios, and record-ring retention. `attached == false` renders the
-/// stub {"attached": false, ...} (profiler never enabled, or telemetry
+/// per-lane events/sim-time/inbox totals and sampled busy time,
+/// per-worker wall/barrier/busy/idle accounting, imbalance ratios, and
+/// record-ring retention. `attached == false` renders the stub
+/// {"attached": false, ...} (profiler never enabled, or telemetry
 /// compiled out).
 void write_lanes_json(JsonWriter& w, const sim::LaneProfiler* profiler);
 std::string lanes_json(const sim::LaneProfiler* profiler);
 
-/// Replays the profiler's retained rounds into `tracer` as per-lane
-/// tracks: lane i's executed windows on track `track_base + 2i`
-/// ("lane<i>.window" spans over [window_start, window_end), args =
-/// events / busy wall-ns) and its owning worker's barrier stalls on
-/// track `track_base + 2i + 1` ("lane<i>.stall" spans anchored at the
-/// window edge). Stall spans carry *wall-clock* nanosecond durations
-/// drawn on the simulated-time axis — the one deliberate unit mix, so
-/// barrier convoys line up visually with the windows that caused them.
+/// Replays the profiler's retained windows into `tracer`: lane i's
+/// sampled windows on track `track_base + i` ("lane<i>.window" spans
+/// over [window_start, window_end), args = events / busy wall-ns).
 void export_lane_trace(const sim::LaneProfiler& profiler, SpanTracer& tracer,
                        int track_base = 0);
 

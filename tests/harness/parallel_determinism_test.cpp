@@ -1,8 +1,8 @@
 // Cross-thread-count determinism of the lane engine, on the full stack:
-// multi-pair clusters with fault injection and overload control active,
-// and the two-host paper testbed, must produce byte-identical telemetry,
-// fault ledgers and overload snapshots whether the lanes run on 1 OS
-// thread or N.
+// multi-pair clusters with fault injection and overload control active
+// must produce byte-identical telemetry, fault ledgers and overload
+// snapshots whether their pairs run on 1 OS thread or N, including more
+// pairs than threads.
 // Repeated parallel runs must also match each other — a data race that
 // leaked simulation state across lanes would show up here first.
 #include <algorithm>
@@ -48,14 +48,16 @@ struct ClusterRun {
   std::uint64_t fault_injections = 0;
 };
 
-/// Two pairs (4 hosts, 4 lanes) under asymmetric load, with wire faults
-/// and a small backlog (so overload control engages) on every server.
-/// `arm_detectors` additionally arms the SLO and drop-burst detectors on
-/// every server, so the "prism/anomalies" documents carry findings.
+/// `pairs` pairs (two by default: 4 hosts, 4 lanes) under asymmetric
+/// load, with wire faults and a small backlog (so overload control
+/// engages) on every server. `arm_detectors` additionally arms the SLO
+/// and drop-burst detectors on every server, so the "prism/anomalies"
+/// documents carry findings.
 ClusterRun run_cluster(int threads, std::uint64_t seed,
-                       bool arm_detectors = false, bool flow_cache = false) {
+                       bool arm_detectors = false, bool flow_cache = false,
+                       int pairs = 2) {
   harness::ClusterConfig cc;
-  cc.pairs = 2;
+  cc.pairs = pairs;
   cc.mode = kernel::NapiMode::kPrismBatch;
   cc.flow_cache = flow_cache;
   cc.server_faults.seed = seed;
@@ -195,63 +197,19 @@ TEST(ParallelDeterminismTest, DifferentSeedsDiverge) {
   EXPECT_NE(a.host_snapshots, b.host_snapshots);
 }
 
-// The paper testbed runs its client and server on two lanes: one OS
-// thread or two must produce byte-identical hosts, app counters and
-// engine counters (the whole-testbed events_executed()/pending_events()
-// that perfbench reads). The deadline falls mid-traffic, so frames are
-// still queued when the counters are read.
-TEST(ParallelDeterminismTest, TestbedOneThreadVsTwoByteIdentical) {
-  struct TestbedRun {
-    std::vector<std::string> host_snapshots;
-    std::uint64_t received = 0;
-    std::uint64_t replies = 0;
-    std::uint64_t events = 0;
-    std::size_t pending = 0;
-  };
-  const auto run_testbed = [](int threads) {
-    harness::TestbedConfig tc;
-    tc.threads = threads;
-    harness::Testbed tb(tc);
-    auto& cli = tb.add_client_container("cli");
-    auto& srv = tb.add_server_container("srv");
-    tb.server().priority_db().add(srv.ip(), 11111);
-    apps::SockperfServer server(
-        tb.server_sim(),
-        {&tb.server(), &srv, &tb.server().cpu(1), 11111});
-    apps::SockperfClient::Config clc;
-    clc.host = &tb.client();
-    clc.ns = &cli;
-    clc.cpus = {&tb.client().cpu(1)};
-    clc.dst_ip = srv.ip();
-    clc.dst_port = 11111;
-    clc.rate_pps = 100'000.0;
-    clc.reply_every = 2;
-    clc.stop_at = sim::milliseconds(4);
-    apps::SockperfClient client(tb.client_sim(), clc);
-    client.start();
-    tb.run_until(sim::milliseconds(3));
-    TestbedRun r;
-    r.host_snapshots = {snapshot_of(tb.client()), snapshot_of(tb.server())};
-    r.received = server.received();
-    r.replies = client.replies();
-    r.events = tb.sim().events_executed();
-    r.pending = tb.sim().pending_events();
-    return r;
-  };
-  const TestbedRun serial = run_testbed(1);
-  const TestbedRun parallel = run_testbed(2);
-  ASSERT_GT(serial.events, 0u);
-  ASSERT_GT(serial.pending, 0u);
-  EXPECT_GT(serial.replies, 0u);
-  EXPECT_EQ(serial.received, parallel.received);
-  EXPECT_EQ(serial.replies, parallel.replies);
-  EXPECT_EQ(serial.events, parallel.events);
-  EXPECT_EQ(serial.pending, parallel.pending);
-  ASSERT_EQ(serial.host_snapshots.size(), parallel.host_snapshots.size());
-  for (std::size_t i = 0; i < serial.host_snapshots.size(); ++i) {
-    EXPECT_EQ(serial.host_snapshots[i], parallel.host_snapshots[i])
-        << (i == 0 ? "client" : "server") << " snapshot diverged";
-  }
+// More pairs than threads: five components on four workers, so at
+// least one worker runs two pairs one after the other, next to workers
+// that run one. The snapshots must still be byte-identical to one
+// thread's.
+TEST(ParallelDeterminismTest, MorePairsThanThreadsByteIdentical) {
+  const ClusterRun serial = run_cluster(1, 11, /*arm_detectors=*/false,
+                                        /*flow_cache=*/false, /*pairs=*/5);
+  const ClusterRun parallel = run_cluster(4, 11, /*arm_detectors=*/false,
+                                          /*flow_cache=*/false, /*pairs=*/5);
+  ASSERT_EQ(serial.host_snapshots.size(), 10u);
+  ASSERT_GT(serial.messages, 0u);
+  for (std::uint64_t replies : serial.replies) EXPECT_GT(replies, 0u);
+  expect_same(serial, parallel);
 }
 
 }  // namespace
