@@ -19,11 +19,11 @@
 // bump of Fig. 11.
 #pragma once
 
-#include <deque>
 #include <functional>
 
 #include "kernel/cost_model.h"
 #include "sim/inline_fn.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "stats/cpu_accounting.h"
 
@@ -37,7 +37,9 @@ class Cpu {
   /// simulated duration the chunk occupies the core. The body may schedule
   /// events at intermediate instants (start + partial cost) to model
   /// effects that happen midway through the chunk. Move-only with inline
-  /// capture storage — chunks queue and run without heap traffic.
+  /// capture storage only (a larger closure does not compile), queued in
+  /// rings that stop growing once warm — chunks queue and run without
+  /// heap traffic.
   using Chunk = sim::InlineFn<sim::Duration()>;
 
   Cpu(sim::Simulator& sim, const CostModel& cost, int id);
@@ -79,8 +81,8 @@ class Cpu {
   sim::Simulator& sim_;
   const CostModel& cost_;
   int id_;
-  std::deque<Chunk> softirq_q_;
-  std::deque<Chunk> task_q_;
+  sim::Ring<Chunk> softirq_q_;
+  sim::Ring<Chunk> task_q_;
   bool running_ = false;
   bool idle_pending_ = false;  // core went idle; C-state check on next work
   sim::Time idle_since_ = 0;

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <string>
 
@@ -16,6 +15,7 @@
 #include "kernel/cost_model.h"
 #include "kernel/probe.h"
 #include "kernel/skb.h"
+#include "sim/ring.h"
 #include "sim/time.h"
 #include "telemetry/metrics.h"
 
@@ -222,11 +222,11 @@ class NapiStruct {
 
   /// Per-level input packet queues. Vanilla uses level 0 only; the
   /// paper's two-level PRISM uses 0 and 1.
-  std::array<std::deque<SkbPtr>, kNumPriorityLevels> queues;
+  std::array<sim::Ring<SkbPtr>, kNumPriorityLevels> queues;
 
   /// Back-compatible aliases matching the paper's terminology.
-  std::deque<SkbPtr>& low_queue = queues[0];
-  std::deque<SkbPtr>& high_queue = queues[1];
+  sim::Ring<SkbPtr>& low_queue = queues[0];
+  sim::Ring<SkbPtr>& high_queue = queues[1];
 
   /// Max packets per input queue (the kernel's netdev_max_backlog,
   /// default 1000). Every priority queue gets the same limit.

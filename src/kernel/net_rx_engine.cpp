@@ -1,6 +1,5 @@
 #include "kernel/net_rx_engine.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "kernel/overload.h"
@@ -64,10 +63,12 @@ void NetRxEngine::napi_schedule(NapiStruct& napi, bool high) {
         global_list_.push_back(&napi);
       }
     } else if (head) {
-      auto it = std::find(global_list_.begin(), global_list_.end(), &napi);
-      if (it != global_list_.end()) {
-        global_list_.splice(global_list_.begin(), global_list_, it);
+      for (std::size_t i = 0; i < global_list_.size(); ++i) {
+        if (global_list_[i] != &napi) continue;
+        global_list_.erase(i);
+        global_list_.push_front(&napi);
         head_inserts_.inc();
+        break;
       }
       // If the device is not in the list it is being polled right now;
       // the post-poll requeue (has_high_pending -> head) handles it.
@@ -109,7 +110,10 @@ sim::Duration NetRxEngine::entry_chunk() {
   if (mode_ == NapiMode::kVanilla) {
     // Fig. 2 line 8: move the global POLL_LIST onto the local list. This
     // is the lock-free handoff whose synchronization delay PRISM removes.
-    local_list_.splice(local_list_.end(), global_list_);
+    while (!global_list_.empty()) {
+      local_list_.push_back(global_list_.front());
+      global_list_.pop_front();
+    }
   }
   // A ksoftirqd pass queues its polls at task priority so IRQ top-halves
   // and freshly raised softirqs preempt it at chunk boundaries.
@@ -204,9 +208,11 @@ void NetRxEngine::finish_softirq(bool squeezed) {
   if (mode_ == NapiMode::kVanilla) {
     // Fig. 2 lines 21-22: remaining local devices keep precedence — the
     // global list is appended after them, then everything moves back to
-    // the global list.
-    local_list_.splice(local_list_.end(), global_list_);
-    global_list_ = std::move(local_list_);
+    // the global list. Pushing the local devices onto the global head in
+    // reverse order does both in one pass.
+    for (std::size_t i = local_list_.size(); i-- > 0;) {
+      global_list_.push_front(local_list_[i]);
+    }
     local_list_.clear();
   }
   if (governor_ != nullptr) {
@@ -226,11 +232,11 @@ void NetRxEngine::finish_softirq(bool squeezed) {
 
 void NetRxEngine::trace_poll(NapiStruct* dev, int processed) {
   trace_scratch_.clear();
-  for (const auto* d : local_list_) {
-    trace_scratch_.push_back(trace_->intern(d->name()));
+  for (std::size_t i = 0; i < local_list_.size(); ++i) {
+    trace_scratch_.push_back(trace_->intern(local_list_[i]->name()));
   }
-  for (const auto* d : global_list_) {
-    trace_scratch_.push_back(trace_->intern(d->name()));
+  for (std::size_t i = 0; i < global_list_.size(); ++i) {
+    trace_scratch_.push_back(trace_->intern(global_list_[i]->name()));
   }
   trace_->on_poll_ids(sim_.now(), trace_->intern(dev->name()),
                       trace_scratch_.data(), trace_scratch_.size(),

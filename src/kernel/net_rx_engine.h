@@ -34,13 +34,13 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <string>
 #include <vector>
 
 #include "kernel/cost_model.h"
 #include "kernel/cpu.h"
 #include "kernel/napi.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span_tracer.h"
@@ -151,9 +151,11 @@ class NetRxEngine {
   NapiMode mode_;
 
   /// Vanilla: the per-CPU global POLL_LIST; PRISM: the single poll list.
-  std::list<NapiStruct*> global_list_;
+  /// Rings, like every datapath queue: a CPU polls a handful of devices,
+  /// so PRISM's move-to-head is a short find + erase + push_front.
+  sim::Ring<NapiStruct*> global_list_;
   /// Vanilla only: the softirq-local list net_rx_action works on.
-  std::list<NapiStruct*> local_list_;
+  sim::Ring<NapiStruct*> local_list_;
 
   bool softirq_pending_ = false;
   bool in_softirq_ = false;

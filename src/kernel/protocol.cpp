@@ -89,7 +89,6 @@ sim::Duration SocketDeliverer::deliver_frame(
     d.payload = sim::BufferPool::instance().acquire(parsed->l4_payload.size());
     std::copy(parsed->l4_payload.begin(), parsed->l4_payload.end(),
               d.payload.begin());
-    d.enqueued_at = at;
     d.high_priority = skb.high_priority();
     d.priority = skb.priority;
     d.ts = skb.ts;

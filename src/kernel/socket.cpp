@@ -15,13 +15,18 @@ std::optional<Datagram> UdpSocket::try_recv() {
   if (queue_.empty()) return std::nullopt;
   Datagram d = std::move(queue_.front());
   queue_.pop_front();
-  probe_->socket_wait(sim_.now() - d.enqueued_at, d.priority);
+  probe_->socket_wait(sim_.now() - d.ts.socket_enqueue, d.priority);
   return d;
 }
 
 void UdpSocket::enqueue(Datagram d, sim::Time at) {
   // The state change must occur at the packet's simulated completion
   // instant, not at the (earlier) instant the poll chunk computed it.
+  // The closure carries the whole datagram; EventFn has no heap
+  // fallback, so it must fit the inline buffer.
+  static_assert(sizeof(Datagram) + sizeof(UdpSocket*) <=
+                    sim::EventFn::kInlineCapacity,
+                "Datagram outgrew its 112-byte budget");
   sim_.schedule_at(at, [this, d = std::move(d)]() mutable {
     if (closed_) {
       // The namespace finished draining before this in-flight datagram

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -18,6 +17,7 @@
 #include "net/flow.h"
 #include "net/ip.h"
 #include "sim/pool.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "telemetry/metrics.h"
 
@@ -30,14 +30,19 @@ class TcpEndpoint;
 /// The payload's storage is recycled through sim::BufferPool when the
 /// datagram is destroyed, so the deliver -> recv -> drop cycle of the
 /// steady state reuses one heap block per in-flight datagram.
+///
+/// Size budget: 112 bytes. UdpSocket::enqueue defers the datagram to its
+/// socket-arrival instant in an event capturing [this, d], which must fit
+/// sim::EventFn's 120-byte inline buffer (socket.cpp asserts it). The
+/// instant the datagram entered the socket buffer is ts.socket_enqueue.
 struct Datagram {
   net::Ipv4Addr src_ip;
   std::uint16_t src_port = 0;
   std::vector<std::uint8_t> payload;
-  sim::Time enqueued_at = 0;   ///< instant it entered the socket buffer
   bool high_priority = false;  ///< PRISM classification (diagnostic)
   int priority = 0;            ///< PRISM priority level (diagnostic)
-  SkbTimestamps ts;            ///< pipeline timestamps (diagnostic)
+  SkbTimestamps ts;            ///< pipeline timestamps, socket_enqueue
+                               ///< included (set by the caller)
 
   Datagram() = default;
   Datagram(const Datagram&) = default;
@@ -103,7 +108,7 @@ class UdpSocket {
   sim::Simulator& sim_;
   std::uint16_t port_;
   std::size_t capacity_;
-  std::deque<Datagram> queue_;
+  sim::Ring<Datagram> queue_;
   std::function<void()> on_readable_;
   bool closed_ = false;
   const PacketProbe* probe_ = &PacketProbe::detached();

@@ -5,8 +5,30 @@
 
 #include "net/headers.h"
 #include "overlay/netns.h"
+#include "sim/pool.h"
 
 namespace prism::kernel {
+
+namespace {
+
+/// An in-order receive chunk on its way to on_data. The storage comes
+/// from the BufferPool and goes back when the delivery event is
+/// destroyed: after on_data has run, or unrun at teardown.
+struct PooledChunk {
+  std::vector<std::uint8_t> bytes;
+
+  explicit PooledChunk(std::span<const std::uint8_t> first)
+      : bytes(sim::BufferPool::instance().acquire(first.size())) {
+    std::copy(first.begin(), first.end(), bytes.begin());
+  }
+  PooledChunk(PooledChunk&&) noexcept = default;
+  PooledChunk(const PooledChunk&) = delete;
+  PooledChunk& operator=(const PooledChunk&) = delete;
+  PooledChunk& operator=(PooledChunk&&) = delete;
+  ~PooledChunk() { sim::BufferPool::instance().release(std::move(bytes)); }
+};
+
+}  // namespace
 
 TcpEndpoint::TcpEndpoint(sim::Simulator& sim, const CostModel& cost,
                          Config config)
@@ -100,21 +122,22 @@ sim::Duration TcpEndpoint::handle_segment(
   // --- data processing (receiver side) --------------------------------
   if (!payload.empty()) {
     if (header.seq == rcv_nxt_) {
-      std::vector<std::uint8_t> ready(payload.begin(), payload.end());
+      PooledChunk ready(payload);
       rcv_nxt_ += static_cast<std::uint32_t>(payload.size());
       // Pull any now-contiguous out-of-order chunks.
       for (auto it = ooo_.begin(); it != ooo_.end();) {
         if (it->first != rcv_nxt_) break;
         rcv_nxt_ += static_cast<std::uint32_t>(it->second.size());
-        ready.insert(ready.end(), it->second.begin(), it->second.end());
+        ready.bytes.insert(ready.bytes.end(), it->second.begin(),
+                           it->second.end());
         it = ooo_.erase(it);
       }
-      delivered_ += ready.size();
+      delivered_ += ready.bytes.size();
       if (on_data) {
         sim_.schedule_at(at, [this, chunk = std::move(ready), at] {
-          on_data(chunk, at);
+          on_data(chunk.bytes, at);
         });
-      }
+      }  // else the chunk's storage returns to the pool here
     } else if (seq_gt(header.seq, rcv_nxt_)) {
       ooo_.emplace(header.seq,
                    std::vector<std::uint8_t>(payload.begin(),

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -23,6 +22,7 @@
 #include "fault/fault.h"
 #include "kernel/probe.h"
 #include "net/packet.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "telemetry/metrics.h"
 
@@ -109,7 +109,7 @@ class RxQueue {
   CoalesceConfig coalesce_;
   fault::FaultLayer* faults_ = nullptr;
   const kernel::PacketProbe* probe_ = &kernel::PacketProbe::detached();
-  std::deque<Entry> ring_;
+  sim::Ring<Entry> ring_;
   std::function<void()> irq_handler_;
   bool irq_enabled_ = true;
   sim::Time last_fire_ = sim::Time{-1} << 40;  // "long ago"

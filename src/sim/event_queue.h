@@ -7,8 +7,8 @@
 // The heap is a hand-rolled 4-ary min-heap over flat storage. Compared to
 // the binary std::priority_queue it replaced, the wider fan-out halves the
 // tree depth (fewer cache lines touched per sift) and the entries hold
-// their callbacks in InlineFn, so pushing an event allocates nothing for
-// captures up to EventFn::kInlineCapacity bytes.
+// their callbacks in InlineFn, so pushing an event never allocates for
+// its captures.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +19,11 @@
 
 namespace prism::sim {
 
-/// Callback invoked when an event fires. Move-only; captures up to
-/// kInlineCapacity bytes live inside the object, larger ones on the heap.
+/// Callback invoked when an event fires. Move-only; its captures live
+/// inside the object (128 bytes in all), and a closure larger than
+/// kInlineCapacity bytes does not compile.
 using EventFn = InlineFn<void()>;
+static_assert(sizeof(EventFn) == 128, "an event callback is two cache lines");
 
 /// Min-heap of (time, sequence) ordered events.
 ///

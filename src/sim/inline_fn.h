@@ -1,10 +1,10 @@
-// Small-buffer-optimised move-only callable, the event queue's workhorse.
+// Fixed-buffer move-only callable, the event queue's workhorse.
 //
 // Every scheduled event used to carry a std::function whose capture state
 // lived in a fresh heap block; at millions of events per second the
-// allocator became a first-order cost. InlineFn stores captures up to
-// Capacity bytes directly inside the object (no allocation at all) and
-// falls back to the heap only for oversized or throwing-move callables.
+// allocator became a first-order cost. InlineFn stores its callable
+// directly inside the object and never allocates: a callable that does
+// not fit Capacity bytes is a compile error, not a silent heap box.
 #pragma once
 
 #include <cstddef>
@@ -19,31 +19,35 @@ class InlineFn;
 
 /// Move-only callable wrapper with `Capacity` bytes of inline storage.
 ///
-/// A callable is stored inline when it fits, is sufficiently aligned, and
-/// is nothrow-move-constructible (moves happen inside noexcept heap
-/// operations); everything else is boxed on the heap. Unlike
-/// std::function, InlineFn never copies — which is exactly what a
-/// fire-once event callback needs.
+/// Only a callable that fits is accepted: at most Capacity bytes,
+/// aligned no stricter than max_align_t, and nothrow-move-constructible
+/// (moves happen inside noexcept queue operations). The constructor is
+/// constrained on that contract, so for anything else it does not exist
+/// (std::is_constructible_v is false) and the call site fails to
+/// compile. Unlike std::function, InlineFn never copies — which is
+/// exactly what a fire-once event callback needs.
 template <typename R, typename... Args, std::size_t Capacity>
 class InlineFn<R(Args...), Capacity> {
  public:
   static constexpr std::size_t kInlineCapacity = Capacity;
 
+  /// Whether a callable of type D meets the storage contract.
+  template <typename D>
+  static constexpr bool fits_inline() noexcept {
+    return sizeof(D) <= Capacity &&
+           alignof(D) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<D>;
+  }
+
   InlineFn() noexcept = default;
   InlineFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
-  template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<
-                !std::is_same_v<D, InlineFn> &&
-                std::is_invocable_r_v<R, D&, Args...>>>
+  template <typename F, typename D = std::decay_t<F>>
+    requires(!std::is_same_v<D, InlineFn> &&
+             std::is_invocable_r_v<R, D&, Args...> && fits_inline<D>())
   InlineFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (fits_inline<D>()) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      ops_ = &kHeapOps<D>;
-    }
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    ops_ = &kOps<D>;
   }
 
   InlineFn(InlineFn&& other) noexcept { steal(other); }
@@ -75,30 +79,16 @@ class InlineFn<R(Args...), Capacity> {
     return ops_->invoke(buf_, std::forward<Args>(args)...);
   }
 
-  /// True when the callable lives in the inline buffer (test hook).
-  bool is_inline() const noexcept {
-    return ops_ != nullptr && ops_->inline_storage;
-  }
-
-  /// Whether a callable of type D would be stored inline.
-  template <typename D>
-  static constexpr bool fits_inline() noexcept {
-    return sizeof(D) <= Capacity &&
-           alignof(D) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<D>;
-  }
-
  private:
   struct Ops {
     R (*invoke)(void*, Args&&...);
     /// Move-constructs the callable at dst from src, destroying src.
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void*) noexcept;
-    bool inline_storage;
   };
 
   template <typename D>
-  static constexpr Ops kInlineOps = {
+  static constexpr Ops kOps = {
       [](void* p, Args&&... args) -> R {
         return (*static_cast<D*>(p))(std::forward<Args>(args)...);
       },
@@ -108,19 +98,6 @@ class InlineFn<R(Args...), Capacity> {
         s->~D();
       },
       [](void* p) noexcept { static_cast<D*>(p)->~D(); },
-      true,
-  };
-
-  template <typename D>
-  static constexpr Ops kHeapOps = {
-      [](void* p, Args&&... args) -> R {
-        return (**static_cast<D**>(p))(std::forward<Args>(args)...);
-      },
-      [](void* dst, void* src) noexcept {
-        ::new (dst) D*(*static_cast<D**>(src));
-      },
-      [](void* p) noexcept { delete *static_cast<D**>(p); },
-      false,
   };
 
   void steal(InlineFn& other) noexcept {

@@ -1,10 +1,11 @@
 #include "sim/lane.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -33,6 +34,91 @@ struct alignas(64) LaneSet::Component {
   std::vector<Time> window_end;
   std::vector<std::uint32_t> drained;  ///< arrivals moved, sampled windows
   std::uint64_t windows = 0;           ///< windows of the current run
+  std::exception_ptr error;            ///< thrown by an event this run
+};
+
+/// The helper threads of a multi-worker run (workers 1..n; the caller is
+/// worker 0). They park on a condition variable between runs, so a run
+/// starts no thread and each helper's thread-local pools stay warm.
+class LaneSet::Helpers {
+ public:
+  explicit Helpers(int helpers) {
+    threads_.reserve(static_cast<std::size_t>(helpers));
+    try {
+      for (int w = 1; w <= helpers; ++w) {
+        threads_.emplace_back([this, w] { loop(w); });
+      }
+    } catch (...) {
+      stop();  // the threads already started would otherwise never exit
+      throw;
+    }
+  }
+
+  ~Helpers() { stop(); }
+
+  Helpers(const Helpers&) = delete;
+  Helpers& operator=(const Helpers&) = delete;
+
+  /// Workers including the caller.
+  int workers() const noexcept {
+    return static_cast<int>(threads_.size()) + 1;
+  }
+
+  /// Runs job(w) on every helper w while the caller runs job(0), and
+  /// returns once all of them have finished.
+  template <typename Job>
+  void run(const Job& job) {
+    {
+      const std::lock_guard<std::mutex> lock(m_);
+      fn_ = [](const void* j, int w) { (*static_cast<const Job*>(j))(w); };
+      job_ = &job;
+      running_ = threads_.size();
+      ++generation_;
+    }
+    start_.notify_all();
+    job(0);
+    std::unique_lock<std::mutex> lock(m_);
+    done_.wait(lock, [this] { return running_ == 0; });
+  }
+
+ private:
+  /// Wakes every helper to exit, and joins them.
+  void stop() noexcept {
+    {
+      const std::lock_guard<std::mutex> lock(m_);
+      stop_ = true;
+    }
+    start_.notify_all();
+    threads_.clear();  // joins
+  }
+
+  void loop(int w) {
+    std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lock(m_);
+    for (;;) {
+      start_.wait(lock, [&] { return stop_ || generation_ != seen; });
+      if (stop_) return;
+      seen = generation_;
+      void (*const fn)(const void*, int) = fn_;
+      const void* const job = job_;
+      lock.unlock();
+      fn(job, w);
+      lock.lock();
+      if (--running_ == 0) done_.notify_one();
+    }
+  }
+
+  std::mutex m_;
+  std::condition_variable start_;  ///< a run began, or stop
+  std::condition_variable done_;   ///< the last helper finished
+  // Guarded by m_.
+  std::uint64_t generation_ = 0;  ///< runs started
+  std::size_t running_ = 0;       ///< helpers still in this run
+  bool stop_ = false;
+  void (*fn_)(const void*, int) = nullptr;
+  const void* job_ = nullptr;
+  // Last: joined before the members above are destroyed.
+  std::vector<std::jthread> threads_;
 };
 
 void LaneSet::Component::compute_window(Time deadline) {
@@ -166,6 +252,7 @@ void LaneSet::build_components() {
     c->drained.assign(m, 0);
     components_.push_back(std::move(c));
   }
+  runs_.assign(components_.size(), WorkerRun{});
   components_stale_ = false;
 }
 
@@ -293,57 +380,57 @@ void LaneSet::run_until(Time deadline, int threads) {
 
   // Per-worker wall-clock totals, read by the profiler after the join.
   using Clock = std::chrono::steady_clock;
-  struct alignas(64) WorkerRun {
-    std::uint64_t busy_ns = 0;
-    std::uint64_t windows = 0;
-    Clock::time_point done{};
-  };
   const auto ns = [](Clock::time_point a, Clock::time_point b) {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
   };
-  std::vector<WorkerRun> runs(static_cast<std::size_t>(workers));
-  std::vector<std::exception_ptr> errors(n);
-  std::atomic<std::size_t> claimed{0};
   const Clock::time_point start = prof != nullptr ? Clock::now()
                                                   : Clock::time_point{};
+  // Worker w runs components w, w + W, w + 2W, ... — always the same
+  // ones for a given W, so a component's buffers stay in one worker's
+  // thread-local pools from run to run.
   const auto work = [&](int w) {
-    WorkerRun& r = runs[static_cast<std::size_t>(w)];
-    for (std::size_t id;
-         (id = claimed.fetch_add(1, std::memory_order_relaxed)) < n;) {
+    WorkerRun& r = runs_[static_cast<std::size_t>(w)];
+    r = WorkerRun{};
+    for (auto id = static_cast<std::size_t>(w); id < n;
+         id += static_cast<std::size_t>(workers)) {
       Component& c = *components_[id];
+      c.error = nullptr;
       const Clock::time_point t0 =
           prof != nullptr ? Clock::now() : Clock::time_point{};
       try {
         run_component(c, deadline);
       } catch (...) {
-        errors[id] = std::current_exception();
+        c.error = std::current_exception();
       }
       if (prof != nullptr) r.busy_ns += ns(t0, Clock::now());
       r.windows += c.windows;
     }
     if (prof != nullptr) r.done = Clock::now();
   };
-  {
-    std::vector<std::jthread> helpers;
-    helpers.reserve(static_cast<std::size_t>(workers - 1));
-    for (int w = 1; w < workers; ++w) helpers.emplace_back(work, w);
+  if (workers == 1) {
     work(0);
-  }  // the one join
+  } else {
+    if (helpers_ == nullptr || helpers_->workers() != workers) {
+      helpers_.reset();  // join the old helpers before starting new ones
+      helpers_ = std::make_unique<Helpers>(workers - 1);
+    }
+    helpers_->run(work);  // the one join
+  }
 
   windows_ = 0;
   for (const auto& c : components_) windows_ += c->windows;
   if (prof != nullptr) {
     const Clock::time_point end = Clock::now();
     for (int w = 0; w < workers; ++w) {
-      const WorkerRun& r = runs[static_cast<std::size_t>(w)];
+      const WorkerRun& r = runs_[static_cast<std::size_t>(w)];
       prof->add_worker_run(w, ns(start, end), r.busy_ns, ns(r.done, end),
                            r.windows);
     }
     finish_profiled_run();
   }
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
+  for (const auto& c : components_) {
+    if (c->error) std::rethrow_exception(c->error);
   }
 }
 

@@ -44,6 +44,7 @@
 // the deadline.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -95,10 +96,14 @@ class LaneSet {
   /// Advances every lane to `deadline`. Events at exactly `deadline`
   /// run; later events stay queued; every lane's clock ends at >=
   /// deadline (matching Simulator::run_until semantics). The connected
-  /// components are shared among min(threads, components) workers,
-  /// which claim them in order from one atomic index; the caller's
-  /// thread is worker 0, and with one worker no thread is started.
-  /// Deterministic for any thread count.
+  /// components are shared among W = min(threads, components) workers:
+  /// component i runs on worker i mod W. The caller's thread is worker
+  /// 0; the W - 1 helper threads start with the first run that needs
+  /// them and are kept, parked, until a run asks for another W or the
+  /// set is destroyed. Deterministic for any thread count. A warm run
+  /// allocates nothing: it starts no thread, and each component's
+  /// packet buffers keep cycling through one worker's thread-local
+  /// pools.
   ///
   /// An exception thrown by an event stops that event's component. The
   /// other components still run; once every worker has joined, the
@@ -175,6 +180,14 @@ class LaneSet {
   };
 
   struct Component;
+  class Helpers;
+
+  /// One worker's wall-clock totals over a profiled run.
+  struct alignas(64) WorkerRun {
+    std::uint64_t busy_ns = 0;
+    std::uint64_t windows = 0;
+    std::chrono::steady_clock::time_point done{};
+  };
 
   /// Regroups lanes into connected components after register_link.
   void build_components();
@@ -193,8 +206,10 @@ class LaneSet {
   void finish_profiled_run();
 
   std::vector<Lane> lanes_;
-  /// Numbered by their lowest lane; workers claim them in this order.
+  /// Numbered by their lowest lane; component i runs on worker i mod W.
   std::vector<std::unique_ptr<Component>> components_;
+  /// Per worker (sized with the components: W <= components).
+  std::vector<WorkerRun> runs_;
   bool components_stale_ = true;
   Duration lookahead_ = kMaxTime;
   LaneProfiler* profiler_ = nullptr;
@@ -205,6 +220,9 @@ class LaneSet {
   std::vector<std::uint64_t> run_msgs0_;
   std::uint64_t run_messages0_ = 0;
   std::uint64_t windows_ = 0;
+  /// Parked helper threads of the last multi-worker run. Declared last,
+  /// so they are joined before anything they touch is destroyed.
+  std::unique_ptr<Helpers> helpers_;
 };
 
 }  // namespace prism::sim

@@ -11,8 +11,8 @@
 // - Per worker thread, once per run_until: its wall time from the start
 //   of the run to the join, the time it spent inside components (busy),
 //   its wait at the join (barrier_wait), and the windows it ran. A
-//   worker's idle time is the remainder: thread start-up and claiming
-//   components.
+//   worker's idle time is the remainder: a parked helper's wake-up, plus
+//   thread start-up on the first run with a new thread count.
 //
 // Recording is zero-allocation on the hot path: every window record
 // lands in a ring preallocated at construction (overwrites are counted,

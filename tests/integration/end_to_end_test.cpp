@@ -40,7 +40,7 @@ TEST(EndToEndTest, HostPathUdpDelivery) {
   EXPECT_EQ(d->src_ip, tb.client().ip());
   EXPECT_EQ(d->src_port, 5555);
   // Single-stage path: bridge/backlog never touched.
-  EXPECT_GT(d->enqueued_at, 0);
+  EXPECT_GT(d->ts.socket_enqueue, 0);
   EXPECT_EQ(d->ts.stage2_done, -1);
   EXPECT_EQ(d->ts.stage3_done, -1);
 }
@@ -275,7 +275,7 @@ TEST(EndToEndTest, DeterministicAcrossRuns) {
     }
     drain(tb);
     std::vector<sim::Time> arrivals;
-    while (auto d = sock.try_recv()) arrivals.push_back(d->enqueued_at);
+    while (auto d = sock.try_recv()) arrivals.push_back(d->ts.socket_enqueue);
     return arrivals;
   };
   EXPECT_EQ(run_once(), run_once());

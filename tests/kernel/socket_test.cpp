@@ -26,7 +26,7 @@ TEST(UdpSocketTest, EnqueueHappensAtScheduledInstant) {
   sim.run();
   EXPECT_EQ(sim.now(), 1000);
   ASSERT_TRUE(sock.has_data());
-  EXPECT_EQ(sock.try_recv()->enqueued_at, 0);  // field set by caller
+  EXPECT_EQ(sock.try_recv()->ts.socket_enqueue, -1);  // field set by caller
 }
 
 TEST(UdpSocketTest, FifoOrder) {
