@@ -138,10 +138,6 @@ inline void print_header(const char* figure, const char* description) {
 /// discussions previously inferred from end-to-end numbers alone.
 inline void print_latency_breakdown(
     const char* label, const telemetry::LatencyBreakdown& b) {
-  if (!b.enabled) {
-    std::printf("latency_breakdown [%s]: telemetry compiled out\n\n", label);
-    return;
-  }
   std::printf("latency_breakdown [%s]:\n%s\n", label,
               telemetry::render_latency_breakdown(b).c_str());
 }
@@ -149,7 +145,6 @@ inline void print_latency_breakdown(
 /// The windowed p50/p99-vs-time series from the same snapshot.
 inline void print_latency_windows(const char* label,
                                   const telemetry::LatencyBreakdown& b) {
-  if (!b.enabled) return;
   std::printf("latency_windows [%s]:\n%s\n", label,
               telemetry::render_latency_windows(b).c_str());
 }

@@ -422,7 +422,6 @@ SoakResult run_soak(std::uint64_t seed, const Profile& prof, int threads,
         tag + ": " + std::to_string(res.probe_abandoned) +
             " probes abandoned after max retries");
 
-#if PRISM_TELEMETRY_ENABLED
   // Bounded re-convergence: one recovery per probe-container disruption,
   // inside the deadline, and no convergence timeouts.
   std::size_t probe_disruptions = 0;
@@ -447,9 +446,6 @@ SoakResult run_soak(std::uint64_t seed, const Profile& prof, int threads,
       }
     }
   }
-#else
-  std::printf("telemetry compiled out: convergence monitors skipped\n");
-#endif
 
   check(flow_cache_hits > 0, tag + ": flow cache never hit");
   check((flow_cache_stale > 0) == churned,

@@ -404,16 +404,13 @@ SoakResult run_soak(std::uint64_t seed, const Profile& prof, bool report) {
             std::to_string(livelock_at) + " ns)");
   check(resumed, tag + ": livelock never demoted by delivery resumption");
 
-  // Probe p99: bounded while overloaded, recovered after. The latency
-  // ledger compiles out with telemetry, so these monitors only run in
-  // telemetry-enabled builds.
+  // Probe p99: bounded while overloaded, recovered after.
   const std::int64_t base_p99 =
       max_window_p99(res.latency, 2, 10 * kMs, ramp_start);
   const std::int64_t ramp_p99 =
       max_window_p99(res.latency, 2, ramp_start, ramp_end);
   const std::int64_t rec_p99 = max_window_p99(
       res.latency, 2, recovery_start + 10 * kMs, recovery_end);
-#if PRISM_TELEMETRY_ENABLED
   check(res.latency.windows_evicted == 0,
         tag + ": latency window ring evicted (slices incomplete)");
   check(base_p99 > 0, tag + ": no baseline probe windows");
@@ -437,9 +434,6 @@ SoakResult run_soak(std::uint64_t seed, const Profile& prof, bool report) {
             std::to_string(res.first_slo_breach_at) + " ns)");
   check(res.drop_bursts >= 1,
         tag + ": drop-burst detector never fired despite shedding");
-#else
-  std::printf("telemetry compiled out: probe p99 monitors skipped\n");
-#endif
 
   if (report) {
     stats::Table rt({"round", "start_ms", "bulk_kpps", "flood_kpps", "hot"});
@@ -559,12 +553,10 @@ int main_impl(int argc, char** argv) {
 
   // The converse of the in-soak detector monitors: a clean system with
   // the same armed thresholds fires nothing.
-#if PRISM_TELEMETRY_ENABLED
   const std::uint64_t clean_fired = run_clean_baseline();
   check(clean_fired == 0,
         "clean baseline fired " + std::to_string(clean_fired) +
             " anomaly detector(s); thresholds are miscalibrated");
-#endif
 
   if (g_failures == 0) {
     std::printf("soak_overload: all monitors held (seed %llu)\n",

@@ -107,9 +107,7 @@ class Cluster {
   /// window-record ring (0 = LaneProfiler's default) and
   /// `sample_every` the wall-clock sampling period (0 = default; 1 =
   /// every window, for tests and fine-grained traces); both ignored when
-  /// the profiler already exists. Under -DPRISM_TELEMETRY=OFF the
-  /// profiler is created but the engine ignores the attach, so every
-  /// reading stays zero.
+  /// the profiler already exists.
   sim::LaneProfiler& enable_lane_profiler(std::size_t round_capacity = 0,
                                           std::uint64_t sample_every = 0);
   /// nullptr until enable_lane_profiler() is called.

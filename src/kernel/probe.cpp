@@ -22,14 +22,12 @@ int PacketProbe::frame_class(std::span<const std::uint8_t> frame) const {
 void PacketProbe::drop(fault::DropReason reason, int level) const {
   const int cls = fault::clamp_class(level);
   if (drops != nullptr) drops->record(reason, cls);
-#if PRISM_TELEMETRY_ENABLED
   // Mid-flight drops count as unattributed instead of leaking their
   // partial stamps into the stage histograms.
   if (latency != nullptr) latency->record_dropped(cls);
   if (anomalies != nullptr) {
     anomalies->on_drop(static_cast<int>(reason), cls, clock->now());
   }
-#endif
 }
 
 void PacketProbe::drop(fault::DropReason reason,
@@ -40,23 +38,16 @@ void PacketProbe::drop(fault::DropReason reason,
 void PacketProbe::drop(fault::DropReason reason, int level, const Skb& skb,
                        int stage, sim::Time at, int frames) const {
   for (int i = 0; i < frames; ++i) drop(reason, level);
-#if PRISM_TELEMETRY_ENABLED
   if (recorder != nullptr && skb.traced && skb.parsed) {
     recorder->on_drop(net::flow_of(*skb.parsed), stage, observed(skb),
                       static_cast<int>(reason), at);
   }
-#else
-  (void)skb;
-  (void)stage;
-  (void)at;
-#endif
 }
 
 void PacketProbe::drop_frame(fault::DropReason reason, const Skb& skb,
                              const net::ParsedFrame& frame,
                              std::size_t bytes, sim::Time at) const {
   drop(reason, skb.priority);
-#if PRISM_TELEMETRY_ENABLED
   const net::FiveTuple flow = net::flow_of(frame);
   if (recorder != nullptr && skb.traced) {
     recorder->on_drop(flow, 4, observed(skb), static_cast<int>(reason), at);
@@ -68,14 +59,7 @@ void PacketProbe::drop_frame(fault::DropReason reason, const Skb& skb,
                         skb.ts.nic_rx >= 0 ? at - skb.ts.nic_rx : -1, at,
                         /*delivered=*/false, static_cast<int>(reason));
   }
-#else
-  (void)frame;
-  (void)bytes;
-  (void)at;
-#endif
 }
-
-#if PRISM_TELEMETRY_ENABLED
 
 void PacketProbe::sample(Skb& skb, const net::ParsedFrame& outer,
                          const net::ParsedFrame* inner, sim::Time arrived,
@@ -163,21 +147,5 @@ void PacketProbe::deliver_frame(const Skb& skb,
 void PacketProbe::socket_wait(sim::Duration d, int level) const {
   if (latency != nullptr) latency->record_socket_wait(d, level);
 }
-
-#else  // Telemetry compiled out: only drop accounting stays live.
-
-void PacketProbe::sample(Skb&, const net::ParsedFrame&,
-                         const net::ParsedFrame*, sim::Time,
-                         sim::Time) const {}
-void PacketProbe::irq_to_poll(sim::Duration) const {}
-void PacketProbe::stage_enqueue(Skb&, int, int, int) const {}
-void PacketProbe::stage_dequeue(const Skb&, int, sim::Time) const {}
-void PacketProbe::fast_path(const Skb&, sim::Time) const {}
-void PacketProbe::deliver(const Skb&, sim::Time) const {}
-void PacketProbe::deliver_frame(const Skb&, const net::ParsedFrame&,
-                                std::size_t, sim::Time) const {}
-void PacketProbe::socket_wait(sim::Duration, int) const {}
-
-#endif
 
 }  // namespace prism::kernel

@@ -25,9 +25,9 @@
 //   * the forwarding of recorder stage waits to the anomaly bank.
 //
 // Observation only: no method charges simulated cost or feeds a
-// scheduling decision. Under -DPRISM_TELEMETRY=OFF drop accounting stays
-// live (conservation holds in that build too) and every other consumer
-// call compiles out, in probe.cpp.
+// scheduling decision. Each consumer is switched off at run time (left
+// null, or by its own set_enabled / set_armed); drop accounting stays
+// live whatever is switched off, so conservation always holds.
 #pragma once
 
 #include <cstddef>

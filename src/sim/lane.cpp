@@ -462,13 +462,7 @@ void LaneSet::finish_profiled_run() {
 }
 
 void LaneSet::set_profiler(LaneProfiler* profiler) noexcept {
-#if PRISM_TELEMETRY_ENABLED
   profiler_ = profiler;
-#else
-  // Telemetry compiled out: the engine stays unprofiled (and pays no
-  // branch — profiler_ is never non-null).
-  (void)profiler;
-#endif
 }
 
 std::uint64_t LaneSet::events_executed() const {

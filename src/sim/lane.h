@@ -146,8 +146,7 @@ class LaneSet {
   /// Attaches a wall-clock profiler (sim/lane_profiler.h): sampled
   /// windows then record per-lane busy/window/inbox stats, and each run
   /// records per-worker totals. nullptr detaches; a detached engine pays
-  /// one branch per window. Compiled out (the attach is ignored) under
-  /// -DPRISM_TELEMETRY=OFF. Must not be changed while run_until() is
+  /// one branch per window. Must not be changed while run_until() is
   /// executing.
   void set_profiler(LaneProfiler* profiler) noexcept;
   LaneProfiler* profiler() const noexcept { return profiler_; }

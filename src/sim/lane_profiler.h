@@ -18,9 +18,8 @@
 // lands in a ring preallocated at construction (overwrites are counted,
 // never silent), and the totals are plain adds into preallocated slots.
 // The LaneSet only touches the profiler through a nullable pointer, so a
-// detached engine pays a single branch per window; under
-// -DPRISM_TELEMETRY=OFF LaneSet::set_profiler() ignores the attach
-// entirely and the engine compiles back to its unprofiled shape.
+// detached engine (LaneSet::set_profiler(nullptr)) pays a single branch
+// per window.
 //
 // Window records are *sampled*: windows are often shorter than a
 // microsecond, so reading the clock on every one would cost more than
@@ -46,10 +45,6 @@
 #include <vector>
 
 #include "sim/time.h"
-
-#ifndef PRISM_TELEMETRY_ENABLED
-#define PRISM_TELEMETRY_ENABLED 1
-#endif
 
 namespace prism::sim {
 

@@ -125,7 +125,6 @@ bool AnomalyBank::convergence_watch_armed(int level) const noexcept {
 }
 
 void AnomalyBank::note_disruption(int level, sim::Time at) {
-#if PRISM_TELEMETRY_ENABLED
   if (!armed_ || config_.convergence_deadline_ns <= 0 ||
       config_.slo_p99_ns <= 0) {
     return;
@@ -140,10 +139,6 @@ void AnomalyBank::note_disruption(int level, sim::Time at) {
   SloWindow& w = slo_[static_cast<std::size_t>(c)];
   w.hist.clear();
   w.start = at;
-#else
-  (void)level;
-  (void)at;
-#endif
 }
 
 void AnomalyBank::fire(AnomalyFinding finding) {
@@ -161,7 +156,6 @@ void AnomalyBank::fire(AnomalyFinding finding) {
 void AnomalyBank::on_stage_wait(const net::FiveTuple& flow, int stage,
                                 int level, sim::Duration wait_ns,
                                 int head_level, sim::Time at) {
-#if PRISM_TELEMETRY_ENABLED
   if (!armed_ || !config_.detect_inversion) return;
   if (level < 1 || wait_ns < config_.inversion_wait_ns) return;
   AnomalyKind kind;
@@ -187,18 +181,9 @@ void AnomalyBank::on_stage_wait(const net::FiveTuple& flow, int stage,
   f.value = static_cast<double>(wait_ns);
   f.threshold = static_cast<double>(config_.inversion_wait_ns);
   fire(std::move(f));
-#else
-  (void)flow;
-  (void)stage;
-  (void)level;
-  (void)wait_ns;
-  (void)head_level;
-  (void)at;
-#endif
 }
 
 void AnomalyBank::on_delivery(int level, sim::Duration e2e_ns, sim::Time at) {
-#if PRISM_TELEMETRY_ENABLED
   if (!armed_ || config_.slo_p99_ns <= 0 || e2e_ns < 0) return;
   const int c = std::clamp(level, 0, static_cast<int>(slo_.size()) - 1);
   SloWindow& w = slo_[static_cast<std::size_t>(c)];
@@ -245,15 +230,9 @@ void AnomalyBank::on_delivery(int level, sim::Duration e2e_ns, sim::Time at) {
     f.threshold = static_cast<double>(config_.convergence_deadline_ns);
     fire(std::move(f));
   }
-#else
-  (void)level;
-  (void)e2e_ns;
-  (void)at;
-#endif
 }
 
 void AnomalyBank::on_drop(int reason, int level, sim::Time at) {
-#if PRISM_TELEMETRY_ENABLED
   if (!armed_ || config_.drop_burst_threshold == 0) return;
   if (drops_.start < 0 || at >= drops_.start + config_.drop_burst_window_ns) {
     drops_.start = at;
@@ -273,16 +252,10 @@ void AnomalyBank::on_drop(int reason, int level, sim::Time at) {
     f.threshold = static_cast<double>(config_.drop_burst_threshold);
     fire(std::move(f));
   }
-#else
-  (void)reason;
-  (void)level;
-  (void)at;
-#endif
 }
 
 void AnomalyBank::on_governor_transition(sim::Time at, int from_state,
                                          int to_state, const char* cause) {
-#if PRISM_TELEMETRY_ENABLED
   (void)cause;
   if (!armed_ || config_.flap_threshold == 0) return;
   if (flaps_.start < 0 || at >= flaps_.start + config_.flap_window_ns) {
@@ -302,12 +275,6 @@ void AnomalyBank::on_governor_transition(sim::Time at, int from_state,
     f.threshold = static_cast<double>(config_.flap_threshold);
     fire(std::move(f));
   }
-#else
-  (void)at;
-  (void)from_state;
-  (void)to_state;
-  (void)cause;
-#endif
 }
 
 namespace {
@@ -333,7 +300,6 @@ void write_flight_event(JsonWriter& w, const FlightEvent& e) {
 void anomalies_json(JsonWriter& w, const AnomalyBank& bank,
                     const FlightRecorder* recorder) {
   w.begin_object();
-  w.member("compiled_in", PRISM_TELEMETRY_ENABLED ? true : false);
   w.member("armed", bank.armed());
   const AnomalyConfig& cfg = bank.config();
   w.key("config").begin_object();

@@ -25,7 +25,6 @@
 #include "net/flow.h"
 #include "sim/time.h"
 #include "telemetry/flight_recorder.h"
-#include "telemetry/metrics.h"
 
 namespace prism::telemetry {
 
@@ -117,13 +116,7 @@ class AnomalyBank {
   void arm(const AnomalyConfig& config);
   const AnomalyConfig& config() const noexcept { return config_; }
   void set_armed(bool armed) noexcept { armed_ = armed; }
-  bool armed() const noexcept {
-#if PRISM_TELEMETRY_ENABLED
-    return armed_;
-#else
-    return false;
-#endif
-  }
+  bool armed() const noexcept { return armed_; }
 
   /// Evidence source for frozen slices (optional).
   void set_recorder(const FlightRecorder* recorder) noexcept {

@@ -79,7 +79,6 @@ void FlightRecorder::reset() {
 
 void FlightRecorder::on_ring_arrival(const net::FiveTuple& flow, int level,
                                      sim::Time arrived, sim::Time dequeued) {
-#if PRISM_TELEMETRY_ENABLED
   FlightEvent e;
   e.at = dequeued;
   e.flow = flow;
@@ -89,18 +88,11 @@ void FlightRecorder::on_ring_arrival(const net::FiveTuple& flow, int level,
   e.level = static_cast<std::int8_t>(level);
   e.head_level = -1;  // the NIC ring is a priority-blind FIFO
   push(e);
-#else
-  (void)flow;
-  (void)level;
-  (void)arrived;
-  (void)dequeued;
-#endif
 }
 
 void FlightRecorder::on_enqueue(const net::FiveTuple& flow, int stage,
                                 int level, int depth, int head_level,
                                 sim::Time at) {
-#if PRISM_TELEMETRY_ENABLED
   FlightEvent e;
   e.at = at;
   e.flow = flow;
@@ -110,20 +102,11 @@ void FlightRecorder::on_enqueue(const net::FiveTuple& flow, int stage,
   e.level = static_cast<std::int8_t>(level);
   e.head_level = static_cast<std::int8_t>(head_level);
   push(e);
-#else
-  (void)flow;
-  (void)stage;
-  (void)level;
-  (void)depth;
-  (void)head_level;
-  (void)at;
-#endif
 }
 
 void FlightRecorder::on_dequeue(const net::FiveTuple& flow, int stage,
                                 int level, sim::Duration wait_ns,
                                 int head_level_at_enqueue, sim::Time at) {
-#if PRISM_TELEMETRY_ENABLED
   FlightEvent e;
   e.at = at;
   e.flow = flow;
@@ -133,19 +116,10 @@ void FlightRecorder::on_dequeue(const net::FiveTuple& flow, int stage,
   e.level = static_cast<std::int8_t>(level);
   e.head_level = static_cast<std::int8_t>(head_level_at_enqueue);
   push(e);
-#else
-  (void)flow;
-  (void)stage;
-  (void)level;
-  (void)wait_ns;
-  (void)head_level_at_enqueue;
-  (void)at;
-#endif
 }
 
 void FlightRecorder::on_drop(const net::FiveTuple& flow, int stage, int level,
                              int drop_reason, sim::Time at) {
-#if PRISM_TELEMETRY_ENABLED
   FlightEvent e;
   e.at = at;
   e.flow = flow;
@@ -154,18 +128,10 @@ void FlightRecorder::on_drop(const net::FiveTuple& flow, int stage, int level,
   e.level = static_cast<std::int8_t>(level);
   e.drop_reason = static_cast<std::int8_t>(drop_reason);
   push(e);
-#else
-  (void)flow;
-  (void)stage;
-  (void)level;
-  (void)drop_reason;
-  (void)at;
-#endif
 }
 
 void FlightRecorder::on_fast_path(const net::FiveTuple& flow, int level,
                                   sim::Time at) {
-#if PRISM_TELEMETRY_ENABLED
   FlightEvent e;
   e.at = at;
   e.flow = flow;
@@ -173,16 +139,10 @@ void FlightRecorder::on_fast_path(const net::FiveTuple& flow, int level,
   e.stage = 1;
   e.level = static_cast<std::int8_t>(level);
   push(e);
-#else
-  (void)flow;
-  (void)level;
-  (void)at;
-#endif
 }
 
 void FlightRecorder::on_deliver(const net::FiveTuple& flow, int level,
                                 sim::Duration e2e_ns, sim::Time at) {
-#if PRISM_TELEMETRY_ENABLED
   FlightEvent e;
   e.at = at;
   e.flow = flow;
@@ -191,12 +151,6 @@ void FlightRecorder::on_deliver(const net::FiveTuple& flow, int level,
   e.stage = 4;
   e.level = static_cast<std::int8_t>(level);
   push(e);
-#else
-  (void)flow;
-  (void)level;
-  (void)e2e_ns;
-  (void)at;
-#endif
 }
 
 }  // namespace prism::telemetry

@@ -27,7 +27,6 @@
 
 #include "net/flow.h"
 #include "sim/time.h"
-#include "telemetry/metrics.h"
 
 namespace prism::telemetry {
 
@@ -70,9 +69,9 @@ struct FlightRecorderConfig {
   std::size_t ring_capacity = 2048;
 };
 
-/// Bounded per-host lifecycle ring. All record paths compile out under
-/// -DPRISM_TELEMETRY=OFF; should_trace() then returns false so hot paths
-/// skip their trace blocks entirely.
+/// Bounded per-host lifecycle ring. Disarmed (set_armed(false)),
+/// should_trace() returns false so hot paths skip their trace blocks
+/// entirely.
 class FlightRecorder {
  public:
   FlightRecorder() { configure(FlightRecorderConfig{}); }
@@ -81,25 +80,13 @@ class FlightRecorder {
   const FlightRecorderConfig& config() const noexcept { return config_; }
 
   void set_armed(bool armed) noexcept { armed_ = armed; }
-  bool armed() const noexcept {
-#if PRISM_TELEMETRY_ENABLED
-    return armed_;
-#else
-    return false;
-#endif
-  }
+  bool armed() const noexcept { return armed_; }
 
   /// Deterministic sampling decision: pinned class, or flow-hash slot 0.
   bool should_trace(const net::FiveTuple& flow, int level) const noexcept {
-#if PRISM_TELEMETRY_ENABLED
     if (!armed_) return false;
     if (level >= config_.pin_level) return true;
     return (std::hash<net::FiveTuple>{}(flow)&sample_mask_) == 0;
-#else
-    (void)flow;
-    (void)level;
-    return false;
-#endif
   }
 
   // ------------------------------------------------------------ stamp points

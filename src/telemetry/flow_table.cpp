@@ -68,25 +68,16 @@ FlowTable::Entry& FlowTable::touch(const net::FiveTuple& flow,
 
 void FlowTable::record(const net::FiveTuple& flow, std::size_t bytes,
                        int level, sim::Duration e2e_ns, sim::Time at) {
-#if PRISM_TELEMETRY_ENABLED
   if (!enabled_) return;
   Entry& e = touch(flow, at);
   e.level = level;
   ++e.packets;
   e.bytes += bytes;
   if (e2e_ns >= 0) e.latency.record(e2e_ns);
-#else
-  (void)flow;
-  (void)bytes;
-  (void)level;
-  (void)e2e_ns;
-  (void)at;
-#endif
 }
 
 void FlowTable::record_drop(const net::FiveTuple& flow, int level,
                             sim::Time at, int reason) {
-#if PRISM_TELEMETRY_ENABLED
   if (!enabled_) return;
   Entry& e = touch(flow, at);
   e.level = level;
@@ -95,12 +86,6 @@ void FlowTable::record_drop(const net::FiveTuple& flow, int level,
       static_cast<std::int8_t>(reason);
   e.drop_history_head = static_cast<std::uint8_t>(
       (e.drop_history_head + 1) % kDropHistory);
-#else
-  (void)flow;
-  (void)level;
-  (void)at;
-  (void)reason;
-#endif
 }
 
 const FlowTable::Entry* FlowTable::lookup(

@@ -20,7 +20,6 @@
 #include "net/flow.h"
 #include "sim/time.h"
 #include "stats/histogram.h"
-#include "telemetry/metrics.h"  // for PRISM_TELEMETRY_ENABLED
 
 namespace prism::telemetry {
 

@@ -64,7 +64,6 @@ void LatencyLedger::set_window_interval(sim::Duration interval) {
 
 void LatencyLedger::record_delivery(const kernel::SkbTimestamps& ts,
                                     int level) {
-#if PRISM_TELEMETRY_ENABLED
   if (!enabled_) return;
   if (ts.nic_rx < 0 || ts.socket_enqueue < 0) {
     ++unattributed_;
@@ -90,38 +89,21 @@ void LatencyLedger::record_delivery(const kernel::SkbTimestamps& ts,
   const sim::Duration e2e = ts.socket_enqueue - ts.nic_rx;
   cell(LatencyStage::kEndToEnd, c).record(e2e);
   window_record(ts.socket_enqueue, c, e2e);
-#else
-  (void)ts;
-  (void)level;
-#endif
 }
 
 void LatencyLedger::record_irq_to_poll(sim::Duration d) {
-#if PRISM_TELEMETRY_ENABLED
   if (!enabled_) return;
   cell(LatencyStage::kIrqToPoll, 0).record(d);
-#else
-  (void)d;
-#endif
 }
 
 void LatencyLedger::record_socket_wait(sim::Duration d, int level) {
-#if PRISM_TELEMETRY_ENABLED
   if (!enabled_) return;
   cell(LatencyStage::kSocketWait, clamp_level(level)).record(d);
-#else
-  (void)d;
-  (void)level;
-#endif
 }
 
 void LatencyLedger::record_dropped(int level) {
-#if PRISM_TELEMETRY_ENABLED
   if (!enabled_) return;
   ++dropped_[static_cast<std::size_t>(clamp_level(level))];
-#else
-  (void)level;
-#endif
 }
 
 void LatencyLedger::window_record(sim::Time at, int level,

@@ -13,9 +13,8 @@
 // The ledger also keeps a windowed time-series: a ring of per-interval
 // end-to-end histograms (interval configurable), merged on demand, so
 // load sweeps report p50/p99-vs-time instead of a single end-of-run
-// number. Like the metrics registry, recording compiles out under
-// -DPRISM_TELEMETRY=OFF; at runtime set_enabled(false) detaches the
-// ledger for A/B overhead measurements (perfbench's telemetry.cost_frac).
+// number. set_enabled(false) detaches the ledger at run time for A/B
+// overhead measurements (perfbench's telemetry.cost_frac).
 #pragma once
 
 #include <array>
@@ -27,7 +26,6 @@
 #include "kernel/skb.h"
 #include "sim/time.h"
 #include "stats/histogram.h"
-#include "telemetry/metrics.h"  // for PRISM_TELEMETRY_ENABLED
 
 namespace prism::telemetry {
 

@@ -13,9 +13,8 @@
 // merge a shared name in first-seen order: counters and gauge levels sum,
 // and a gauge's high-water mark is the largest of the members' marks.
 //
-// Counters and gauges count in every build. -DPRISM_TELEMETRY=OFF
-// (PRISM_TELEMETRY_ENABLED=0) compiles out only the per-packet recorders
-// (see telemetry.h); this header supplies the macro's default.
+// Counters and gauges always count; the per-packet recorders are switched
+// at run time (see telemetry.h).
 #pragma once
 
 #include <cstdint>
@@ -24,9 +23,9 @@
 #include <utility>
 #include <vector>
 
-#ifndef PRISM_TELEMETRY_ENABLED
+// Always 1 (the telemetry recorders are always compiled in and switched at
+// run time); perfbench's build banner prints it.
 #define PRISM_TELEMETRY_ENABLED 1
-#endif
 
 namespace prism::telemetry {
 

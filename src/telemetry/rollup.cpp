@@ -166,8 +166,6 @@ void write_merged_anomalies_json(
 
 void write_lanes_json(JsonWriter& w, const sim::LaneProfiler* profiler) {
   w.begin_object();
-  const bool compiled_in = PRISM_TELEMETRY_ENABLED != 0;
-  w.member("compiled_in", compiled_in);
   if (profiler == nullptr || profiler->num_lanes() == 0) {
     w.member("attached", profiler != nullptr);
     w.member("rounds", std::uint64_t{0});

@@ -66,8 +66,7 @@ void write_merged_anomalies_json(JsonWriter& w,
 /// per-lane events/sim-time/inbox totals and sampled busy time,
 /// per-worker wall/barrier/busy/idle accounting, imbalance ratios, and
 /// record-ring retention. `attached == false` renders the stub
-/// {"attached": false, ...} (profiler never enabled, or telemetry
-/// compiled out).
+/// {"attached": false, ...} (profiler never enabled).
 void write_lanes_json(JsonWriter& w, const sim::LaneProfiler* profiler);
 std::string lanes_json(const sim::LaneProfiler* profiler);
 

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "sim/time.h"
-#include "telemetry/metrics.h"  // for PRISM_TELEMETRY_ENABLED
 
 namespace prism::telemetry {
 
@@ -67,22 +66,13 @@ class SpanTracer {
   /// `arg`/`arg2` export as "packets"/"stage_ns" span args.
   void span(int track, NameId name, sim::Time begin, sim::Duration duration,
             std::uint32_t arg = 0, std::uint32_t arg2 = 0) {
-#if PRISM_TELEMETRY_ENABLED
     push(Span{begin, duration, name, static_cast<std::int16_t>(track), arg,
               arg2, false});
-#else
-    (void)track; (void)name; (void)begin; (void)duration; (void)arg;
-    (void)arg2;
-#endif
   }
 
   /// Records a zero-duration marker (IRQ fire, preemption).
   void instant(int track, NameId name, sim::Time at) {
-#if PRISM_TELEMETRY_ENABLED
     push(Span{at, 0, name, static_cast<std::int16_t>(track), 0, 0, true});
-#else
-    (void)track; (void)name; (void)at;
-#endif
   }
 
   std::size_t size() const noexcept { return ring_.size(); }

@@ -11,10 +11,10 @@
 namespace prism::telemetry {
 
 /// Everything one Host's instrumentation binds to. The registry names the
-/// components' own counters and gauges, which count in every build. The
+/// components' own counters and gauges, which always count. The
 /// recorders (latency ledger, flow table, flight recorder, anomaly bank)
-/// record unless disabled at runtime (set_enabled) or compiled out
-/// (-DPRISM_TELEMETRY=OFF). Span tracers are not part of the bundle: one
+/// record unless switched off at run time (set_enabled / set_armed).
+/// Span tracers are not part of the bundle: one
 /// is attached from outside (Host::set_span_tracer), often shared by
 /// several hosts.
 struct Telemetry {

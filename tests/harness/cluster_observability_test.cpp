@@ -2,9 +2,7 @@
 // must populate the "prism/lanes" and "prism/cluster" proc documents, the
 // cluster roll-up must equal the sum of the per-host snapshots, the
 // profiled rounds must export as per-lane Chrome-trace tracks, and
-// profiling must not perturb the simulation. Under -DPRISM_TELEMETRY=OFF
-// the same surfaces stay readable but report compiled_in:false with all
-// readings zero — the CI telemetry-off job runs this suite to prove it.
+// profiling must not perturb the simulation.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -71,8 +69,6 @@ TEST(ClusterObservabilityTest, LanesProcPopulatedAfterProfiledRun) {
   rig.run(4);
   const std::string doc = rig.cluster->proc_read("prism/lanes");
   EXPECT_NE(doc.find("\"attached\":true"), npos) << doc;
-#if PRISM_TELEMETRY_ENABLED
-  EXPECT_NE(doc.find("\"compiled_in\":true"), npos) << doc;
   const sim::LaneProfiler* prof = rig.cluster->lane_profiler();
   ASSERT_NE(prof, nullptr);
   EXPECT_GT(prof->rounds_recorded(), 0u);
@@ -86,11 +82,6 @@ TEST(ClusterObservabilityTest, LanesProcPopulatedAfterProfiledRun) {
   EXPECT_GE(prof->event_imbalance(), 1.0);
   EXPECT_NE(doc.find("\"lanes\":[{\"lane\":0"), npos) << doc;
   EXPECT_NE(doc.find("\"workers\":[{\"worker\":0"), npos) << doc;
-#else
-  // Compiled out: the document is an honest stub, not a lie.
-  EXPECT_NE(doc.find("\"compiled_in\":false"), npos) << doc;
-  EXPECT_NE(doc.find("\"rounds\":0"), npos) << doc;
-#endif
 }
 
 TEST(ClusterObservabilityTest, ClusterRollupEqualsSumOfHostSnapshots) {
@@ -147,7 +138,6 @@ TEST(ClusterObservabilityTest, TraceExportCarriesLaneTracks) {
   telemetry::SpanTracer tracer;
   rig.cluster->export_lane_trace(tracer);
   const std::string trace = tracer.export_chrome_trace("test");
-#if PRISM_TELEMETRY_ENABLED
   // One window track per lane, with window spans on it.
   for (int lane = 0; lane < 4; ++lane) {
     const std::string label = "lane" + std::to_string(lane);
@@ -155,10 +145,6 @@ TEST(ClusterObservabilityTest, TraceExportCarriesLaneTracks) {
   }
   EXPECT_NE(trace.find("\"name\":\"window\""), npos);
   EXPECT_GT(tracer.size(), 0u);
-#else
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(trace.find("lane0.window"), npos);
-#endif
 }
 
 TEST(ClusterObservabilityTest, ProfilingDoesNotPerturbTheSimulation) {

@@ -60,18 +60,12 @@ TEST(PacketProbeTest, DropFansOutToLedgerLatencyAndAnomalies) {
   EXPECT_EQ(drops.count(DropReason::kBacklogFull, 2), 1u);
   EXPECT_EQ(drops.count(DropReason::kWire, 0), 1u);
   EXPECT_EQ(drops.total_drops(), 2u);
-#if PRISM_TELEMETRY_ENABLED
   EXPECT_EQ(latency.dropped_in_flight(2), 1u);
   EXPECT_EQ(latency.dropped_in_flight(0), 1u);
   ASSERT_EQ(anomalies.fired(telemetry::AnomalyKind::kDropBurst), 1u);
   EXPECT_EQ(anomalies.findings()[0].level, 0);
   EXPECT_EQ(anomalies.findings()[0].head_level,
             static_cast<int>(DropReason::kWire));
-#else
-  // Drop accounting stays live; the telemetry fan-out compiles out.
-  EXPECT_EQ(latency.dropped_in_flight(), 0u);
-  EXPECT_EQ(anomalies.fired_total(), 0u);
-#endif
 }
 
 TEST(PacketProbeTest, FrameDropsClassifyAsStageOneWould) {
@@ -99,9 +93,6 @@ TEST(PacketProbeTest, FrameDropsClassifyAsStageOneWould) {
 }
 
 TEST(PacketProbeTest, SkbDropEndsATracedJourneyOncePerSkb) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   fault::DropLedger drops;
   telemetry::FlightRecorder recorder;
   PacketProbe probe;
@@ -143,9 +134,6 @@ class TracedJourneyTest : public ::testing::Test {
   static constexpr std::uint16_t kPort = 7000;
 
   void SetUp() override {
-#if !PRISM_TELEMETRY_ENABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#endif
     harness::TestbedConfig tc;
     tc.mode = NapiMode::kPrismBatch;
     tb_ = std::make_unique<harness::Testbed>(tc);

@@ -1,8 +1,9 @@
 // Telemetry must be an observer, not a participant: a run with a span
 // tracer attached (and counters snapshotted mid-flight) must execute the
 // exact same events, poll the same devices in the same order, and deliver
-// the same packets as an uninstrumented run. This mirrors the pooling
-// determinism guard, A/B-ing on instrumentation instead of allocators.
+// the same packets as an uninstrumented run, which has every recorder
+// switched off at run time. This mirrors the pooling determinism guard,
+// A/B-ing on instrumentation instead of allocators.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -42,12 +43,14 @@ RunResult run_scenario(kernel::NapiMode mode, bool instrumented) {
   if (instrumented) {
     tb.attach_span_tracer(tracer);
   } else {
-    // The A/B also covers the latency ledger and flow table: the
-    // uninstrumented arm runs with both disabled on both hosts.
-    tb.server().latency_ledger().set_enabled(false);
-    tb.server().flow_table().set_enabled(false);
-    tb.client().latency_ledger().set_enabled(false);
-    tb.client().flow_table().set_enabled(false);
+    // The uninstrumented arm flips, on both hosts, the four switches
+    // perfbench's telemetry.off arm flips.
+    for (kernel::Host* host : {&tb.server(), &tb.client()}) {
+      host->latency_ledger().set_enabled(false);
+      host->flow_table().set_enabled(false);
+      host->flight_recorder().set_armed(false);
+      host->anomalies().set_armed(false);
+    }
   }
 
   apps::SockperfServer server(
@@ -79,7 +82,6 @@ RunResult run_scenario(kernel::NapiMode mode, bool instrumented) {
   tb.run_until(sim::milliseconds(5));
   tb.server().set_poll_trace(tb.server().default_rx_cpu(), nullptr);
 
-#if PRISM_TELEMETRY_ENABLED
   std::uint64_t attributed = 0;
   for (int level = 0; level < telemetry::kNumLatencyClasses; ++level) {
     attributed += tb.server()
@@ -91,14 +93,14 @@ RunResult run_scenario(kernel::NapiMode mode, bool instrumented) {
     EXPECT_GT(tracer.recorded(), 0u);
     EXPECT_GT(attributed, 0u);
     EXPECT_GT(tb.server().flow_table().size(), 0u);
+    EXPECT_GT(tb.server().flight_recorder().recorded(), 0u);
   } else {
     EXPECT_EQ(tracer.recorded(), 0u);
     EXPECT_EQ(attributed, 0u);
     EXPECT_EQ(tb.server().flow_table().size(), 0u);
+    EXPECT_EQ(tb.server().flight_recorder().recorded(), 0u);
+    EXPECT_EQ(tb.client().flight_recorder().recorded(), 0u);
   }
-#else
-  EXPECT_EQ(tracer.recorded(), 0u);  // compiled out: nothing records
-#endif
 
   RunResult r;
   r.poll_order = trace.device_order();

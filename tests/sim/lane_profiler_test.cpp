@@ -1,8 +1,7 @@
 // LaneProfiler unit tests: per-run worker accounting conserves each
 // worker's wall time, the exact totals match the engine's own counters,
 // inbox accounting is identical across thread counts, and an attached
-// profiler never perturbs the schedule. Under -DPRISM_TELEMETRY=OFF the
-// attach is ignored and every reading stays zero.
+// profiler never perturbs the schedule.
 #include "sim/lane_profiler.h"
 
 #include <cstdint>
@@ -61,34 +60,13 @@ RunResult run_ping_pong(int threads, LaneProfiler* prof, int pairs = 1,
   return {set.events_executed(), set.messages_posted()};
 }
 
-TEST(LaneProfilerTest, AttachFollowsTelemetryBuild) {
+TEST(LaneProfilerTest, AttachAndDetach) {
   LaneSet set(2);
   LaneProfiler prof(128, 1);
   set.set_profiler(&prof);
-#if PRISM_TELEMETRY_ENABLED
   EXPECT_EQ(set.profiler(), &prof);
-#else
-  // Compiled out: the attach is ignored and the engine stays unprofiled.
-  EXPECT_EQ(set.profiler(), nullptr);
-#endif
   set.set_profiler(nullptr);
-}
-
-TEST(LaneProfilerTest, CompiledOutReadsAllZero) {
-#if PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled in; covered by the other tests";
-#else
-  LaneProfiler prof(128, 1);
-  const RunResult r = run_ping_pong(1, &prof);
-  ASSERT_GT(r.events, 0u);
-  EXPECT_EQ(prof.rounds_recorded(), 0u);
-  EXPECT_EQ(prof.messages_posted(), 0u);
-  EXPECT_EQ(prof.num_lanes(), 0);
-  EXPECT_EQ(prof.num_workers(), 0);
-  EXPECT_EQ(prof.lane_round_count(), 0u);
-  EXPECT_EQ(prof.busy_imbalance(), 0.0);
-  EXPECT_EQ(prof.event_imbalance(), 0.0);
-#endif
+  EXPECT_EQ(set.profiler(), nullptr);
 }
 
 TEST(LaneProfilerTest, ProfiledRunMatchesUnprofiledRun) {
@@ -106,9 +84,6 @@ TEST(LaneProfilerTest, ProfiledRunMatchesUnprofiledRun) {
 }
 
 TEST(LaneProfilerTest, WorkerRoundTimeConservation) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out: no wall-clock records";
-#else
   // Three components on one and on two workers.
   for (int threads : {1, 2}) {
     LaneProfiler prof(1 << 12, 1);
@@ -132,13 +107,9 @@ TEST(LaneProfilerTest, WorkerRoundTimeConservation) {
     EXPECT_EQ(windows, prof.rounds_recorded()) << "threads=" << threads;
     EXPECT_GT(busy, 0u) << "threads=" << threads;
   }
-#endif
 }
 
 TEST(LaneProfilerTest, ExactTotalsMatchEngineCounters) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#else
   LaneSet set(2);
   set.register_link(0, 1, 100);
   LaneProfiler prof(256, 4);
@@ -188,7 +159,6 @@ TEST(LaneProfilerTest, ExactTotalsMatchEngineCounters) {
   lopsided.run_until(50'000, 1);
   EXPECT_GT(prof2.event_imbalance(), 1.5);
   lopsided.set_profiler(nullptr);
-#endif
 }
 
 TEST(LaneProfilerTest, InboxAccountingIdenticalAcrossThreadCounts) {
@@ -221,7 +191,6 @@ TEST(LaneProfilerTest, InboxAccountingIdenticalAcrossThreadCounts) {
   EXPECT_EQ(std::get<3>(serial), 2000u);
   EXPECT_EQ(serial, parallel);
 
-#if PRISM_TELEMETRY_ENABLED
   // The profiler's per-lane totals see the same numbers at any thread
   // count, and attaching it does not change the engine's accounting.
   LaneProfiler p1(64, 8);
@@ -237,13 +206,9 @@ TEST(LaneProfilerTest, InboxAccountingIdenticalAcrossThreadCounts) {
   EXPECT_EQ(p1.lane(1).inbox_high_water, 3000u);
   EXPECT_EQ(p1.lane(1).inbox_high_water, p2.lane(1).inbox_high_water);
   EXPECT_EQ(p1.lane(3).inbox_high_water, p2.lane(3).inbox_high_water);
-#endif
 }
 
 TEST(LaneProfilerTest, RingRetentionDropsOldestAndCounts) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#else
   LaneProfiler prof(8, 1);  // tiny ring, sample every round
   run_ping_pong(1, &prof);
   ASSERT_GT(prof.rounds_recorded(), 8u);
@@ -253,13 +218,9 @@ TEST(LaneProfilerTest, RingRetentionDropsOldestAndCounts) {
   for (std::size_t i = 1; i < prof.lane_round_count(); ++i) {
     EXPECT_LE(prof.lane_round(i - 1).round, prof.lane_round(i).round);
   }
-#endif
 }
 
 TEST(LaneProfilerTest, ResetClearsEverything) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#else
   LaneProfiler prof(64, 1);
   run_ping_pong(1, &prof);
   ASSERT_GT(prof.rounds_recorded(), 0u);
@@ -273,7 +234,6 @@ TEST(LaneProfilerTest, ResetClearsEverything) {
   // A fresh capture after reset works and counts from zero again.
   run_ping_pong(1, &prof);
   EXPECT_GT(prof.rounds_recorded(), 0u);
-#endif
 }
 
 }  // namespace

@@ -25,35 +25,33 @@ net::FiveTuple tuple(std::uint16_t src_port) {
 
 constexpr sim::Duration kT = sim::microseconds(100);  // default inversion T
 
-// The CI telemetry-off job runs this suite explicitly: with
-// -DPRISM_TELEMETRY=OFF the bank must never arm and never fire, and the
-// proc document must say so.
-TEST(AnomalyTest, CompiledOutBankNeverFires) {
-#if PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled in; armed behavior covered below";
-#else
+// The run-time off switch: a bank armed at its most sensitive settings
+// and then disarmed fires nothing, and the proc document says so.
+TEST(AnomalyTest, DisarmedBankNeverFires) {
   AnomalyBank bank;
   AnomalyConfig cfg;
+  cfg.inversion_wait_ns = 1;
   cfg.slo_p99_ns = 1;
   cfg.drop_burst_threshold = 1;
   cfg.flap_threshold = 1;
+  cfg.convergence_deadline_ns = 1;
   bank.arm(cfg);
+  bank.set_armed(false);
   EXPECT_FALSE(bank.armed());
+  bank.note_disruption(3, 0);
   bank.on_stage_wait(tuple(1), 3, 3, sim::milliseconds(10), 0, 0);
   bank.on_delivery(3, sim::milliseconds(10), 0);
+  // A second delivery closes the first SLO window.
+  bank.on_delivery(3, sim::milliseconds(10), sim::milliseconds(2));
   bank.on_drop(0, 0, 0);
   bank.on_governor_transition(0, 0, 1, "test");
   EXPECT_EQ(bank.fired_total(), 0u);
   EXPECT_TRUE(bank.findings().empty());
   const std::string json = anomalies_json(bank, nullptr);
-  EXPECT_NE(json.find("\"compiled_in\":false"), std::string::npos) << json;
-#endif
+  EXPECT_NE(json.find("\"armed\":false"), std::string::npos) << json;
 }
 
 TEST(AnomalyTest, QueueInversionNeedsLowerHeadAndThresholdWait) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   AnomalyBank bank;  // default: inversion detector only
   // Below the wait threshold: no firing.
   bank.on_stage_wait(tuple(1), 3, 2, kT - 1, /*head=*/0, 1000);
@@ -78,9 +76,6 @@ TEST(AnomalyTest, QueueInversionNeedsLowerHeadAndThresholdWait) {
 }
 
 TEST(AnomalyTest, RingInversionOnlyOnStageOneFifo) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   AnomalyBank bank;
   // head -1 on a stage-2 queue means "was empty" — not an inversion.
   bank.on_stage_wait(tuple(1), 2, 2, kT * 2, /*head=*/-1, 1000);
@@ -92,9 +87,6 @@ TEST(AnomalyTest, RingInversionOnlyOnStageOneFifo) {
 }
 
 TEST(AnomalyTest, SloBreachFiresOnWindowCloseForHighClassesOnly) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   AnomalyBank bank;
   AnomalyConfig cfg;
   cfg.slo_p99_ns = sim::microseconds(50);
@@ -129,9 +121,6 @@ TEST(AnomalyTest, SloBreachFiresOnWindowCloseForHighClassesOnly) {
 }
 
 TEST(AnomalyTest, SloQuietWindowsNeverBreach) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   AnomalyBank bank;
   AnomalyConfig cfg;
   cfg.slo_p99_ns = sim::milliseconds(10);
@@ -143,9 +132,6 @@ TEST(AnomalyTest, SloQuietWindowsNeverBreach) {
 }
 
 TEST(AnomalyTest, DropBurstFiresOncePerWindow) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   AnomalyBank bank;
   AnomalyConfig cfg;
   cfg.drop_burst_threshold = 3;
@@ -169,9 +155,6 @@ TEST(AnomalyTest, DropBurstFiresOncePerWindow) {
 }
 
 TEST(AnomalyTest, GovernorFlapFiresAtThresholdTransitions) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   AnomalyBank bank;
   AnomalyConfig cfg;
   cfg.flap_threshold = 4;
@@ -188,9 +171,6 @@ TEST(AnomalyTest, GovernorFlapFiresAtThresholdTransitions) {
 }
 
 TEST(AnomalyTest, FindingsCapKeepsCountingAndFreezesEvidence) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   FlightRecorder rec;
   for (int i = 0; i < 10; ++i) {
     rec.on_enqueue(tuple(1), 2, 1, i, -1, i);
@@ -216,9 +196,6 @@ TEST(AnomalyTest, FindingsCapKeepsCountingAndFreezesEvidence) {
 }
 
 TEST(AnomalyTest, JsonIsWellFormedAndNamesEveryKind) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   FlightRecorder rec;
   rec.on_deliver(tuple(3), 1, 500, 500);
   AnomalyBank bank;
@@ -235,9 +212,6 @@ TEST(AnomalyTest, JsonIsWellFormedAndNamesEveryKind) {
 }
 
 TEST(AnomalyTest, ResetClearsStateKeepsConfigArmed) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   AnomalyBank bank;
   AnomalyConfig cfg;
   cfg.drop_burst_threshold = 2;

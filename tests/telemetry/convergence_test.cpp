@@ -34,9 +34,6 @@ void fill_window(AnomalyBank& bank, int level, sim::Time start,
 }
 
 TEST(ConvergenceTest, RecoveryRecordedOnFirstCompliantWindow) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   AnomalyBank bank = armed_bank();
   const sim::Time t0 = sim::milliseconds(5);
   bank.note_disruption(2, t0);
@@ -59,9 +56,6 @@ TEST(ConvergenceTest, RecoveryRecordedOnFirstCompliantWindow) {
 }
 
 TEST(ConvergenceTest, PreDisruptionSamplesNeverSatisfyTheWatch) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   AnomalyBank bank = armed_bank();
   // A healthy window is in flight when the disruption hits: it must not
   // count as the recovery even though its p99 is compliant.
@@ -77,9 +71,6 @@ TEST(ConvergenceTest, PreDisruptionSamplesNeverSatisfyTheWatch) {
 }
 
 TEST(ConvergenceTest, TimeoutFiresOnceAndDisarms) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   AnomalyBank bank = armed_bank();
   const sim::Time t0 = sim::milliseconds(1);
   bank.note_disruption(1, t0);
@@ -111,9 +102,6 @@ TEST(ConvergenceTest, TimeoutFiresOnceAndDisarms) {
 }
 
 TEST(ConvergenceTest, RearmRestartsTheClock) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   AnomalyBank bank = armed_bank();
   const sim::Time t0 = sim::milliseconds(1);
   bank.note_disruption(2, t0);
@@ -134,9 +122,6 @@ TEST(ConvergenceTest, RearmRestartsTheClock) {
 }
 
 TEST(ConvergenceTest, DetectorOffWhenDeadlineOrTargetUnset) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   // deadline == 0: note_disruption is a no-op.
   {
     AnomalyBank bank;
@@ -158,9 +143,6 @@ TEST(ConvergenceTest, DetectorOffWhenDeadlineOrTargetUnset) {
 }
 
 TEST(ConvergenceTest, ResetClearsWatchesAndRecoveries) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   AnomalyBank bank = armed_bank();
   bank.note_disruption(2, 1000);
   fill_window(bank, 2, 1000, kSlo / 2);

@@ -43,33 +43,7 @@ kernel::SkbPtr parsed_skb(std::uint16_t src_port, int level) {
   return skb;
 }
 
-// The CI telemetry-off job runs this suite explicitly: with
-// -DPRISM_TELEMETRY=OFF every record path must be a no-op, should_trace
-// must answer false even for pinned classes, and arming must not stick.
-TEST(FlightRecorderTest, CompiledOutRecordsNothing) {
-#if PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled in; armed behavior covered below";
-#else
-  FlightRecorder rec;
-  rec.set_armed(true);
-  EXPECT_FALSE(rec.armed());
-  EXPECT_FALSE(rec.should_trace(tuple(1), 3));  // pinned class: still no
-  rec.on_ring_arrival(tuple(1), 3, 0, 1000);
-  rec.on_enqueue(tuple(1), 2, 3, 1, -1, 2000);
-  rec.on_dequeue(tuple(1), 2, 3, 500, -1, 2500);
-  rec.on_drop(tuple(1), 3, 3, 0, 3000);
-  rec.on_deliver(tuple(1), 3, 4000, 4000);
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.recorded(), 0u);
-  EXPECT_EQ(rec.overwritten(), 0u);
-  EXPECT_TRUE(rec.tail(8).empty());
-#endif
-}
-
 TEST(FlightRecorderTest, SamplerPinsHighClassesAndIsDeterministic) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   FlightRecorder rec;  // defaults: 1-in-64, pin_level 1
   // Pinned classes trace regardless of the hash slot.
   for (std::uint16_t p = 1; p < 200; ++p) {
@@ -93,9 +67,6 @@ TEST(FlightRecorderTest, SamplerPinsHighClassesAndIsDeterministic) {
 }
 
 TEST(FlightRecorderTest, SamplePeriodRoundsUpToPowerOfTwo) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   FlightRecorder rec;
   FlightRecorderConfig cfg;
   cfg.sample_period = 48;
@@ -110,9 +81,6 @@ TEST(FlightRecorderTest, SamplePeriodRoundsUpToPowerOfTwo) {
 }
 
 TEST(FlightRecorderTest, DisarmedTracesNothingButKeepsConfig) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   FlightRecorder rec;
   FlightRecorderConfig cfg;
   cfg.sample_period = 1;
@@ -126,9 +94,6 @@ TEST(FlightRecorderTest, DisarmedTracesNothingButKeepsConfig) {
 }
 
 TEST(FlightRecorderTest, RingOverwritesOldestAndCountsEverything) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   FlightRecorder rec;
   FlightRecorderConfig cfg;
   cfg.ring_capacity = 4;
@@ -151,9 +116,6 @@ TEST(FlightRecorderTest, RingOverwritesOldestAndCountsEverything) {
 }
 
 TEST(FlightRecorderTest, StampPointsRecordFaithfulFields) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   FlightRecorder rec;
   rec.on_ring_arrival(tuple(1), 2, /*arrived=*/100, /*dequeued=*/600);
   rec.on_enqueue(tuple(1), 3, 2, /*depth=*/7, /*head_level=*/0, 700);
@@ -178,9 +140,6 @@ TEST(FlightRecorderTest, StampPointsRecordFaithfulFields) {
 }
 
 TEST(FlightRecorderTest, DequeueAndRingObservationsFeedTheAnomalyBank) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   // The host's packet probe forwards the recorder's stage waits to the
   // anomaly bank.
   FlightRecorder rec;
@@ -209,9 +168,6 @@ TEST(FlightRecorderTest, DequeueAndRingObservationsFeedTheAnomalyBank) {
 }
 
 TEST(FlightRecorderTest, ResetClearsRingKeepsConfig) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   FlightRecorder rec;
   FlightRecorderConfig cfg;
   cfg.ring_capacity = 8;

@@ -32,9 +32,6 @@ net::FiveTuple tuple(std::uint16_t src_port) {
 }
 
 TEST(FlowDropReconcileTest, DropHistoryIsNewestFirstBoundedRing) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   telemetry::FlowTable table;
   const auto f = tuple(1);
   // More drops than the history holds: the ring must keep the newest
@@ -61,9 +58,6 @@ TEST(FlowDropReconcileTest, DropHistoryIsNewestFirstBoundedRing) {
 }
 
 TEST(FlowDropReconcileTest, SocketLayerDropsMatchDropLedgerTotals) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   // One delivered flow (bound socket) and one undeliverable flow (no
   // socket on the port) through the real testbed pipeline.
   harness::TestbedConfig tc;

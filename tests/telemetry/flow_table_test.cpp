@@ -20,9 +20,6 @@ net::FiveTuple tuple(std::uint16_t src_port) {
 }
 
 TEST(FlowTableTest, AccumulatesPerFlow) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   FlowTable table;
   const auto f = tuple(1000);
   table.record(f, 100, 1, 5000, /*at=*/10);
@@ -43,9 +40,6 @@ TEST(FlowTableTest, AccumulatesPerFlow) {
 }
 
 TEST(FlowTableTest, NegativeLatencySkipsHistogramOnly) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   FlowTable table;
   const auto f = tuple(1000);
   table.record(f, 64, 0, /*e2e_ns=*/-1, /*at=*/5);
@@ -56,9 +50,6 @@ TEST(FlowTableTest, NegativeLatencySkipsHistogramOnly) {
 }
 
 TEST(FlowTableTest, EntriesAreMostRecentFirst) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   FlowTable table;
   table.record(tuple(1), 64, 0, 100, 1);
   table.record(tuple(2), 64, 0, 100, 2);
@@ -73,9 +64,6 @@ TEST(FlowTableTest, EntriesAreMostRecentFirst) {
 }
 
 TEST(FlowTableTest, EvictsLeastRecentlySeenAtCapacity) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   FlowTable table(/*capacity=*/2);
   table.record(tuple(1), 64, 0, 100, 1);
   table.record(tuple(2), 64, 0, 100, 2);
@@ -94,9 +82,6 @@ TEST(FlowTableTest, EvictsLeastRecentlySeenAtCapacity) {
 }
 
 TEST(FlowTableTest, RecordFrameDispatchesOnDelivered) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   FlowTable table;
   const auto f = tuple(7);
   table.record_frame(f, 128, 0, 900, 1, /*delivered=*/true);
@@ -108,9 +93,6 @@ TEST(FlowTableTest, RecordFrameDispatchesOnDelivered) {
 }
 
 TEST(FlowTableTest, ExactlyCapacityFlowsNeverEvict) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   FlowTable table(/*capacity=*/8);
   for (int i = 0; i < 8; ++i) {
     table.record(tuple(static_cast<std::uint16_t>(i + 1)), 64, 0, 100,
@@ -128,9 +110,6 @@ TEST(FlowTableTest, ExactlyCapacityFlowsNeverEvict) {
 }
 
 TEST(FlowTableTest, CapacityPlusOneEvictsExactlyOne) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   FlowTable table(/*capacity=*/8);
   for (int i = 0; i < 9; ++i) {
     table.record(tuple(static_cast<std::uint16_t>(i + 1)), 64, 0, 100,
@@ -144,9 +123,6 @@ TEST(FlowTableTest, CapacityPlusOneEvictsExactlyOne) {
 }
 
 TEST(FlowTableTest, AdversarialFloodStaysBoundedAndCountsEveryEviction) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   // Many-flow flood: every packet is a distinct 5-tuple, the LRU's worst
   // case. The table must stay at capacity, count one eviction per excess
   // flow, and keep exactly the most recent `capacity` flows.
@@ -174,9 +150,6 @@ TEST(FlowTableTest, AdversarialFloodStaysBoundedAndCountsEveryEviction) {
 }
 
 TEST(FlowTableTest, DisabledTableRecordsNothing) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   FlowTable table;
   table.set_enabled(false);
   table.record(tuple(1), 64, 0, 100, 1);
@@ -200,9 +173,6 @@ TEST(FlowTableTest, ResetClearsEverything) {
 }
 
 TEST(FlowTableTest, JsonIsWellFormed) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   FlowTable table;
   table.record(tuple(4242), 512, 3, 12345, 99);
   const std::string json = flow_table_json(table);

@@ -76,9 +76,6 @@ class LatencyE2eTest : public ::testing::Test {
 };
 
 TEST_F(LatencyE2eTest, StageDurationsTelescopeToEndToEnd) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   run(kernel::NapiMode::kPrismSync);
   const auto& ledger = tb_->server().latency_ledger();
 
@@ -120,9 +117,6 @@ TEST_F(LatencyE2eTest, StageDurationsTelescopeToEndToEnd) {
 }
 
 TEST_F(LatencyE2eTest, AuxiliaryAxesArePopulated) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   run(kernel::NapiMode::kVanilla);
   const auto& ledger = tb_->server().latency_ledger();
 
@@ -143,9 +137,6 @@ TEST_F(LatencyE2eTest, AuxiliaryAxesArePopulated) {
 }
 
 TEST_F(LatencyE2eTest, FlowTableAccountsDeliveredTraffic) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   run(kernel::NapiMode::kPrismBatch);
   const auto& flows = tb_->server().flow_table();
 
@@ -168,10 +159,8 @@ TEST_F(LatencyE2eTest, ProcFilesRoundTripAsJson) {
   const std::string latency = proc.read("prism/latency");
   EXPECT_TRUE(::prism::testing::is_valid_json(latency)) << latency;
   EXPECT_NE(latency.find("\"stages\""), std::string::npos);
-#if PRISM_TELEMETRY_ENABLED
   EXPECT_NE(latency.find("\"end_to_end\""), std::string::npos);
   EXPECT_NE(latency.find("\"ring_wait\""), std::string::npos);
-#endif
 
   const std::string flows = proc.read("prism/flows");
   EXPECT_TRUE(::prism::testing::is_valid_json(flows)) << flows;

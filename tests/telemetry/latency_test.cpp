@@ -35,9 +35,6 @@ kernel::SkbTimestamps host_ts(sim::Time base) {
 }
 
 TEST(LatencyLedgerTest, SegmentsTelescopeToEndToEnd) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   LatencyLedger ledger;
   ledger.record_delivery(overlay_ts(1000), 0);
 
@@ -64,9 +61,6 @@ TEST(LatencyLedgerTest, SegmentsTelescopeToEndToEnd) {
 }
 
 TEST(LatencyLedgerTest, HostPathSkipsAbsentStages) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   LatencyLedger ledger;
   ledger.record_delivery(host_ts(500), 2);
 
@@ -78,9 +72,6 @@ TEST(LatencyLedgerTest, HostPathSkipsAbsentStages) {
 }
 
 TEST(LatencyLedgerTest, ClassesAreSeparateAndClamped) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   LatencyLedger ledger;
   ledger.record_delivery(overlay_ts(0), 0);
   ledger.record_delivery(overlay_ts(0), 1);
@@ -97,9 +88,6 @@ TEST(LatencyLedgerTest, ClassesAreSeparateAndClamped) {
 }
 
 TEST(LatencyLedgerTest, MissingCoreTimestampsCountAsUnattributed) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   LatencyLedger ledger;
   kernel::SkbTimestamps none;  // all -1
   ledger.record_delivery(none, 0);
@@ -124,15 +112,10 @@ TEST(LatencyLedgerTest, DisabledLedgerRecordsNothing) {
 
   ledger.set_enabled(true);
   ledger.record_delivery(overlay_ts(0), 0);
-#if PRISM_TELEMETRY_ENABLED
   EXPECT_EQ(ledger.histogram(LatencyStage::kEndToEnd, 0).count(), 1u);
-#endif
 }
 
 TEST(LatencyLedgerTest, IrqToPollAndSocketWaitAreSeparateAxes) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   LatencyLedger ledger;
   ledger.record_irq_to_poll(1234);
   ledger.record_socket_wait(5678, 1);
@@ -144,9 +127,6 @@ TEST(LatencyLedgerTest, IrqToPollAndSocketWaitAreSeparateAxes) {
 }
 
 TEST(LatencyLedgerTest, WindowsRotateAndMerge) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   // Interval 1000 ns, 4 windows.
   LatencyLedger ledger(/*window_interval=*/1000, /*window_capacity=*/4);
   // Two deliveries landing in window 0, one in window 2.
@@ -175,9 +155,6 @@ TEST(LatencyLedgerTest, WindowsRotateAndMerge) {
 }
 
 TEST(LatencyLedgerTest, WindowEvictionAndLateDropsAreCounted) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   LatencyLedger ledger(/*window_interval=*/1000, /*window_capacity=*/2);
   auto at = [](sim::Time enqueue_at) {
     kernel::SkbTimestamps ts;
@@ -198,9 +175,6 @@ TEST(LatencyLedgerTest, WindowEvictionAndLateDropsAreCounted) {
 }
 
 TEST(LatencyLedgerTest, MergedWindowsFiltersByClass) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   LatencyLedger ledger(1000, 4);
   auto at = [](sim::Time enqueue_at) {
     kernel::SkbTimestamps ts;
@@ -217,9 +191,6 @@ TEST(LatencyLedgerTest, MergedWindowsFiltersByClass) {
 }
 
 TEST(LatencyLedgerTest, DroppedInFlightCountsPerClass) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   LatencyLedger ledger;
   ledger.record_dropped(0);
   ledger.record_dropped(1);
@@ -244,9 +215,6 @@ TEST(LatencyLedgerTest, DroppedInFlightCountsPerClass) {
 }
 
 TEST(LatencyLedgerTest, ResetClearsDataKeepsConfig) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   LatencyLedger ledger(2000, 8);
   ledger.record_delivery(overlay_ts(0), 0);
   ledger.reset();
@@ -264,9 +232,6 @@ TEST(LatencyLedgerTest, RejectsInvalidConfig) {
 }
 
 TEST(LatencyLedgerTest, SnapshotRowsMatchHistograms) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   LatencyLedger ledger;
   for (int i = 0; i < 10; ++i) ledger.record_delivery(overlay_ts(i), 1);
   const auto b = ledger.snapshot();
@@ -286,23 +251,16 @@ TEST(LatencyLedgerTest, SnapshotRowsMatchHistograms) {
 
 TEST(LatencyLedgerTest, JsonIsWellFormedAndNamed) {
   LatencyLedger ledger;
-#if PRISM_TELEMETRY_ENABLED
   ledger.record_delivery(overlay_ts(0), 0);
-#endif
   const std::string json = latency_json(ledger);
   EXPECT_TRUE(::prism::testing::is_valid_json(json)) << json;
   EXPECT_NE(json.find("\"stages\""), std::string::npos);
   EXPECT_NE(json.find("\"windows\""), std::string::npos);
-#if PRISM_TELEMETRY_ENABLED
   EXPECT_NE(json.find("\"ring_wait\""), std::string::npos);
   EXPECT_NE(json.find("\"end_to_end\""), std::string::npos);
-#endif
 }
 
 TEST(LatencyLedgerTest, RenderedTablesAreNonEmpty) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   LatencyLedger ledger(1000, 4);
   kernel::SkbTimestamps ts = overlay_ts(0);
   ledger.record_delivery(ts, 0);

@@ -88,7 +88,6 @@ TEST(RollupTest, MergedLatencyCountsEqualSumOfHosts) {
   write_merged_latency_json(w, {&a, &b, nullptr});
   const std::string doc = w.take();
   EXPECT_NE(doc.find("\"hosts\":2"), npos) << doc;
-#if PRISM_TELEMETRY_ENABLED
   const auto& ha = a.histogram(LatencyStage::kIrqToPoll, 0);
   const auto& hb = b.histogram(LatencyStage::kIrqToPoll, 0);
   ASSERT_EQ(ha.count() + hb.count(), 3u);
@@ -96,21 +95,12 @@ TEST(RollupTest, MergedLatencyCountsEqualSumOfHosts) {
   // exact sum across both hosts.
   EXPECT_NE(doc.find("\"count\":3"), npos) << doc;
   EXPECT_NE(doc.find("\"sum_ns\":4500"), npos) << doc;
-#else
-  // Recording compiles out: no stage rows at all.
-  EXPECT_NE(doc.find("\"stages\":[]"), npos) << doc;
-#endif
 }
 
 TEST(RollupTest, LanesJsonWithoutProfilerIsAnHonestStub) {
   const std::string doc = lanes_json(nullptr);
   EXPECT_NE(doc.find("\"attached\":false"), npos) << doc;
   EXPECT_NE(doc.find("\"rounds\":0"), npos) << doc;
-#if PRISM_TELEMETRY_ENABLED
-  EXPECT_NE(doc.find("\"compiled_in\":true"), npos) << doc;
-#else
-  EXPECT_NE(doc.find("\"compiled_in\":false"), npos) << doc;
-#endif
 }
 
 }  // namespace

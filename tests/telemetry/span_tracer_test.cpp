@@ -33,9 +33,6 @@ TEST(SpanTracerTest, InternIsStable) {
 }
 
 TEST(SpanTracerTest, RecordsSpansOldestFirst) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out: span() records nothing";
-#endif
   SpanTracer tracer;
   const auto id = tracer.intern("poll");
   tracer.span(0, id, 100, 50, 7);
@@ -58,9 +55,6 @@ TEST(SpanTracerTest, RecordsSpansOldestFirst) {
 }
 
 TEST(SpanTracerTest, RingOverwritesOldestWhenFull) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out: span() records nothing";
-#endif
   SpanTracer tracer(4);
   const auto id = tracer.intern("poll");
   for (sim::Time t = 0; t < 10; ++t) tracer.span(0, id, t, 1);
@@ -75,9 +69,6 @@ TEST(SpanTracerTest, RingOverwritesOldestWhenFull) {
 }
 
 TEST(SpanTracerTest, ClearResetsRingAndCountersNotNames) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out: span() records nothing";
-#endif
   SpanTracer tracer(4);
   const auto id = tracer.intern("poll");
   for (int i = 0; i < 6; ++i) tracer.span(0, id, i, 1);
@@ -93,9 +84,6 @@ TEST(SpanTracerTest, ZeroCapacityIsRejected) {
 }
 
 TEST(SpanTracerTest, ChromeExportIsWellFormedJson) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out: span() records nothing";
-#endif
   SpanTracer tracer;
   tracer.set_track_label(0, "server.cpu0");
   tracer.set_track_label(1, "server.cpu1");
@@ -122,9 +110,6 @@ TEST(SpanTracerTest, ChromeExportIsWellFormedJson) {
 }
 
 TEST(SpanTracerTest, ChromeExportTimesAreMicroseconds) {
-#if !PRISM_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out: span() records nothing";
-#endif
   SpanTracer tracer;
   const auto id = tracer.intern("poll");
   tracer.span(0, id, sim::microseconds(3), sim::microseconds(2));
