@@ -91,7 +91,7 @@ void MemaslapClient::finish_rx() {
     rx_busy_ = false;
     return;
   }
-  if (const auto resp = decode_kv_response(d->payload)) {
+  if (const auto resp = decode_kv_response(d->payload())) {
     const auto it = in_flight_.find(resp->probe.seq);
     if (it != in_flight_.end()) {
       const int slot = it->second;

@@ -120,9 +120,9 @@ void MemcachedServer::finish_one() {
     return;
   }
   const auto& cost = cfg_.host->cost();
-  sim::Duration work = cost.copy_cost(d->payload.size());
+  sim::Duration work = cost.copy_cost(d->payload().size());
 
-  const auto req = decode_kv_request(d->payload);
+  const auto req = decode_kv_request(d->payload());
   if (req) {
     KvResponse resp;
     resp.probe = req->probe;

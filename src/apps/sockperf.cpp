@@ -38,15 +38,15 @@ void SockperfServer::finish_one() {
   // Copy cost for the actual payload, charged as part of this request's
   // handling (the recv syscall's copy_to_user).
   const auto& cost = cfg_.host->cost();
-  const sim::Duration copy = cost.copy_cost(d->payload.size());
+  const sim::Duration copy = cost.copy_cost(d->payload().size());
 
-  const auto probe = decode_probe(d->payload);
+  const auto probe = decode_probe(d->payload());
   const bool reply = probe.has_value() && probe->reply;
   if (reply) {
     ++echoed_;
     // sendto with the same payload (sockperf echoes verbatim).
     cfg_.host->udp_send(*cfg_.ns, *cfg_.cpu, cfg_.port, d->src_ip,
-                        d->src_port, d->payload);
+                        d->src_port, d->payload());
   }
   // Account the copy, then continue draining or go back to blocking.
   cfg_.cpu->run_task(copy, [this] {
@@ -197,7 +197,7 @@ void SockperfClient::finish_rx(Thread& t) {
     t.rx_busy = false;
     return;
   }
-  if (const auto probe = decode_probe(d->payload)) {
+  if (const auto probe = decode_probe(d->payload())) {
     if (cfg_.reply_timeout > 0) {
       // With retransmission a seq can be echoed more than once; only the
       // first echo closes the probe and counts toward the measurement.

@@ -49,7 +49,7 @@ enum class DropReason : int {
   kRingFull,     // NIC RX ring at capacity (natural or forced)
   kMalformed,    // failed parse / bad checksum / bad length at the NIC stage
   kUnroutable,   // parsed fine but no bridge / not addressed to this host
-  kAllocFail,    // SkbPool or BufferPool refused an allocation
+  kAllocFail,    // skb or socket receive-memory allocation refused
   kBacklogFull,  // per-CPU backlog (netdev_max_backlog) at capacity
   kFdbMiss,      // bridge FDB had no entry for the inner dst MAC
   kNullNetns,    // backlog stage got an skb with no destination namespace
@@ -146,7 +146,9 @@ struct FaultConfig {
   /// Probability that a backlog enqueue is treated as backlog-full.
   double backlog_full_rate = 0.0;
 
-  /// Allocation-failure injection (pool starvation).
+  /// Allocation-failure injection: skb allocation in the NIC driver
+  /// poll (SkbPool starvation), and receive-memory admission at socket
+  /// delivery (the kernel's sk_rmem failure).
   double skb_alloc_fail_rate = 0.0;
   double buf_alloc_fail_rate = 0.0;
 

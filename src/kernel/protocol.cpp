@@ -1,11 +1,8 @@
 #include "kernel/protocol.h"
 
-#include <algorithm>
-
 #include "fault/fault.h"
 #include "kernel/overload.h"
 #include "kernel/socket.h"
-#include "sim/pool.h"
 #include "kernel/tcp.h"
 #include "net/flow.h"
 #include "overlay/netns.h"
@@ -29,19 +26,19 @@ sim::Duration SocketDeliverer::deliver(Skb& skb, sim::Time at,
   skb.ts.socket_enqueue = at;
   probe_->deliver(skb, at);
   sim::Duration extra =
-      deliver_frame(skb, skb.buf.bytes(), skb.parsed ? &*skb.parsed : nullptr,
-                    at, ns, skb.gro_chain.empty());
+      deliver_frame(skb, skb.buf, skb.parsed ? &*skb.parsed : nullptr, at,
+                    ns, skb.gro_chain.empty());
   for (std::size_t i = 0; i < skb.gro_chain.size(); ++i) {
-    extra += deliver_frame(skb, skb.gro_chain[i].bytes(), nullptr, at, ns,
+    extra += deliver_frame(skb, skb.gro_chain[i], nullptr, at, ns,
                            i + 1 == skb.gro_chain.size());
   }
   return extra;
 }
 
 sim::Duration SocketDeliverer::deliver_frame(
-    const Skb& skb, std::span<const std::uint8_t> frame,
-    const net::ParsedFrame* pre_parsed, sim::Time at, overlay::Netns& ns,
-    bool final_frame) {
+    const Skb& skb, net::PacketBuf& buf, const net::ParsedFrame* pre_parsed,
+    sim::Time at, overlay::Netns& ns, bool final_frame) {
+  const std::span<const std::uint8_t> frame = buf.bytes();
   net::ParsedFrame local;
   if (pre_parsed == nullptr && net::parse_frame_into(frame, local)) {
     pre_parsed = &local;
@@ -76,9 +73,9 @@ sim::Duration SocketDeliverer::deliver_frame(
       return 0;
     }
     if (faults_ != nullptr && faults_->plan.buf_alloc_fails()) {
-      // Injected BufferPool starvation at the socket-buffer copy: the
-      // kernel's sk_rmem allocation failure, dropped before any datagram
-      // state exists.
+      // Injected receive-memory starvation at socket-buffer admission:
+      // the kernel's sk_rmem allocation failure, dropped before any
+      // datagram state exists.
       probe_->drop_frame(fault::DropReason::kAllocFail, skb, *parsed,
                          frame.size(), at);
       return 0;
@@ -86,9 +83,11 @@ sim::Duration SocketDeliverer::deliver_frame(
     Datagram d;
     d.src_ip = parsed->ip.src;
     d.src_port = parsed->udp->src_port;
-    d.payload = sim::BufferPool::instance().acquire(parsed->l4_payload.size());
-    std::copy(parsed->l4_payload.begin(), parsed->l4_payload.end(),
-              d.payload.begin());
+    // The frame's block becomes the datagram, trimmed to the UDP payload
+    // in place; the parse still points into the same, unmoved bytes.
+    d.buf = std::move(buf);
+    d.buf.pop_front(parsed->l4_payload_offset);
+    d.buf.truncate(parsed->l4_payload.size());
     d.high_priority = skb.high_priority();
     d.priority = skb.priority;
     d.ts = skb.ts;

@@ -3,7 +3,7 @@
 // Both the single-stage host path (inside the NIC driver poll) and the
 // last overlay stage (the backlog/veth poll) end here: the frame's
 // transport header selects a UDP socket or TCP endpoint in the destination
-// namespace and the payload crosses into the socket buffer.
+// namespace, and a UDP frame's block crosses into the socket buffer.
 #pragma once
 
 #include <cstdint>
@@ -70,10 +70,11 @@ class SocketDeliverer {
   }
 
  private:
-  /// `pre_parsed` (optional) is the caller's existing parse of `frame` —
-  /// the skb's cached head-frame parse — reused instead of re-parsing.
-  sim::Duration deliver_frame(const Skb& skb,
-                              std::span<const std::uint8_t> frame,
+  /// `frame` is the skb's head buffer or one of its GRO-chain buffers; a
+  /// UDP frame's block moves into the queued datagram. `pre_parsed`
+  /// (optional) is the caller's existing parse of `frame` — the skb's
+  /// cached head-frame parse — reused instead of re-parsing.
+  sim::Duration deliver_frame(const Skb& skb, net::PacketBuf& frame,
                               const net::ParsedFrame* pre_parsed,
                               sim::Time at, overlay::Netns& ns,
                               bool final_frame);

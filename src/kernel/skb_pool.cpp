@@ -33,9 +33,10 @@ SkbPool& SkbPool::instance() noexcept {
 SkbPool::Handle SkbPool::acquire() { return Handle(pool_.acquire()); }
 
 void SkbPool::release(Skb* skb) {
-  // Scrub back to the default-constructed state. The PacketBuf assignments
-  // recycle the byte storage into the BufferPool; gro_chain keeps its
-  // vector capacity (clear, not shrink) so re-merging costs nothing.
+  // Scrub back to the default-constructed state. Dropping the PacketBufs
+  // returns their frame blocks to the BufferPool (an skb whose frame went
+  // to a socket holds none); gro_chain keeps its vector capacity (clear,
+  // not shrink) so re-merging costs nothing.
   skb->buf = net::PacketBuf{};
   skb->priority = 0;
   skb->segments = 1;

@@ -37,7 +37,7 @@ void UdpSocket::enqueue(Datagram d, sim::Time at) {
     if (queue_.size() >= capacity_) {
       dropped_.inc();
       probe_->drop(fault::DropReason::kRcvbufFull, d.priority);
-      // Returning destroys the datagram, recycling its payload storage
+      // Returning destroys the datagram, recycling its frame block
       // through the BufferPool.
       return;
     }
@@ -51,7 +51,7 @@ void UdpSocket::enqueue(Datagram d, sim::Time at) {
 void UdpSocket::close() {
   if (closed_) return;
   closed_ = true;
-  queue_.clear();  // datagram dtors recycle payload storage
+  queue_.clear();  // datagram dtors recycle their frame blocks
   depth_.set(0);
 }
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -16,7 +17,6 @@
 #include "kernel/skb.h"
 #include "net/flow.h"
 #include "net/ip.h"
-#include "sim/pool.h"
 #include "sim/ring.h"
 #include "sim/simulator.h"
 #include "telemetry/metrics.h"
@@ -27,9 +27,10 @@ class TcpEndpoint;
 
 /// One received datagram as seen above the socket layer.
 ///
-/// The payload's storage is recycled through sim::BufferPool when the
-/// datagram is destroyed, so the deliver -> recv -> drop cycle of the
-/// steady state reuses one heap block per in-flight datagram.
+/// The datagram holds the received frame's own block, trimmed to the UDP
+/// payload: the deliverer hands the frame over instead of copying its
+/// payload, and the block returns to sim::BufferPool when the datagram is
+/// destroyed.
 ///
 /// Size budget: 112 bytes. UdpSocket::enqueue defers the datagram to its
 /// socket-arrival instant in an event capturing [this, d], which must fit
@@ -38,18 +39,16 @@ class TcpEndpoint;
 struct Datagram {
   net::Ipv4Addr src_ip;
   std::uint16_t src_port = 0;
-  std::vector<std::uint8_t> payload;
+  net::PacketBuf buf;          ///< frame block, trimmed to the payload
   bool high_priority = false;  ///< PRISM classification (diagnostic)
   int priority = 0;            ///< PRISM priority level (diagnostic)
   SkbTimestamps ts;            ///< pipeline timestamps, socket_enqueue
                                ///< included (set by the caller)
 
-  Datagram() = default;
-  Datagram(const Datagram&) = default;
-  Datagram& operator=(const Datagram&) = default;
-  Datagram(Datagram&&) = default;
-  Datagram& operator=(Datagram&&) = default;
-  ~Datagram() { sim::BufferPool::instance().release(std::move(payload)); }
+  /// The UDP payload.
+  std::span<const std::uint8_t> payload() const noexcept {
+    return buf.bytes();
+  }
 };
 
 /// UDP socket with a bounded receive buffer.
@@ -84,8 +83,8 @@ class UdpSocket {
   std::uint64_t received() const noexcept { return received_.value(); }
   std::uint64_t dropped() const noexcept { return dropped_.value(); }
 
-  /// Closes the socket: purges queued datagrams (their payload storage
-  /// recycles through the BufferPool) and refuses every later enqueue as
+  /// Closes the socket: purges queued datagrams (their frame blocks
+  /// recycle through the BufferPool) and refuses every later enqueue as
   /// a counted kDeadNetns drop. Called when the owning namespace finishes
   /// draining; received() is frozen from this instant.
   void close();

@@ -5,30 +5,8 @@
 
 #include "net/headers.h"
 #include "overlay/netns.h"
-#include "sim/pool.h"
 
 namespace prism::kernel {
-
-namespace {
-
-/// An in-order receive chunk on its way to on_data. The storage comes
-/// from the BufferPool and goes back when the delivery event is
-/// destroyed: after on_data has run, or unrun at teardown.
-struct PooledChunk {
-  std::vector<std::uint8_t> bytes;
-
-  explicit PooledChunk(std::span<const std::uint8_t> first)
-      : bytes(sim::BufferPool::instance().acquire(first.size())) {
-    std::copy(first.begin(), first.end(), bytes.begin());
-  }
-  PooledChunk(PooledChunk&&) noexcept = default;
-  PooledChunk(const PooledChunk&) = delete;
-  PooledChunk& operator=(const PooledChunk&) = delete;
-  PooledChunk& operator=(PooledChunk&&) = delete;
-  ~PooledChunk() { sim::BufferPool::instance().release(std::move(bytes)); }
-};
-
-}  // namespace
 
 TcpEndpoint::TcpEndpoint(sim::Simulator& sim, const CostModel& cost,
                          Config config)
@@ -107,37 +85,47 @@ sim::Duration TcpEndpoint::handle_segment(
   if ((header.flags & net::TcpFlags::kAck) != 0 &&
       seq_gt(header.ack, snd_una_)) {
     const std::uint32_t acked = header.ack - snd_una_;
-    const std::size_t drop =
-        std::min<std::size_t>(acked, rtx_buffer_.size());
-    rtx_buffer_.erase(rtx_buffer_.begin(),
-                      rtx_buffer_.begin() +
-                          static_cast<std::ptrdiff_t>(drop));
+    rtx_head_ += std::min<std::size_t>(acked, unacked_bytes());
+    if (rtx_head_ == rtx_buffer_.size()) {
+      rtx_buffer_.clear();
+      rtx_head_ = 0;
+    } else if (2 * rtx_head_ > rtx_buffer_.size()) {
+      rtx_buffer_.erase(rtx_buffer_.begin(),
+                        rtx_buffer_.begin() +
+                            static_cast<std::ptrdiff_t>(rtx_head_));
+      rtx_head_ = 0;
+    }
     snd_una_ = header.ack;
-    // Restart (or clear) the retransmission timer.
-    ++rto_epoch_;
-    rto_armed_ = false;
-    if (!rtx_buffer_.empty()) arm_rto();
+    // Restart (or stop) the retransmission timer.
+    rto_deadline_ = -1;
+    arm_rto();
   }
 
   // --- data processing (receiver side) --------------------------------
   if (!payload.empty()) {
     if (header.seq == rcv_nxt_) {
-      PooledChunk ready(payload);
       rcv_nxt_ += static_cast<std::uint32_t>(payload.size());
-      // Pull any now-contiguous out-of-order chunks.
-      for (auto it = ooo_.begin(); it != ooo_.end();) {
-        if (it->first != rcv_nxt_) break;
-        rcv_nxt_ += static_cast<std::uint32_t>(it->second.size());
-        ready.bytes.insert(ready.bytes.end(), it->second.begin(),
-                           it->second.end());
-        it = ooo_.erase(it);
+      // Size the chunk for the now-contiguous out-of-order tail too, so
+      // it takes one pooled block.
+      std::size_t tail = 0;
+      auto it = ooo_.begin();
+      for (std::uint32_t next = rcv_nxt_;
+           it != ooo_.end() && it->first == next; ++it) {
+        next += static_cast<std::uint32_t>(it->second.size());
+        tail += it->second.size();
       }
-      delivered_ += ready.bytes.size();
+      net::PacketBuf chunk = net::PacketBuf::with_headroom(0, payload, tail);
+      for (auto o = ooo_.begin(); o != it; ++o) chunk.append(o->second);
+      rcv_nxt_ += static_cast<std::uint32_t>(tail);
+      ooo_.erase(ooo_.begin(), it);
+      delivered_ += chunk.size();
       if (on_data) {
-        sim_.schedule_at(at, [this, chunk = std::move(ready), at] {
-          on_data(chunk.bytes, at);
+        // The block returns to the pool when the event is destroyed:
+        // after on_data has run, or unrun at teardown.
+        sim_.schedule_at(at, [this, chunk = std::move(chunk), at] {
+          on_data(chunk.bytes(), at);
         });
-      }  // else the chunk's storage returns to the pool here
+      }  // else the chunk's block returns to the pool here
     } else if (seq_gt(header.seq, rcv_nxt_)) {
       ooo_.emplace(header.seq,
                    std::vector<std::uint8_t>(payload.begin(),
@@ -161,26 +149,33 @@ void TcpEndpoint::send_ack(sim::Time at) {
 }
 
 void TcpEndpoint::arm_rto() {
-  if (rto_armed_ || rtx_buffer_.empty()) return;
-  rto_armed_ = true;
-  const std::uint64_t epoch = rto_epoch_;
-  sim_.schedule(cfg_.rto, [this, epoch] {
-    if (epoch == rto_epoch_) on_rto();
-  });
+  if (rto_deadline_ >= 0 || unacked_bytes() == 0) return;
+  rto_deadline_ = sim_.now() + cfg_.rto;
+  if (!rto_queued_) queue_rto_timer(rto_deadline_);
+}
+
+void TcpEndpoint::queue_rto_timer(sim::Time at) {
+  rto_queued_ = true;
+  sim_.schedule_at(at, [this] { on_rto(); });
 }
 
 void TcpEndpoint::on_rto() {
-  rto_armed_ = false;
-  if (rtx_buffer_.empty()) return;
+  rto_queued_ = false;
+  if (rto_deadline_ < 0) return;  // stopped: everything was acked
+  if (sim_.now() < rto_deadline_) {
+    queue_rto_timer(rto_deadline_);  // an ACK moved the deadline
+    return;
+  }
+  rto_deadline_ = -1;
   ++retransmits_;
   // Go-back-N from snd_una, bounded to one 64 KB window per timeout so a
   // timeout burst cannot flood the link.
-  const std::size_t window = std::min<std::size_t>(rtx_buffer_.size(),
+  const std::size_t window = std::min<std::size_t>(unacked_bytes(),
                                                    64 * 1024);
   transmit_range(snd_una_,
-                 std::span<const std::uint8_t>(rtx_buffer_.data(), window),
+                 std::span<const std::uint8_t>(
+                     rtx_buffer_.data() + rtx_head_, window),
                  sim_.now());
-  ++rto_epoch_;
   arm_rto();
 }
 

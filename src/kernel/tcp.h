@@ -92,13 +92,21 @@ class TcpEndpoint {
   std::uint64_t bytes_delivered() const noexcept { return delivered_; }
   std::uint64_t retransmissions() const noexcept { return retransmits_; }
   std::uint64_t acks_sent() const noexcept { return acks_sent_; }
-  std::size_t unacked_bytes() const noexcept { return rtx_buffer_.size(); }
+  std::size_t unacked_bytes() const noexcept {
+    return rtx_buffer_.size() - rtx_head_;
+  }
 
  private:
   void transmit_range(std::uint32_t from_seq,
                       std::span<const std::uint8_t> data, sim::Time at);
   void send_ack(sim::Time at);
+  /// Starts the retransmission timer (deadline now + rto) unless it runs
+  /// already or nothing is unacked.
   void arm_rto();
+  /// Queues the one timer event at `at`.
+  void queue_rto_timer(sim::Time at);
+  /// The timer event: re-queues itself at a deadline that an ACK moved
+  /// later, and retransmits once the deadline is reached.
   void on_rto();
   net::PacketBuf build_segment(std::uint32_t seq,
                                std::span<const std::uint8_t> payload,
@@ -115,9 +123,16 @@ class TcpEndpoint {
   // Sender state.
   std::uint32_t snd_nxt_ = 1;
   std::uint32_t snd_una_ = 1;
-  std::vector<std::uint8_t> rtx_buffer_;  ///< unacked bytes from snd_una_
-  std::uint64_t rto_epoch_ = 0;           ///< invalidates stale timers
-  bool rto_armed_ = false;
+  /// Sent bytes; the unacked ones (from snd_una_) start at rtx_head_.
+  /// ACKs advance the head, and the acked prefix is cut off once it is
+  /// more than half the buffer.
+  std::vector<std::uint8_t> rtx_buffer_;
+  std::size_t rtx_head_ = 0;
+  /// Retransmission deadline, -1 while the timer is stopped. As with
+  /// Linux's mod_timer(), an ACK moves the deadline instead of queueing
+  /// another timer event; at most one event is queued (rto_queued_).
+  sim::Time rto_deadline_ = -1;
+  bool rto_queued_ = false;
 
   // Receiver state.
   std::uint32_t rcv_nxt_ = 1;

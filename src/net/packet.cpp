@@ -1,100 +1,86 @@
 #include "net/packet.h"
 
-#include <algorithm>
+#include <cstring>
 #include <stdexcept>
-#include <utility>
-
-#include "sim/pool.h"
 
 namespace prism::net {
 
-PacketBuf& PacketBuf::operator=(PacketBuf&& other) noexcept {
-  if (this != &other) {
-    recycle_storage();
-    data_ = std::move(other.data_);
-    offset_ = other.offset_;
-    other.offset_ = 0;
+namespace {
+
+/// A pooled block holding `data` behind `headroom` free bytes, with at
+/// least `tailroom` free bytes after it.
+sim::FrameBlock* block_with(std::size_t headroom,
+                            std::span<const std::uint8_t> data,
+                            std::size_t tailroom) {
+  sim::FrameBlock* block =
+      sim::BufferPool::instance().acquire(headroom + data.size() + tailroom);
+  block->begin = static_cast<std::uint32_t>(headroom);
+  block->end = static_cast<std::uint32_t>(headroom + data.size());
+  if (!data.empty()) {
+    std::memcpy(block->bytes() + headroom, data.data(), data.size());
   }
-  return *this;
+  return block;
 }
+
+}  // namespace
 
 PacketBuf::PacketBuf(const PacketBuf& other)
-    : data_(sim::BufferPool::instance().acquire(other.data_.size())),
-      offset_(other.offset_) {
-  std::copy(other.data_.begin(), other.data_.end(), data_.begin());
-}
+    : block_(other.block_ == nullptr
+                 ? nullptr
+                 : block_with(other.headroom(), other.bytes(), 0)) {}
 
 PacketBuf& PacketBuf::operator=(const PacketBuf& other) {
-  if (this != &other) {
-    if (data_.capacity() == 0) {
-      data_ = sim::BufferPool::instance().acquire(other.data_.size());
-    } else {
-      data_.resize(other.data_.size());
-    }
-    std::copy(other.data_.begin(), other.data_.end(), data_.begin());
-    offset_ = other.offset_;
-  }
+  if (this != &other) *this = PacketBuf(other);
   return *this;
 }
 
-PacketBuf::~PacketBuf() { recycle_storage(); }
-
-void PacketBuf::recycle_storage() noexcept {
-  if (data_.capacity() != 0) {
-    sim::BufferPool::instance().release(std::move(data_));
-    data_ = std::vector<std::uint8_t>{};
-  }
-  offset_ = 0;
+void PacketBuf::release_block() noexcept {
+  sim::BufferPool::instance().release(block_);
+  block_ = nullptr;
 }
 
 PacketBuf PacketBuf::with_headroom(std::size_t headroom,
-                                   std::span<const std::uint8_t> payload) {
+                                   std::span<const std::uint8_t> payload,
+                                   std::size_t tailroom) {
   PacketBuf p;
-  p.reset(headroom, payload);
+  p.block_ = block_with(headroom, payload, tailroom);
   return p;
 }
 
-void PacketBuf::reset(std::size_t headroom,
-                      std::span<const std::uint8_t> payload) {
-  if (data_.capacity() == 0) {
-    data_ = sim::BufferPool::instance().acquire(headroom + payload.size());
-  } else {
-    data_.resize(headroom + payload.size());
-  }
-  std::copy(payload.begin(), payload.end(),
-            data_.begin() + static_cast<std::ptrdiff_t>(headroom));
-  offset_ = headroom;
-}
-
 void PacketBuf::push_front(std::span<const std::uint8_t> header) {
-  if (header.size() <= offset_) {
-    offset_ -= header.size();
-    std::copy(header.begin(), header.end(),
-              data_.begin() + static_cast<std::ptrdiff_t>(offset_));
-    return;
+  if (block_ == nullptr || header.size() > block_->begin) {
+    // Not enough headroom: move to a block with room for this header plus
+    // a double encapsulation reserve, so stacking further layers onto the
+    // same frame never pays for a second move.
+    sim::FrameBlock* grown =
+        block_with(2 * kEncapHeadroom + header.size(), bytes(), 0);
+    drop();
+    block_ = grown;
   }
-  // Not enough headroom: rebuild with room for this header plus a double
-  // encapsulation reserve, so stacking further layers onto the same frame
-  // never pays for a second reallocation.
-  const std::size_t new_headroom = 2 * kEncapHeadroom;
-  std::vector<std::uint8_t> grown = sim::BufferPool::instance().acquire(
-      new_headroom + header.size() + size());
-  std::copy(header.begin(), header.end(),
-            grown.begin() + static_cast<std::ptrdiff_t>(new_headroom));
-  const auto old = bytes();
-  std::copy(old.begin(), old.end(),
-            grown.begin() +
-                static_cast<std::ptrdiff_t>(new_headroom + header.size()));
-  sim::BufferPool::instance().release(std::move(data_));
-  data_ = std::move(grown);
-  offset_ = new_headroom;
+  block_->begin -= static_cast<std::uint32_t>(header.size());
+  if (!header.empty()) {
+    std::memcpy(block_->bytes() + block_->begin, header.data(),
+                header.size());
+  }
 }
 
 void PacketBuf::pop_front(std::size_t n) {
   if (n > size()) {
     throw std::out_of_range("PacketBuf::pop_front: beyond packet end");
   }
-  offset_ += n;
+  if (block_ != nullptr) block_->begin += static_cast<std::uint32_t>(n);
+}
+
+void PacketBuf::append(std::span<const std::uint8_t> tail) {
+  if (block_ == nullptr || block_->capacity - block_->end < tail.size()) {
+    sim::FrameBlock* grown = block_with(headroom(), bytes(), tail.size());
+    drop();
+    block_ = grown;
+  }
+  if (!tail.empty()) {
+    std::memcpy(block_->bytes() + block_->end, tail.data(), tail.size());
+  }
+  block_->end += static_cast<std::uint32_t>(tail.size());
 }
 
 namespace {

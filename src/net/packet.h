@@ -1,17 +1,19 @@
 // Packet buffers and frame assembly.
 //
-// A PacketBuf is a contiguous byte buffer with reserved headroom, mirroring
-// the kernel's sk_buff data area: encapsulation prepends headers into the
-// headroom without copying the payload; decapsulation strips them by
-// advancing the data offset.
+// A PacketBuf is a handle to a contiguous pooled byte block with reserved
+// headroom, mirroring the kernel's sk_buff data area: encapsulation
+// prepends headers into the headroom without copying the payload;
+// decapsulation strips them by advancing the data offset.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "net/headers.h"
+#include "sim/pool.h"
 
 namespace prism::net {
 
@@ -24,32 +26,39 @@ constexpr std::size_t kEncapHeadroom = EthernetHeader::kSize +
                                        Ipv4Header::kSize + UdpHeader::kSize +
                                        VxlanHeader::kSize;
 
-/// Byte buffer with headroom, the payload carrier of every simulated
-/// packet.
+/// Handle to one pooled frame block, the payload carrier of every
+/// simulated packet.
 ///
-/// Storage is recycled through sim::BufferPool: construction acquires a
-/// previously used heap block when one is parked, destruction returns the
-/// block to the pool. A warm steady-state packet loop therefore builds
-/// frames without touching the allocator.
+/// A PacketBuf is one pointer to a sim::FrameBlock from sim::BufferPool.
+/// The block travels, never copied, from the sender's frame build through
+/// the wire, the NIC ring and the skb into the socket's datagram; a move
+/// steals the pointer, and the handle that still holds the block when it
+/// dies returns it to the pool. Copies are deep (the fault injector's
+/// duplicated frame is a second block).
 class PacketBuf {
  public:
-  PacketBuf() = default;
+  PacketBuf() noexcept = default;
 
   PacketBuf(PacketBuf&& other) noexcept
-      : data_(std::move(other.data_)), offset_(other.offset_) {
-    other.offset_ = 0;
+      : block_(std::exchange(other.block_, nullptr)) {}
+  PacketBuf& operator=(PacketBuf&& other) noexcept {
+    if (this != &other) {
+      drop();
+      block_ = std::exchange(other.block_, nullptr);
+    }
+    return *this;
   }
-  PacketBuf& operator=(PacketBuf&& other) noexcept;
 
   PacketBuf(const PacketBuf& other);
   PacketBuf& operator=(const PacketBuf& other);
 
-  ~PacketBuf();
+  ~PacketBuf() { drop(); }
 
   /// Creates a buffer holding `payload` with `headroom` free bytes in
-  /// front.
+  /// front and at least `tailroom` free bytes behind.
   static PacketBuf with_headroom(std::size_t headroom,
-                                 std::span<const std::uint8_t> payload);
+                                 std::span<const std::uint8_t> payload,
+                                 std::size_t tailroom = 0);
 
   /// Creates a buffer holding `payload` with enough headroom for the
   /// packet's own L2-L4 headers plus one level of VXLAN encapsulation.
@@ -58,50 +67,60 @@ class PacketBuf {
     return with_headroom(kEncapHeadroom + 64, payload);
   }
 
-  /// Re-initialises this buffer in place to hold `payload` behind
-  /// `headroom` free bytes, reusing the existing storage capacity when it
-  /// suffices. `payload` must not alias this buffer's own storage.
-  void reset(std::size_t headroom, std::span<const std::uint8_t> payload);
-
-  /// Current packet bytes (post-headroom).
+  /// Current packet bytes (post-headroom). Empty when no block is held.
   std::span<const std::uint8_t> bytes() const noexcept {
-    return {data_.data() + offset_, data_.size() - offset_};
+    if (block_ == nullptr) return {};
+    return {block_->bytes() + block_->begin, block_->end - block_->begin};
   }
 
   /// Mutable view of the packet bytes, for in-place rewriting (fault
   /// injection bit-flips). Does not change the packet's length.
   std::span<std::uint8_t> mutable_bytes() noexcept {
-    return {data_.data() + offset_, data_.size() - offset_};
+    if (block_ == nullptr) return {};
+    return {block_->bytes() + block_->begin, block_->end - block_->begin};
   }
 
   /// Truncates the packet to its first `n` bytes (tail cut, as a link that
   /// clipped the frame would). No-op when n >= size().
   void truncate(std::size_t n) noexcept {
-    if (n < size()) data_.resize(offset_ + n);
+    if (n < size()) block_->end = block_->begin + static_cast<std::uint32_t>(n);
   }
 
-  std::size_t size() const noexcept { return data_.size() - offset_; }
+  std::size_t size() const noexcept {
+    return block_ == nullptr ? 0 : block_->end - block_->begin;
+  }
   bool empty() const noexcept { return size() == 0; }
 
   /// Prepends `header` to the packet. Uses headroom when available,
-  /// otherwise reallocates (with fresh headroom).
+  /// otherwise moves to a larger block (with fresh headroom).
   void push_front(std::span<const std::uint8_t> header);
 
   /// Strips `n` bytes from the front (e.g. decapsulation). Throws
   /// std::out_of_range if n > size().
   void pop_front(std::size_t n);
 
+  /// Appends `tail` behind the packet bytes. Uses tailroom when
+  /// available, otherwise moves to a larger block.
+  void append(std::span<const std::uint8_t> tail);
+
   /// Remaining headroom in bytes.
-  std::size_t headroom() const noexcept { return offset_; }
+  std::size_t headroom() const noexcept {
+    return block_ == nullptr ? 0 : block_->begin;
+  }
 
  private:
-  /// Returns the storage block to sim::BufferPool and leaves the buffer
+  /// Returns the block, if any, to sim::BufferPool and leaves the buffer
   /// empty.
-  void recycle_storage() noexcept;
+  void drop() noexcept {
+    if (block_ != nullptr) release_block();
+  }
+  void release_block() noexcept;
 
-  std::vector<std::uint8_t> data_;
-  std::size_t offset_ = 0;
+  sim::FrameBlock* block_ = nullptr;
 };
+
+static_assert(sizeof(PacketBuf) == sizeof(void*),
+              "a PacketBuf is one pointer to its frame block");
 
 /// Addressing for an L2+L3+L4 frame build.
 struct FrameSpec {

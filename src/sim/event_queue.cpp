@@ -2,24 +2,24 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 namespace prism::sim {
 
-void EventQueue::push(Time at, EventFn fn) {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = std::move(fn);
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(std::move(fn));
-  }
-  if (slot > kSlotMask || (next_seq_ >> (64 - kSlotBits)) != 0) {
+void EventQueue::add_chunk() {
+  const std::size_t base = chunks_.size() * kChunkSlots;
+  if ((next_seq_ >> (64 - kSlotBits)) != 0 ||
+      base + kChunkSlots > kSlotMask + 1) {
     throw std::length_error("EventQueue: key space exhausted");
   }
+  chunks_.push_back(std::make_unique<Chunk>());
+  free_slots_.reserve(base + kChunkSlots);
+  // Lowest index on top, so a fresh chunk fills front to back.
+  for (std::size_t i = kChunkSlots; i-- > 0;) {
+    free_slots_.push_back(static_cast<std::uint32_t>(base + i));
+  }
+}
 
+void EventQueue::link(Time at, std::uint32_t slot) {
   // Sift up by moving a "hole" toward the root: each displaced parent is
   // moved exactly once instead of being swapped.
   const Entry e{at, (next_seq_++ << kSlotBits) | slot};
@@ -34,10 +34,8 @@ void EventQueue::push(Time at, EventFn fn) {
   heap_[i] = e;
 }
 
-EventFn EventQueue::pop() {
+void EventQueue::run_next() {
   const std::uint32_t slot = heap_.front().slot();
-  EventFn fn = std::move(slots_[slot]);
-  free_slots_.push_back(slot);
 
   const Entry last = heap_.back();
   heap_.pop_back();
@@ -60,12 +58,21 @@ EventFn EventQueue::pop() {
     }
     heap_[i] = last;
   }
-  return fn;
+
+  // The slot stays taken while its callback runs, so the callback's own
+  // pushes land elsewhere; it is destroyed and freed on return or throw.
+  try {
+    cell_of(slot)();
+  } catch (...) {
+    retire(slot);
+    throw;
+  }
+  retire(slot);
 }
 
 void EventQueue::clear() {
   heap_.clear();
-  slots_.clear();
+  chunks_.clear();
   free_slots_.clear();
   next_seq_ = 0;
 }

@@ -46,8 +46,7 @@ class InlineFn<R(Args...), Capacity> {
     requires(!std::is_same_v<D, InlineFn> &&
              std::is_invocable_r_v<R, D&, Args...> && fits_inline<D>())
   InlineFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-    ops_ = &kOps<D>;
+    emplace(std::forward<F>(f));
   }
 
   InlineFn(InlineFn&& other) noexcept { steal(other); }
@@ -64,6 +63,18 @@ class InlineFn<R(Args...), Capacity> {
   InlineFn& operator=(const InlineFn&) = delete;
 
   ~InlineFn() { reset(); }
+
+  /// Destroys the held callable, then constructs `f` directly in this
+  /// object's storage — no temporary InlineFn, no relocation. If the
+  /// construction throws, the object is left empty.
+  template <typename F, typename D = std::decay_t<F>>
+    requires(!std::is_same_v<D, InlineFn> &&
+             std::is_invocable_r_v<R, D&, Args...> && fits_inline<D>())
+  void emplace(F&& f) {
+    reset();
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    ops_ = &kOps<D>;
+  }
 
   /// Destroys the held callable (no-op when empty).
   void reset() noexcept {

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 namespace prism::sim {
@@ -103,13 +104,32 @@ class ObjectPool {
   PoolStats stats_;
 };
 
-/// Per-thread free list of byte buffers backing net::PacketBuf.
+/// One pooled frame allocation: this header, then `capacity` bytes. The
+/// packet occupies [begin, end) of those bytes; the space in front of
+/// `begin` is headroom for prepended headers.
+struct alignas(16) FrameBlock {
+  std::uint32_t capacity = 0;
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
+
+  std::uint8_t* bytes() noexcept {
+    return reinterpret_cast<std::uint8_t*>(this + 1);
+  }
+  const std::uint8_t* bytes() const noexcept {
+    return reinterpret_cast<const std::uint8_t*>(this + 1);
+  }
+};
+
+/// Per-thread free list of the frame blocks behind net::PacketBuf.
 ///
-/// PacketBuf's storage vector is acquired here on construction and
-/// returned here on destruction, so the vector's heap block survives the
-/// PacketBuf that carried it and is re-issued to the next frame. Buffers
-/// larger than kMaxRetainedBytes are freed rather than parked so one
-/// jumbo frame cannot pin memory forever.
+/// A PacketBuf acquires its block here when a frame is built and returns
+/// it when the last handle lets go (after the socket hands the datagram
+/// to the application), so the block is re-issued to the next frame. A
+/// block keeps its capacity across reuse and is replaced only when a
+/// frame needs more. Blocks larger than kMaxRetainedBytes are freed
+/// rather than parked, so one jumbo frame cannot pin memory forever.
+/// Nothing is zero-filled: bytes outside what the caller writes are
+/// unspecified.
 class BufferPool {
  public:
   static constexpr std::size_t kDefaultMaxFree = 16384;
@@ -118,7 +138,7 @@ class BufferPool {
   /// The calling thread's instance — one pool per thread so parallel
   /// simulation lanes recycle without locks. The main thread's pool is
   /// never destroyed (PacketBufs with static storage duration may release
-  /// buffers during shutdown); lane workers free theirs at thread exit.
+  /// blocks during shutdown); lane workers free theirs at thread exit.
   static BufferPool& instance() noexcept;
 
   BufferPool() { free_.reserve(1024); }
@@ -126,47 +146,48 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Returns a buffer resized to `size` bytes. Recycled buffers keep
-  /// their capacity, so a warm pool resizes without reallocating. Byte
-  /// content beyond what the caller writes is unspecified.
-  std::vector<std::uint8_t> acquire(std::size_t size) {
+  ~BufferPool() { trim(); }
+
+  /// Returns a block of at least `capacity` bytes with begin == end == 0.
+  /// A parked block too small for `capacity` is freed and replaced by a
+  /// fresh one, which counts as `allocated`.
+  FrameBlock* acquire(std::size_t capacity) {
     ++stats_.acquired;
     if (enabled_ && !free_.empty()) {
-      std::vector<std::uint8_t> buf = std::move(free_.back());
+      FrameBlock* block = free_.back();
       free_.pop_back();
-      if (buf.capacity() >= size) {
+      if (block->capacity >= capacity) {
         ++stats_.reused;
-      } else {
-        ++stats_.allocated;  // resize below grows the heap block
+        block->begin = 0;
+        block->end = 0;
+        return block;
       }
-      buf.resize(size);
-      return buf;
+      destroy(block);
     }
     ++stats_.allocated;
-    return std::vector<std::uint8_t>(size);
+    return create(capacity);
   }
 
-  /// Parks a buffer's storage for reuse. Empty-capacity vectors carry no
-  /// heap block and are dropped silently.
-  void release(std::vector<std::uint8_t>&& storage) {
-    if (storage.capacity() == 0) return;
+  /// Parks `block` for reuse; frees it when the pool is disabled or
+  /// full, or the block is larger than kMaxRetainedBytes.
+  void release(FrameBlock* block) noexcept {
     if (!enabled_ || free_.size() >= max_free_ ||
-        storage.capacity() > kMaxRetainedBytes) {
+        block->capacity > kMaxRetainedBytes) {
       ++stats_.discarded;
-      return;  // storage frees on scope exit
+      destroy(block);
+      return;
     }
     ++stats_.released;
-    free_.push_back(std::move(storage));
+    free_.push_back(block);
   }
 
-  /// Frees every parked buffer.
-  void trim() {
+  /// Frees every parked block.
+  void trim() noexcept {
+    for (FrameBlock* block : free_) destroy(block);
     free_.clear();
-    free_.shrink_to_fit();
-    free_.reserve(1024);
   }
 
-  /// A disabled pool passes straight through to the allocator.
+  /// A disabled pool passes straight through to new/delete.
   void set_enabled(bool enabled) {
     enabled_ = enabled;
     if (!enabled_) trim();
@@ -179,7 +200,13 @@ class BufferPool {
   void reset_stats() noexcept { stats_.reset(); }
 
  private:
-  std::vector<std::vector<std::uint8_t>> free_;
+  static FrameBlock* create(std::size_t capacity) {
+    void* mem = ::operator new(sizeof(FrameBlock) + capacity);
+    return ::new (mem) FrameBlock{static_cast<std::uint32_t>(capacity), 0, 0};
+  }
+  static void destroy(FrameBlock* block) noexcept { ::operator delete(block); }
+
+  std::vector<FrameBlock*> free_;
   std::size_t max_free_ = kDefaultMaxFree;
   bool enabled_ = true;
   PoolStats stats_;

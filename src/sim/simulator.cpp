@@ -1,25 +1,12 @@
 #include "sim/simulator.h"
 
-#include <cassert>
-#include <utility>
-
 namespace prism::sim {
-
-void Simulator::schedule(Duration delay, EventFn fn) {
-  assert(delay >= 0 && "cannot schedule into the past");
-  queue_.push(now_ + (delay < 0 ? 0 : delay), std::move(fn));
-}
-
-void Simulator::schedule_at(Time at, EventFn fn) {
-  queue_.push(at < now_ ? now_ : at, std::move(fn));
-}
 
 void Simulator::run() {
   stopped_ = false;
   while (!queue_.empty() && !stopped_) {
     now_ = queue_.next_time();
-    EventFn fn = queue_.pop();
-    fn();
+    queue_.run_next();
     ++executed_;
   }
 }
@@ -28,8 +15,7 @@ void Simulator::run_until(Time deadline) {
   stopped_ = false;
   while (!queue_.empty() && !stopped_ && queue_.next_time() <= deadline) {
     now_ = queue_.next_time();
-    EventFn fn = queue_.pop();
-    fn();
+    queue_.run_next();
     ++executed_;
   }
   if (now_ < deadline && !stopped_) now_ = deadline;

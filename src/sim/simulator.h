@@ -6,7 +6,9 @@
 // simulation ever blocks or uses wall-clock time.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <utility>
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
@@ -26,13 +28,21 @@ class Simulator {
   /// Current simulated time.
   Time now() const noexcept { return now_; }
 
-  /// Schedules `fn` to run after `delay` (>= 0) from now.
-  void schedule(Duration delay, EventFn fn);
+  /// Schedules `fn` to run after `delay` (>= 0) from now. The callable
+  /// is built directly in its event-queue slot and runs there.
+  template <typename F>
+  void schedule(Duration delay, F&& fn) {
+    assert(delay >= 0 && "cannot schedule into the past");
+    queue_.push(now_ + (delay < 0 ? 0 : delay), std::forward<F>(fn));
+  }
 
   /// Schedules `fn` at absolute time `at`. Times in the past are clamped to
   /// now (the event fires on the current instant, after already-queued
   /// events for that instant).
-  void schedule_at(Time at, EventFn fn);
+  template <typename F>
+  void schedule_at(Time at, F&& fn) {
+    queue_.push(at < now_ ? now_ : at, std::forward<F>(fn));
+  }
 
   /// Runs until the event queue is empty or stop() is called.
   void run();

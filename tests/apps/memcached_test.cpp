@@ -77,7 +77,7 @@ TEST(MemcachedServerTest, GetAfterPreload) {
                            encode_kv_request(req));
   rig.drain();
   ASSERT_EQ(sock.received(), 1u);
-  const auto resp = decode_kv_response(sock.try_recv()->payload);
+  const auto resp = decode_kv_response(sock.try_recv()->payload());
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->status, KvStatus::kHit);
   EXPECT_EQ(resp->value.size(), 64u);
@@ -95,7 +95,7 @@ TEST(MemcachedServerTest, MissForUnknownKey) {
                            encode_kv_request(req));
   rig.drain();
   ASSERT_EQ(sock.received(), 1u);
-  EXPECT_EQ(decode_kv_response(sock.try_recv()->payload)->status,
+  EXPECT_EQ(decode_kv_response(sock.try_recv()->payload())->status,
             KvStatus::kMiss);
   EXPECT_EQ(rig.server.misses(), 1u);
 }
@@ -112,7 +112,7 @@ TEST(MemcachedServerTest, SetThenGet) {
                            encode_kv_request(set));
   rig.drain();
   ASSERT_EQ(sock.received(), 1u);
-  EXPECT_EQ(decode_kv_response(sock.try_recv()->payload)->status,
+  EXPECT_EQ(decode_kv_response(sock.try_recv()->payload())->status,
             KvStatus::kStored);
 
   KvRequest get;
@@ -123,7 +123,7 @@ TEST(MemcachedServerTest, SetThenGet) {
                            encode_kv_request(get));
   rig.drain();
   ASSERT_EQ(sock.received(), 2u);  // cumulative: set-ack + get response
-  const auto resp = decode_kv_response(sock.try_recv()->payload);
+  const auto resp = decode_kv_response(sock.try_recv()->payload());
   EXPECT_EQ(resp->status, KvStatus::kHit);
   EXPECT_EQ(resp->value, set.value);
 }

@@ -23,7 +23,7 @@ std::vector<std::uint8_t> bytes_of(const std::string& s) {
   return {s.begin(), s.end()};
 }
 
-std::string text_of(const std::vector<std::uint8_t>& v) {
+std::string text_of(std::span<const std::uint8_t> v) {
   return {v.begin(), v.end()};
 }
 
@@ -36,7 +36,7 @@ TEST(EndToEndTest, HostPathUdpDelivery) {
   ASSERT_EQ(sock.received(), 1u);
   const auto d = sock.try_recv();
   ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(text_of(d->payload), "native hello");
+  EXPECT_EQ(text_of(d->payload()), "native hello");
   EXPECT_EQ(d->src_ip, tb.client().ip());
   EXPECT_EQ(d->src_port, 5555);
   // Single-stage path: bridge/backlog never touched.
@@ -56,7 +56,7 @@ TEST(EndToEndTest, OverlayUdpCrossHost) {
   ASSERT_EQ(sock.received(), 1u);
   const auto d = sock.try_recv();
   ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(text_of(d->payload), "over the overlay");
+  EXPECT_EQ(text_of(d->payload()), "over the overlay");
   EXPECT_EQ(d->src_ip, c1.ip());
   // Three-stage path: every stage timestamp populated, in order.
   EXPECT_GE(d->ts.stage1_done, d->ts.nic_rx);
@@ -76,7 +76,7 @@ TEST(EndToEndTest, OverlayUdpReplyPath) {
     auto d = server_sock.try_recv();
     ASSERT_TRUE(d.has_value());
     tb.server().udp_send(c2, tb.server().cpu(1), 7000, d->src_ip,
-                         d->src_port, std::move(d->payload));
+                         d->src_port, d->payload());
   });
   tb.client().udp_send(c1, tb.client().cpu(1), 4444, c2.ip(), 7000,
                        bytes_of("ping"));
@@ -84,7 +84,7 @@ TEST(EndToEndTest, OverlayUdpReplyPath) {
   ASSERT_EQ(client_sock.received(), 1u);
   const auto d = client_sock.try_recv();
   ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(text_of(d->payload), "ping");
+  EXPECT_EQ(text_of(d->payload()), "ping");
   EXPECT_EQ(d->src_ip, c2.ip());
 }
 
@@ -97,7 +97,7 @@ TEST(EndToEndTest, SameHostContainerToContainer) {
                        bytes_of("local"));
   drain(tb);
   ASSERT_EQ(sock.received(), 1u);
-  EXPECT_EQ(text_of(sock.try_recv()->payload), "local");
+  EXPECT_EQ(text_of(sock.try_recv()->payload()), "local");
   // Never crossed the wire.
   EXPECT_EQ(tb.wire().frames_delivered(), 0u);
 }

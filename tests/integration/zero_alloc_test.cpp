@@ -1,4 +1,5 @@
-// Zero-allocation gate: once warm, the datapath allocates nothing.
+// Zero-allocation gate: once warm, the datapath allocates nothing. Beside
+// it, the frame-block gate: one pooled block per wire frame.
 //
 // This translation unit replaces every replaceable global allocation
 // function of the test binary with a counting one (alloc_counter.h). Each
@@ -23,6 +24,7 @@
 #include "apps/sockperf.h"
 #include "harness/cluster.h"
 #include "harness/testbed.h"
+#include "sim/pool.h"
 #include "sim/time.h"
 #include "telemetry/latency.h"
 
@@ -156,7 +158,8 @@ template <typename AddClient, typename AddServer>
 PairApps start_pair(kernel::Host& client, kernel::Host& server,
                     sim::Simulator& client_sim, sim::Simulator& server_sim,
                     AddClient add_client, AddServer add_server,
-                    double bulk_pps, std::uint64_t seed) {
+                    double bulk_pps, std::uint64_t seed,
+                    sim::Time stop_at = sim::seconds(10)) {
   overlay::Netns& cli_probe = add_client("probe-cli");
   overlay::Netns& cli_bulk = add_client("bulk-cli");
   overlay::Netns& srv_probe = add_server("probe-srv");
@@ -181,7 +184,7 @@ PairApps start_pair(kernel::Host& client, kernel::Host& server,
   pc.rate_pps = 1000.0;
   pc.reply_every = 1;
   pc.seed = seed;
-  pc.stop_at = sim::seconds(10);
+  pc.stop_at = stop_at;
   a.probe = std::make_unique<apps::SockperfClient>(client_sim, pc);
   apps::SockperfClient::Config bc;
   bc.host = &client;
@@ -193,7 +196,7 @@ PairApps start_pair(kernel::Host& client, kernel::Host& server,
   bc.rate_pps = bulk_pps;
   bc.burst = 64;
   bc.seed = seed + 1;
-  bc.stop_at = sim::seconds(10);
+  bc.stop_at = stop_at;
   a.bulk = std::make_unique<apps::SockperfClient>(client_sim, bc);
   a.probe->start();
   a.bulk->start();
@@ -271,6 +274,41 @@ TEST_P(ZeroAllocTest, WarmDatapathAllocatesNothing) {
   EXPECT_EQ(allocs, 0u) << allocs << " heap allocations over " << stretch
                         << " delivered datagrams";
   EXPECT_GE(stretch, shape.min_delivered);
+}
+
+// Exact work count: every frame block the pool hands out is one frame on
+// a wire, and every block comes back. One Testbed runs on one thread, so
+// one BufferPool sees the whole simulation. A frame that paid for a second
+// block anywhere between sender and application (a payload copy at the
+// socket, say) breaks the first equation; a block that never returns
+// breaks the second.
+TEST(FrameBlockGateTest, OneBlockPerWireFrame) {
+  const sim::PoolStats before = sim::BufferPool::instance().stats();
+  constexpr sim::Time kStop = sim::milliseconds(40);
+  harness::TestbedConfig tc;
+  tc.mode = kernel::NapiMode::kPrismSync;
+  harness::Testbed tb(tc);
+  const PairApps apps = start_pair(
+      tb.client(), tb.server(), tb.client_sim(), tb.server_sim(),
+      [&](const char* name) -> overlay::Netns& {
+        return tb.add_client_container(name);
+      },
+      [&](const char* name) -> overlay::Netns& {
+        return tb.add_server_container(name);
+      },
+      300'000.0, 1, kStop);
+  tb.run_until(kStop + sim::milliseconds(20));  // senders stopped: drain
+
+  const sim::PoolStats& after = sim::BufferPool::instance().stats();
+  const std::uint64_t acquired = after.acquired - before.acquired;
+  const std::uint64_t returned = (after.released - before.released) +
+                                 (after.discarded - before.discarded);
+  const std::uint64_t wire_frames =
+      tb.client().nic().tx_frames() + tb.server().nic().tx_frames();
+  EXPECT_GE(apps.delivered(), 10'000u);
+  EXPECT_GE(apps.probe->replies(), 30u);  // echoes cross the wire too
+  EXPECT_EQ(acquired, wire_frames);
+  EXPECT_EQ(returned, acquired);
 }
 
 INSTANTIATE_TEST_SUITE_P(

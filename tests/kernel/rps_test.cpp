@@ -80,8 +80,8 @@ TEST(RpsTest, DeliveryStillCorrectUnderSteering) {
   // Payload integrity across the steered path.
   std::set<std::uint8_t> seen;
   while (auto d = sock.try_recv()) {
-    ASSERT_FALSE(d->payload.empty());
-    seen.insert(d->payload[0]);
+    ASSERT_FALSE(d->payload().empty());
+    seen.insert(d->payload()[0]);
   }
   EXPECT_EQ(seen.size(), 32u);
 }

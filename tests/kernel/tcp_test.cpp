@@ -128,6 +128,37 @@ TEST(TcpTest, RetransmitsAfterLoss) {
   EXPECT_EQ(rig.a->unacked_bytes(), 0u);
 }
 
+TEST(TcpTest, AckStreamKeepsOneRtoTimer) {
+  Rig rig(/*mss=*/100);
+  rig.drop_next_data_segments = 1000;  // the ACKs below come from the test
+  rig.a->send(pattern(200 * 100), rig.cpu_a);
+  rig.sim.run_until(sim::microseconds(100));
+  ASSERT_EQ(rig.a->unacked_bytes(), 200u * 100u);
+  const std::size_t baseline = rig.sim.pending_events();  // the RTO timer
+
+  net::TcpHeader ack;
+  ack.src_port = 2000;
+  ack.dst_port = 1000;
+  ack.flags = net::TcpFlags::kAck;
+  sim::Time last_ack = 0;
+  for (std::uint32_t k = 1; k <= 150; ++k) {
+    ack.ack = 1 + 100 * k;
+    last_ack = rig.sim.now();
+    rig.a->handle_segment(ack, {}, last_ack);
+    // An ACK moves the deadline; it does not queue another timer.
+    ASSERT_LE(rig.sim.pending_events(), baseline + 1) << "after ACK " << k;
+    rig.sim.run_until(rig.sim.now() + sim::microseconds(10));
+  }
+  EXPECT_EQ(rig.a->unacked_bytes(), 50u * 100u);
+  EXPECT_EQ(rig.a->snd_una(), 1u + 150u * 100u);
+
+  // The timer still expires one RTO after the last ACK, not earlier.
+  rig.sim.run_until(last_ack + sim::milliseconds(5) - 1);
+  EXPECT_EQ(rig.a->retransmissions(), 0u);
+  rig.sim.run_until(last_ack + sim::milliseconds(5));
+  EXPECT_EQ(rig.a->retransmissions(), 1u);
+}
+
 TEST(TcpTest, OutOfOrderSegmentsReassembled) {
   Rig rig(/*mss=*/100);
   // Deliver segment 2 before segment 1 by dropping 1 and letting the

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace prism::net {
@@ -60,6 +62,63 @@ TEST(PacketBufTest, PushAfterPopReusesSpace) {
   p.pop_front(5);
   p.push_front(bytes_of("NEW__"));
   EXPECT_EQ(std::string(p.bytes().begin(), p.bytes().end()), "NEW__inner");
+}
+
+TEST(PacketBufTest, DefaultHandleHoldsNoBytes) {
+  PacketBuf empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_TRUE(empty.bytes().empty());
+  EXPECT_EQ(empty.headroom(), 0u);
+}
+
+TEST(PacketBufTest, MovedFromBufferIsEmpty) {
+  auto p = PacketBuf::with_headroom(4, bytes_of("frame"));
+  const std::uint8_t* data = p.bytes().data();
+  PacketBuf q = std::move(p);
+  EXPECT_TRUE(p.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(p.bytes().empty());
+  EXPECT_EQ(q.bytes().data(), data);  // the block moved, not the bytes
+  PacketBuf r;
+  r = std::move(q);
+  EXPECT_TRUE(q.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(std::string(r.bytes().begin(), r.bytes().end()), "frame");
+}
+
+TEST(PacketBufTest, CopyIsDeep) {
+  auto p = PacketBuf::with_headroom(8, bytes_of("original"));
+  PacketBuf copy = p;
+  EXPECT_NE(copy.bytes().data(), p.bytes().data());
+  EXPECT_EQ(copy.headroom(), p.headroom());
+  copy.mutable_bytes()[0] = 'X';
+  copy.truncate(3);
+  copy.push_front(bytes_of(">"));
+  EXPECT_EQ(std::string(copy.bytes().begin(), copy.bytes().end()), ">Xri");
+  EXPECT_EQ(std::string(p.bytes().begin(), p.bytes().end()), "original");
+  PacketBuf assigned;
+  assigned = p;
+  assigned.pop_front(4);
+  EXPECT_EQ(std::string(assigned.bytes().begin(), assigned.bytes().end()),
+            "inal");
+  EXPECT_EQ(std::string(p.bytes().begin(), p.bytes().end()), "original");
+}
+
+TEST(PacketBufTest, RecycledBlockSupportsPushPopTruncate) {
+  {
+    auto warm = PacketBuf::with_headroom(16, bytes_of("stale bytes here"));
+  }  // parks its block
+  const auto& stats = sim::BufferPool::instance().stats();
+  const std::uint64_t reused = stats.reused;
+  auto p = PacketBuf::with_headroom(16, bytes_of("payload"));
+  EXPECT_EQ(stats.reused, reused + 1);  // the block was recycled
+  EXPECT_EQ(p.headroom(), 16u);
+  EXPECT_EQ(std::string(p.bytes().begin(), p.bytes().end()), "payload");
+  p.push_front(bytes_of("hdr:"));
+  EXPECT_EQ(std::string(p.bytes().begin(), p.bytes().end()), "hdr:payload");
+  p.pop_front(4);
+  p.truncate(3);
+  EXPECT_EQ(std::string(p.bytes().begin(), p.bytes().end()), "pay");
+  p.append(bytes_of("+tail"));
+  EXPECT_EQ(std::string(p.bytes().begin(), p.bytes().end()), "pay+tail");
 }
 
 TEST(BuildUdpFrameTest, ParsesBack) {

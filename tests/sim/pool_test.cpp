@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "kernel/skb.h"
@@ -57,23 +58,66 @@ TEST(ObjectPoolTest, WarmPoolHitRateApproachesOne) {
 
 TEST(BufferPoolTest, ReusesStorageAcrossAcquires) {
   sim::BufferPool& pool = sim::BufferPool::instance();
-  pool.trim();  // drop buffers parked by earlier tests
+  pool.trim();  // drop blocks parked by earlier tests
   pool.reset_stats();
 
-  std::vector<std::uint8_t> buf = pool.acquire(512);
-  const std::uint8_t* block = buf.data();
-  ASSERT_EQ(buf.size(), 512u);
-  pool.release(std::move(buf));
+  sim::FrameBlock* block = pool.acquire(512);
+  ASSERT_GE(block->capacity, 512u);
+  block->end = 512;
+  pool.release(block);
 
-  std::vector<std::uint8_t> again = pool.acquire(128);
-  EXPECT_EQ(again.data(), block);  // same heap block, shrunk in place
-  EXPECT_EQ(again.size(), 128u);
+  sim::FrameBlock* again = pool.acquire(128);
+  EXPECT_EQ(again, block);  // same block, capacity kept
+  EXPECT_GE(again->capacity, 512u);
+  EXPECT_EQ(again->begin, 0u);  // handed out empty
+  EXPECT_EQ(again->end, 0u);
 
   const sim::PoolStats& s = pool.stats();
   EXPECT_EQ(s.acquired, 2u);
   EXPECT_EQ(s.allocated, 1u);
   EXPECT_EQ(s.reused, 1u);
-  pool.release(std::move(again));
+  EXPECT_EQ(s.released, 1u);
+  pool.release(again);
+}
+
+TEST(BufferPoolTest, TooSmallBlockIsReplaced) {
+  sim::BufferPool& pool = sim::BufferPool::instance();
+  pool.trim();
+  pool.reset_stats();
+
+  pool.release(pool.acquire(64));
+  sim::FrameBlock* big = pool.acquire(1500);
+  EXPECT_GE(big->capacity, 1500u);
+  EXPECT_EQ(pool.stats().allocated, 2u);  // the parked 64 B block was
+  EXPECT_EQ(pool.stats().reused, 0u);     // too small for the frame
+  EXPECT_EQ(pool.free_buffers(), 0u);
+  pool.release(big);
+}
+
+TEST(BufferPoolTest, DisabledPoolPassesThrough) {
+  sim::BufferPool& pool = sim::BufferPool::instance();
+  pool.trim();
+  pool.reset_stats();
+  pool.set_enabled(false);
+  pool.release(pool.acquire(100));
+  pool.release(pool.acquire(100));
+  pool.set_enabled(true);
+
+  const sim::PoolStats& s = pool.stats();
+  EXPECT_EQ(s.acquired, 2u);
+  EXPECT_EQ(s.allocated, 2u);
+  EXPECT_EQ(s.discarded, 2u);
+  EXPECT_EQ(s.released, 0u);
+  EXPECT_EQ(pool.free_buffers(), 0u);
+}
+
+TEST(BufferPoolTest, OversizedBlocksAreNotParked) {
+  sim::BufferPool& pool = sim::BufferPool::instance();
+  pool.trim();
+  pool.reset_stats();
+  pool.release(pool.acquire(sim::BufferPool::kMaxRetainedBytes + 1));
+  EXPECT_EQ(pool.stats().discarded, 1u);
+  EXPECT_EQ(pool.free_buffers(), 0u);
 }
 
 TEST(BufferPoolTest, PacketBufStorageRoundTripsThroughPool) {
@@ -82,17 +126,23 @@ TEST(BufferPoolTest, PacketBufStorageRoundTripsThroughPool) {
   pool.reset_stats();
 
   const std::uint8_t payload[32] = {};
+  const std::uint8_t* first_bytes = nullptr;
   {
     net::PacketBuf p = net::PacketBuf::from_payload(payload);
     ASSERT_GT(p.size(), 0u);
-  }  // destructor parks the storage
+    first_bytes = p.bytes().data();
+    net::PacketBuf moved = std::move(p);  // the handle moves, not the block
+  }  // the one destructor holding the block parks it
   EXPECT_EQ(pool.stats().released, 1u);
 
   {
     net::PacketBuf p = net::PacketBuf::from_payload(payload);
     ASSERT_GT(p.size(), 0u);
+    EXPECT_EQ(p.bytes().data(), first_bytes);  // the same block
   }
   EXPECT_EQ(pool.stats().reused, 1u);  // second frame reuses the block
+  EXPECT_EQ(pool.stats().acquired, 2u);
+  EXPECT_EQ(pool.stats().released, 2u);
 }
 
 TEST(SkbPoolTest, RecyclesAndScrubsSkbs) {
