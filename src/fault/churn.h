@@ -4,8 +4,8 @@
 // faults: a pure function of (config, seed) that expands into a sorted
 // schedule of container stop/restart/migrate events over a cluster. The
 // plan only *decides*; applying the events to hosts is the harness's job
-// (harness/churn.h), which does so between conservative-window barriers
-// so the same plan yields byte-identical results at any thread count.
+// (harness/churn.h), which does so between run_until calls so the same
+// plan yields byte-identical results at any thread count.
 //
 // Each disruption of a container is either a stop/restart cycle (kStop at
 // t, kRestart at t + drain + restart_delay) or a migration (kMigrate at

@@ -1,12 +1,12 @@
-// Applies a fault::ChurnPlan to a Cluster between lane barriers.
+// Applies a fault::ChurnPlan to a Cluster between run_until calls.
 //
-// The lane engine only tolerates control-plane mutation while no window
-// is executing, so the orchestrator turns a plan into a sequence of
+// The control plane may only mutate hosts while no worker thread is
+// running their lane, so the orchestrator turns a plan into a sequence of
 // run_until calls: advance every lane to exactly the next event's
 // timestamp, apply the event (stop / restart / migrate through the
-// pair's OverlayNetwork), and continue. Because the barrier instants are
-// a pure function of the plan, the observable schedule — and therefore
-// every snapshot — is byte-identical for any thread count.
+// pair's OverlayNetwork), and continue. Because these stopping instants
+// are a pure function of the plan, the observable schedule — and
+// therefore every snapshot — is byte-identical for any thread count.
 //
 // The orchestrator tracks each churnable container's current incarnation
 // (restart and migrate both replace the Netns object) and where it runs,

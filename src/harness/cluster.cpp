@@ -43,23 +43,28 @@ kernel::HostConfig pair_server_config(const ClusterConfig& cfg, int pair) {
   return h;
 }
 
+/// `pairs`, once it is known to be in [1, 127]: the third address
+/// octet and the container subnet carry the pair number.
+int checked_pairs(int pairs) {
+  if (pairs < 1 || pairs > 127) {
+    throw std::invalid_argument("Cluster: pairs must be in [1, 127]");
+  }
+  return pairs;
+}
+
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& config)
-    : lanes_(2 * (config.pairs < 1 ? 1 : config.pairs)) {
-  if (config.pairs < 1 || config.pairs > 127) {
-    throw std::invalid_argument("Cluster: pairs must be in [1, 127]");
-  }
+    : lanes_(checked_pairs(config.pairs)) {
   pairs_.reserve(static_cast<std::size_t>(config.pairs));
   for (int p = 0; p < config.pairs; ++p) {
     Pair pair;
     pair.client = std::make_unique<kernel::Host>(
-        lanes_.lane(client_lane(p)), pair_client_config(config, p));
+        lanes_.lane(p), pair_client_config(config, p));
     pair.server = std::make_unique<kernel::Host>(
-        lanes_.lane(server_lane(p)), pair_server_config(config, p));
+        lanes_.lane(p), pair_server_config(config, p));
     pair.wire = std::make_unique<nic::Wire>(
-        lanes_, client_lane(p), server_lane(p), config.wire_gbps,
-        config.propagation);
+        lanes_.lane(p), config.wire_gbps, config.propagation);
     pair.overlay = std::make_unique<overlay::OverlayNetwork>(
         42 + static_cast<std::uint32_t>(p));
     pair.wire->attach(pair.client->nic(), pair.server->nic());
@@ -76,22 +81,16 @@ Cluster::~Cluster() {
   lanes_.set_profiler(nullptr);
 }
 
-sim::LaneProfiler& Cluster::enable_lane_profiler(std::size_t round_capacity,
-                                                 std::uint64_t sample_every) {
+sim::LaneProfiler& Cluster::enable_lane_profiler() {
   if (!profiler_) {
-    profiler_ = std::make_unique<sim::LaneProfiler>(
-        round_capacity == 0 ? sim::LaneProfiler::kDefaultRoundCapacity
-                            : round_capacity,
-        sample_every == 0 ? sim::LaneProfiler::kDefaultSampleEvery
-                          : sample_every);
+    profiler_ = std::make_unique<sim::LaneProfiler>();
     lanes_.set_profiler(profiler_.get());
   }
   return *profiler_;
 }
 
-void Cluster::export_lane_trace(telemetry::SpanTracer& tracer,
-                                int track_base) const {
-  if (profiler_) telemetry::export_lane_trace(*profiler_, tracer, track_base);
+void Cluster::export_lane_trace(telemetry::SpanTracer& tracer) const {
+  if (profiler_) telemetry::export_lane_trace(*profiler_, tracer);
 }
 
 std::string Cluster::proc_read(std::string_view path) {
@@ -188,8 +187,6 @@ std::string Cluster::cluster_json() {
   w.key("engine")
       .begin_object()
       .member("lanes", static_cast<std::int64_t>(lanes_.num_lanes()))
-      .member("windows_run", lanes_.windows_run())
-      .member("messages_posted", lanes_.messages_posted())
       .end_object();
   w.key("lanes");
   telemetry::write_lanes_json(w, profiler_.get());

@@ -1,15 +1,13 @@
 // Multi-pair testbed for parallel simulation: N client/server pairs, one
-// event lane per host.
+// event lane per pair.
 //
 // The paper's testbed is one client/server pair on one wire; Cluster
-// replicates that pair P times (2P hosts) and gives every host its own
-// simulation lane. Each pair gets its own wire, VXLAN overlay (distinct
-// VNI), and address range, so pairs never exchange a frame: every pair
-// is one connected component of the lane engine, and a P-pair cluster
-// runs on up to P real threads, one pair per thread. Within a pair the
-// wire's propagation delay is the lookahead that decides how often the
-// pair's two lanes synchronize; across pairs nothing synchronizes until
-// run_until() returns.
+// replicates that pair P times (2P hosts). Each pair gets its own wire,
+// VXLAN overlay (distinct VNI), and address range, so pairs never
+// exchange a frame: pair p's two hosts and its wire share lane p of the
+// lane engine (sim/lane.h), one Simulator, and a P-pair cluster runs on
+// up to P real threads, one pair at a time per thread. Nothing
+// synchronizes the pairs until run_until() returns.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +32,7 @@ namespace prism::harness {
 
 /// Cluster parameters. Per-pair defaults mirror TestbedConfig.
 struct ClusterConfig {
-  int pairs = 2;  ///< client/server pairs; hosts = 2 * pairs, one lane each
+  int pairs = 2;  ///< client/server pairs in [1, 127]; one lane each
   kernel::NapiMode mode = kernel::NapiMode::kVanilla;
   kernel::CostModel cost;
   int client_cpus = 4;
@@ -56,7 +54,7 @@ struct ClusterConfig {
   bool flow_cache = false;
 };
 
-/// P client/server pairs, 2P hosts, 2P lanes.
+/// P client/server pairs, 2P hosts, P lanes.
 class Cluster {
  public:
   explicit Cluster(const ClusterConfig& config = ClusterConfig{});
@@ -77,15 +75,10 @@ class Cluster {
     return *pairs_.at(pair).overlay;
   }
 
-  /// Lane indices: client of pair i is lane 2i, server is lane 2i+1.
-  int client_lane(int pair) const noexcept { return 2 * pair; }
-  int server_lane(int pair) const noexcept { return 2 * pair + 1; }
-  sim::Simulator& client_sim(int pair) {
-    return lanes_.lane(client_lane(pair));
-  }
-  sim::Simulator& server_sim(int pair) {
-    return lanes_.lane(server_lane(pair));
-  }
+  /// The Simulator pair `pair`'s client/server host schedules on: both
+  /// are lane `pair`.
+  sim::Simulator& client_sim(int pair) { return lanes_.lane(pair); }
+  sim::Simulator& server_sim(int pair) { return lanes_.lane(pair); }
 
   /// Adds a container on pair `pair`'s client/server host, attached to
   /// that pair's overlay. Container IPs auto-assign in 172.17.<pair>.0/24.
@@ -103,21 +96,15 @@ class Cluster {
   /// Creates (or returns) the cluster's lane profiler and attaches it to
   /// the lane engine; subsequent run_until calls are profiled. The
   /// profiler never alters the schedule, so profiled runs stay
-  /// byte-identical to unprofiled ones. `round_capacity` sizes the
-  /// window-record ring (0 = LaneProfiler's default) and
-  /// `sample_every` the wall-clock sampling period (0 = default; 1 =
-  /// every window, for tests and fine-grained traces); both ignored when
-  /// the profiler already exists.
-  sim::LaneProfiler& enable_lane_profiler(std::size_t round_capacity = 0,
-                                          std::uint64_t sample_every = 0);
+  /// byte-identical to unprofiled ones.
+  sim::LaneProfiler& enable_lane_profiler();
   /// nullptr until enable_lane_profiler() is called.
   sim::LaneProfiler* lane_profiler() noexcept { return profiler_.get(); }
 
-  /// Replays the profiled windows into `tracer` as per-lane tracks
-  /// (telemetry::export_lane_trace): lane i's windows on track
-  /// `track_base + i`. No-op until the profiler is enabled.
-  void export_lane_trace(telemetry::SpanTracer& tracer,
-                         int track_base = 0) const;
+  /// Writes the profiled per-lane totals into `tracer`
+  /// (telemetry::export_lane_trace): one busy span per lane, lane i on
+  /// track i. No-op until the profiler is enabled.
+  void export_lane_trace(telemetry::SpanTracer& tracer) const;
 
   /// Cluster-level proc files (the fleet view over the per-host
   /// proc() interfaces):

@@ -42,7 +42,7 @@ kernel::HostConfig server_config(const TestbedConfig& cfg) {
 Testbed::Testbed(const TestbedConfig& config)
     : client_(client_sim(), client_config(config)),
       server_(server_sim(), server_config(config)),
-      wire_(lanes_, 0, 1, config.wire_gbps, config.propagation),
+      wire_(sim_, config.wire_gbps, config.propagation),
       overlay_(config.vni) {
   wire_.attach(client_.nic(), server_.nic());
   client_.nic().attach_wire(wire_);

@@ -7,12 +7,10 @@
 // across queues so it is never the bottleneck. One VXLAN overlay spans
 // both hosts for container workloads.
 //
-// The testbed runs on the lane engine (sim/lane.h): each host owns a
-// simulation lane (client lane 0, server lane 1) and the wire's
-// propagation delay is the conservative lookahead. The two lanes form one
-// connected component, so they always run on the caller's thread.
-// Callers schedule on the lane of the host whose state a callback touches
-// (client_sim()/server_sim()) and drive the clock through run_until().
+// Both hosts and the wire share one Simulator, which runs on the
+// caller's thread. client_sim() and server_sim() both return it; callers
+// still name the host whose state a callback touches, and drive the
+// clock through run_until().
 #pragma once
 
 #include <cstdint>
@@ -21,7 +19,7 @@
 #include "kernel/host.h"
 #include "nic/wire.h"
 #include "overlay/overlay_network.h"
-#include "sim/lane.h"
+#include "sim/simulator.h"
 
 namespace prism::harness {
 
@@ -56,9 +54,8 @@ struct TestbedConfig {
   /// Overlay flow cache (ONCache-style stage-1 fast path) on both hosts.
   /// Off by default so baselines measure the full pipeline.
   bool flow_cache = false;
-  /// Kept for callers that set it; it changes nothing. The lane engine
-  /// clamps its worker threads to the number of connected components,
-  /// and a Testbed is one component, so it always runs on one thread.
+  /// Read by nothing: a Testbed is one Simulator on the caller's
+  /// thread. Kept because perfbench sets it.
   int threads = 1;
 };
 
@@ -70,17 +67,15 @@ class Testbed {
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
 
-  /// The testbed's engine, for whole-simulation counters
-  /// (events_executed(), pending_events()). Schedule on client_sim() or
-  /// server_sim() and advance with run_until().
-  sim::LaneSet& sim() noexcept { return lanes_; }
+  /// The testbed's one event queue, shared by both hosts and the wire.
+  sim::Simulator& sim() noexcept { return sim_; }
 
-  /// The lane the client/server host schedules on.
-  sim::Simulator& client_sim() noexcept { return lanes_.lane(0); }
-  sim::Simulator& server_sim() noexcept { return lanes_.lane(1); }
+  /// The Simulator the client/server host schedules on: both are sim().
+  sim::Simulator& client_sim() noexcept { return sim_; }
+  sim::Simulator& server_sim() noexcept { return sim_; }
 
-  /// Advances both lanes to `deadline` on the caller's thread.
-  void run_until(sim::Time deadline) { lanes_.run_until(deadline); }
+  /// Advances the testbed to `deadline` on the caller's thread.
+  void run_until(sim::Time deadline) { sim_.run_until(deadline); }
 
   kernel::Host& client() noexcept { return client_; }
   kernel::Host& server() noexcept { return server_; }
@@ -110,7 +105,7 @@ class Testbed {
   }
 
  private:
-  sim::LaneSet lanes_{2};
+  sim::Simulator sim_;
   kernel::Host client_;
   kernel::Host server_;
   nic::Wire wire_;

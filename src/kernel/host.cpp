@@ -353,8 +353,8 @@ void Host::stop_container(overlay::Netns& ns, sim::Duration drain) {
     finish_teardown(ns);
     return;
   }
-  // The drain deadline is host-local (this host's own lane), so it is
-  // safe under the parallel lane engine.
+  // The drain deadline is host-local (queued on this host's pair's
+  // lane), so it is safe under the parallel lane engine.
   sim_.schedule(drain, [this, &ns] { finish_teardown(ns); });
 }
 

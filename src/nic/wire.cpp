@@ -8,22 +8,14 @@
 
 namespace prism::nic {
 
-Wire::Wire(sim::LaneSet& lanes, int lane_a, int lane_b,
-           double bandwidth_gbps, sim::Duration propagation)
-    : lanes_(lanes),
-      lane_a_(lane_a),
-      lane_b_(lane_b),
+Wire::Wire(sim::Simulator& sim, double bandwidth_gbps,
+           sim::Duration propagation)
+    : sim_(sim),
       bits_per_ns_(bandwidth_gbps),  // 1 Gbps == 1 bit/ns
       propagation_(propagation) {
   if (bandwidth_gbps <= 0) {
     throw std::invalid_argument("Wire: bandwidth must be positive");
   }
-  if (lane_a == lane_b) {
-    throw std::invalid_argument("Wire: endpoints must be on distinct lanes");
-  }
-  // The propagation delay is the conservative lookahead: no frame sent
-  // at time t can arrive before t + serialization(>=1) + propagation.
-  lanes_.register_link(lane_a_, lane_b_, propagation_);
 }
 
 void Wire::attach(Nic& a, Nic& b) {
@@ -50,23 +42,20 @@ void Wire::transmit_from(const Nic& src, net::PacketBuf frame) {
     throw std::logic_error("Wire: transmit from unattached NIC");
   }
   Nic* dst = from_a ? b_ : a_;
-  const int src_lane = from_a ? lane_a_ : lane_b_;
-  const int dst_lane = from_a ? lane_b_ : lane_a_;
   sim::Time& busy_until = from_a ? busy_until_ab_ : busy_until_ba_;
 
   const sim::Duration ser = serialization_time(frame.size());
-  const sim::Time start = std::max(lanes_.lane(src_lane).now(), busy_until);
+  const sim::Time start = std::max(sim_.now(), busy_until);
   busy_until = start + ser;
-  const sim::Time arrival = busy_until + propagation_;
   if (from_a) {
     ++delivered_ab_;
   } else {
     ++delivered_ba_;
   }
-  lanes_.post(src_lane, dst_lane, arrival,
-              [dst, f = std::move(frame)]() mutable {
-                dst->receive(std::move(f));
-              });
+  sim_.schedule_at(busy_until + propagation_,
+                   [dst, f = std::move(frame)]() mutable {
+                     dst->receive(std::move(f));
+                   });
 }
 
 }  // namespace prism::nic

@@ -32,9 +32,9 @@
 // fill also voids the entry — the fill is dead on arrival instead of
 // poisoning the cache.
 //
-// The cache is per-host (one host per event lane), so the parallel lane
-// engine needs no synchronization and same-seed runs stay byte-identical
-// at any thread count. Eviction is LRU over a bounded table — fully
+// The cache is per-host, and all of a host's events run on its pair's
+// lane, so the parallel lane engine needs no synchronization and
+// same-seed runs stay byte-identical at any thread count. Eviction is LRU over a bounded table — fully
 // deterministic, no clocks or randomness.
 //
 // HostConfig::flow_cache (default off) is the switch: a disabled cache

@@ -28,9 +28,9 @@ struct TlsBufferPool {
 BufferPool& BufferPool::instance() noexcept {
   // One pool per thread: each lane-engine worker recycles buffers
   // through its own free list, so the packet hot path stays lock-free at
-  // any thread count. Buffers migrate between pools when a component runs
-  // on another worker in a later run_until than the one that acquired
-  // them, which is harmless — a free list has no affinity requirement.
+  // any thread count. Buffers migrate between pools when a lane runs on
+  // another worker in a later run_until than the one that acquired them,
+  // which is harmless — a free list has no affinity requirement.
   thread_local TlsBufferPool tls;
   return *tls.pool;
 }

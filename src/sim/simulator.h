@@ -1,9 +1,12 @@
 // The discrete-event simulator driving every experiment.
 //
-// All model components (NICs, CPUs, applications) share one Simulator. They
-// schedule callbacks at absolute or relative simulated times; run() drains
-// the event queue in timestamp order, advancing the clock. Nothing in the
-// simulation ever blocks or uses wall-clock time.
+// Every model component of a client/server pair (both hosts' NICs, CPUs
+// and applications, and the wire between them) shares one Simulator. They
+// schedule callbacks at absolute or relative simulated times; run()
+// drains the event queue in timestamp order, advancing the clock. Events
+// at the same instant run in the order they were queued. Nothing in the
+// simulation ever blocks or uses wall-clock time. A Cluster runs one
+// Simulator per pair, side by side (sim/lane.h).
 #pragma once
 
 #include <cassert>
@@ -49,8 +52,9 @@ class Simulator {
 
   /// Runs until simulated time reaches `deadline` (events at exactly
   /// `deadline` are executed), the queue empties, or stop() is called.
-  /// The clock is left at min(deadline, last event time) — callers can
-  /// continue scheduling and run again.
+  /// The clock is then left at `deadline` (or where it was, if that is
+  /// later), or at the last event's time if stop() ended the run —
+  /// callers can continue scheduling and run again.
   void run_until(Time deadline);
 
   /// Requests that run()/run_until() return after the current event.
@@ -61,10 +65,6 @@ class Simulator {
 
   /// Number of events waiting in the queue.
   std::size_t pending_events() const noexcept { return queue_.size(); }
-
-  /// Timestamp of the earliest pending event (the conservative-window
-  /// scheduler's horizon input). Precondition: pending_events() > 0.
-  Time next_event_time() const { return queue_.next_time(); }
 
  private:
   EventQueue queue_;

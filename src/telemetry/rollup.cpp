@@ -166,53 +166,34 @@ void write_merged_anomalies_json(
 
 void write_lanes_json(JsonWriter& w, const sim::LaneProfiler* profiler) {
   w.begin_object();
-  if (profiler == nullptr || profiler->num_lanes() == 0) {
-    w.member("attached", profiler != nullptr);
-    w.member("rounds", std::uint64_t{0});
-    w.end_object();
-    return;
+  w.member("attached", profiler != nullptr);
+  if (profiler != nullptr && profiler->num_lanes() > 0) {
+    w.member("busy_imbalance", profiler->busy_imbalance());
+    w.member("event_imbalance", profiler->event_imbalance());
   }
-  const sim::LaneProfiler& p = *profiler;
-  w.member("attached", true);
-  w.member("rounds", p.rounds_recorded());
-  w.member("sample_every", p.sample_every());
-  w.member("messages_posted", p.messages_posted());
-  w.member("busy_imbalance", p.busy_imbalance());
-  w.member("event_imbalance", p.event_imbalance());
   w.key("lanes").begin_array();
-  for (int i = 0; i < p.num_lanes(); ++i) {
-    const auto& l = p.lane(i);
+  for (int i = 0; profiler != nullptr && i < profiler->num_lanes(); ++i) {
+    const auto& l = profiler->lane(i);
     w.begin_object();
     w.member("lane", static_cast<std::int64_t>(i));
     w.member("events", l.events);
-    w.member("sampled_rounds", l.sampled_rounds);
-    w.member("busy_ns", l.busy_ns);
     w.member("sim_ns", static_cast<std::int64_t>(l.sim_ns));
-    w.member("inbox_msgs", l.inbox_msgs);
-    w.member("inbox_high_water",
-             static_cast<std::uint64_t>(l.inbox_high_water));
+    w.member("busy_ns", l.busy_ns);
     w.end_object();
   }
   w.end_array();
   w.key("workers").begin_array();
-  for (int i = 0; i < p.num_workers(); ++i) {
-    const auto& t = p.worker(i);
+  for (int i = 0; profiler != nullptr && i < profiler->num_workers(); ++i) {
+    const auto& t = profiler->worker(i);
     w.begin_object();
     w.member("worker", static_cast<std::int64_t>(i));
-    w.member("rounds", t.rounds);
     w.member("wall_ns", t.wall_ns);
-    w.member("barrier_wait_ns", t.barrier_wait_ns);
     w.member("busy_ns", t.busy_ns);
+    w.member("barrier_wait_ns", t.barrier_wait_ns);
     w.member("idle_ns", t.idle_ns());
     w.end_object();
   }
   w.end_array();
-  w.key("round_records")
-      .begin_object()
-      .member("lane_retained",
-              static_cast<std::uint64_t>(p.lane_round_count()))
-      .member("lane_dropped", p.lane_rounds_dropped())
-      .end_object();
   w.end_object();
 }
 
@@ -222,23 +203,17 @@ std::string lanes_json(const sim::LaneProfiler* profiler) {
   return w.take();
 }
 
-void export_lane_trace(const sim::LaneProfiler& profiler, SpanTracer& tracer,
-                       int track_base) {
-  const auto window_id = tracer.intern("window");
+void export_lane_trace(const sim::LaneProfiler& profiler,
+                       SpanTracer& tracer) {
+  const auto busy_id = tracer.intern("busy");
   for (int i = 0; i < profiler.num_lanes(); ++i) {
-    tracer.set_track_label(track_base + i,
-                           "lane" + std::to_string(i) + ".window");
-  }
-  for (std::size_t i = 0; i < profiler.lane_round_count(); ++i) {
-    const auto& r = profiler.lane_round(i);
-    const sim::Duration len =
-        r.window_end > r.window_start ? r.window_end - r.window_start : 0;
-    tracer.span(track_base + static_cast<int>(r.lane), window_id,
-                r.window_start, len,
-                static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                    r.events, UINT32_MAX)),
-                static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                    r.busy_ns, UINT32_MAX)));
+    const auto& l = profiler.lane(i);
+    tracer.set_track_label(i, "lane" + std::to_string(i) + ".busy");
+    tracer.span(i, busy_id, l.sim_begin, l.sim_ns,
+                static_cast<std::uint32_t>(
+                    std::min<std::uint64_t>(l.events, UINT32_MAX)),
+                static_cast<std::uint32_t>(
+                    std::min<std::uint64_t>(l.busy_ns, UINT32_MAX)));
   }
 }
 

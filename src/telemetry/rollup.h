@@ -63,17 +63,17 @@ void write_merged_anomalies_json(JsonWriter& w,
                                  const std::vector<const AnomalyBank*>& banks);
 
 /// Writes the lane profiler document (the "prism/lanes" proc file):
-/// per-lane events/sim-time/inbox totals and sampled busy time,
-/// per-worker wall/barrier/busy/idle accounting, imbalance ratios, and
-/// record-ring retention. `attached == false` renders the stub
-/// {"attached": false, ...} (profiler never enabled).
+/// per-lane {events, sim_ns, busy_ns}, per-worker {wall_ns, busy_ns,
+/// barrier_wait_ns, idle_ns}, and the busy and event imbalance ratios
+/// once a profiled run has happened. A null profiler (never enabled)
+/// renders {"attached":false,"lanes":[],"workers":[]}.
 void write_lanes_json(JsonWriter& w, const sim::LaneProfiler* profiler);
 std::string lanes_json(const sim::LaneProfiler* profiler);
 
-/// Replays the profiler's retained windows into `tracer`: lane i's
-/// sampled windows on track `track_base + i` ("lane<i>.window" spans
-/// over [window_start, window_end), args = events / busy wall-ns).
-void export_lane_trace(const sim::LaneProfiler& profiler, SpanTracer& tracer,
-                       int track_base = 0);
+/// Writes the profiler's per-lane totals into `tracer`: on track i, one
+/// "busy" span labelled "lane<i>.busy" over the simulated time the
+/// lane was profiled for, args = events / busy wall-ns (each saturating
+/// at 2^32 - 1, the tracer's argument width).
+void export_lane_trace(const sim::LaneProfiler& profiler, SpanTracer& tracer);
 
 }  // namespace prism::telemetry

@@ -1,6 +1,6 @@
-// ChurnOrchestrator: plan events applied at lane barriers, incarnation
-// slot tracking across restart/migrate, hook firing, and thread-count
-// determinism of a churned cluster.
+// ChurnOrchestrator: plan events applied between run_until calls,
+// incarnation slot tracking across restart/migrate, hook firing, and
+// thread-count determinism of a churned cluster.
 #include "harness/churn.h"
 
 #include <string>

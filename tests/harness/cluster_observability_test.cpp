@@ -1,10 +1,12 @@
 // Cluster-level observability: a profiled 4-host run on up to 4 threads
 // must populate the "prism/lanes" and "prism/cluster" proc documents, the
 // cluster roll-up must equal the sum of the per-host snapshots, the
-// profiled rounds must export as per-lane Chrome-trace tracks, and
-// profiling must not perturb the simulation.
+// profiled lanes must export as per-lane Chrome-trace tracks, and
+// profiling must not perturb the simulation. Also: the Cluster checks its
+// pair count before it builds anything.
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,13 +31,13 @@ struct ClusterRig {
   std::vector<std::unique_ptr<apps::SockperfServer>> servers;
   std::vector<std::unique_ptr<apps::SockperfClient>> clients;
 
-  /// Two pairs (4 hosts, 4 lanes) under asymmetric sockperf load.
-  explicit ClusterRig(bool profiled, std::uint64_t sample_every = 1) {
+  /// Two pairs (4 hosts, 2 lanes) under asymmetric sockperf load.
+  explicit ClusterRig(bool profiled) {
     harness::ClusterConfig cc;
     cc.pairs = 2;
     cc.mode = kernel::NapiMode::kPrismSync;
     cluster = std::make_unique<harness::Cluster>(cc);
-    if (profiled) cluster->enable_lane_profiler(1 << 12, sample_every);
+    if (profiled) cluster->enable_lane_profiler();
     for (int p = 0; p < cluster->pairs(); ++p) {
       auto& cli_ns = cluster->add_client_container(p, "cli");
       auto& srv_ns = cluster->add_server_container(p, "srv");
@@ -71,17 +73,21 @@ TEST(ClusterObservabilityTest, LanesProcPopulatedAfterProfiledRun) {
   EXPECT_NE(doc.find("\"attached\":true"), npos) << doc;
   const sim::LaneProfiler* prof = rig.cluster->lane_profiler();
   ASSERT_NE(prof, nullptr);
-  EXPECT_GT(prof->rounds_recorded(), 0u);
-  EXPECT_EQ(prof->num_lanes(), 4);
+  EXPECT_EQ(prof->num_lanes(), 2);  // one per pair
   std::uint64_t events = 0;
   for (int i = 0; i < prof->num_lanes(); ++i) {
+    EXPECT_GT(prof->lane(i).busy_ns, 0u) << "lane " << i;
+    EXPECT_EQ(prof->lane(i).sim_ns, sim::milliseconds(3)) << "lane " << i;
+    EXPECT_EQ(prof->lane(i).events,
+              rig.cluster->client_sim(i).events_executed());
     events += prof->lane(i).events;
   }
   EXPECT_EQ(events, rig.cluster->lanes().events_executed());
   EXPECT_GE(prof->busy_imbalance(), 1.0);
   EXPECT_GE(prof->event_imbalance(), 1.0);
-  EXPECT_NE(doc.find("\"lanes\":[{\"lane\":0"), npos) << doc;
-  EXPECT_NE(doc.find("\"workers\":[{\"worker\":0"), npos) << doc;
+  EXPECT_NE(doc.find("\"lanes\":[{\"lane\":0,\"events\":"), npos) << doc;
+  EXPECT_NE(doc.find("\"workers\":[{\"worker\":0,\"wall_ns\":"), npos)
+      << doc;
 }
 
 TEST(ClusterObservabilityTest, ClusterRollupEqualsSumOfHostSnapshots) {
@@ -138,28 +144,54 @@ TEST(ClusterObservabilityTest, TraceExportCarriesLaneTracks) {
   telemetry::SpanTracer tracer;
   rig.cluster->export_lane_trace(tracer);
   const std::string trace = tracer.export_chrome_trace("test");
-  // One window track per lane, with window spans on it.
-  for (int lane = 0; lane < 4; ++lane) {
+  // One busy span per lane, each on its own labelled track.
+  for (int lane = 0; lane < 2; ++lane) {
     const std::string label = "lane" + std::to_string(lane);
-    EXPECT_NE(trace.find(label + ".window"), npos) << label;
+    EXPECT_NE(trace.find(label + ".busy"), npos) << label;
   }
-  EXPECT_NE(trace.find("\"name\":\"window\""), npos);
-  EXPECT_GT(tracer.size(), 0u);
+  EXPECT_NE(trace.find("\"name\":\"busy\""), npos);
+  EXPECT_EQ(tracer.size(), 2u);
 }
 
 TEST(ClusterObservabilityTest, ProfilingDoesNotPerturbTheSimulation) {
-  ClusterRig profiled(/*profiled=*/true, /*sample_every=*/1);
+  ClusterRig profiled(/*profiled=*/true);
   ClusterRig plain(/*profiled=*/false);
   profiled.run(4);
   plain.run(1);
   EXPECT_EQ(profiled.cluster->lanes().events_executed(),
             plain.cluster->lanes().events_executed());
-  EXPECT_EQ(profiled.cluster->lanes().messages_posted(),
-            plain.cluster->lanes().messages_posted());
+  for (int p = 0; p < plain.cluster->pairs(); ++p) {
+    // Frames crossed every pair's wire, and as many on both runs.
+    EXPECT_GT(plain.cluster->wire(p).frames_delivered(), 0u) << "pair " << p;
+    EXPECT_EQ(profiled.cluster->wire(p).frames_delivered(),
+              plain.cluster->wire(p).frames_delivered())
+        << "pair " << p;
+  }
   for (std::size_t i = 0; i < profiled.servers.size(); ++i) {
     EXPECT_EQ(profiled.servers[i]->received(), plain.servers[i]->received());
     EXPECT_EQ(profiled.clients[i]->replies(), plain.clients[i]->replies());
   }
+}
+
+// The pair count is checked before the lanes are built, so a bad count
+// reports the Cluster's own range, not the lane engine's.
+TEST(ClusterTest, PairCountCheckedBeforeLanesAreBuilt) {
+  harness::ClusterConfig cc;
+  for (int pairs : {0, -1, 128}) {
+    cc.pairs = pairs;
+    try {
+      harness::Cluster cluster(cc);
+      ADD_FAILURE() << "pairs=" << pairs << " constructed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "Cluster: pairs must be in [1, 127]")
+          << "pairs=" << pairs;
+    }
+  }
+  cc.pairs = 1;
+  harness::Cluster one(cc);
+  EXPECT_EQ(one.num_hosts(), 2);
+  EXPECT_EQ(one.lanes().num_lanes(), 1);
+  EXPECT_EQ(&one.client_sim(0), &one.server_sim(0));
 }
 
 }  // namespace

@@ -43,12 +43,12 @@ struct ClusterRun {
   std::vector<std::uint64_t> received;
   std::vector<std::uint64_t> replies;
   std::vector<std::uint64_t> fc_hits;  ///< per server host
+  std::vector<std::uint64_t> wire_frames;  ///< per pair
   std::uint64_t events = 0;
-  std::uint64_t messages = 0;
   std::uint64_t fault_injections = 0;
 };
 
-/// `pairs` pairs (two by default: 4 hosts, 4 lanes) under asymmetric
+/// `pairs` pairs (two by default: 4 hosts, 2 lanes) under asymmetric
 /// load, with wire faults and a small backlog (so overload control
 /// engages) on every server. `arm_detectors` additionally arms the SLO
 /// and drop-burst detectors on every server, so the "prism/anomalies"
@@ -109,6 +109,7 @@ ClusterRun run_cluster(int threads, std::uint64_t seed,
     r.received.push_back(servers[static_cast<std::size_t>(p)]->received());
     r.replies.push_back(clients[static_cast<std::size_t>(p)]->replies());
     r.fc_hits.push_back(cluster.server(p).flow_cache().hits());
+    r.wire_frames.push_back(cluster.wire(p).frames_delivered());
     const auto& sc = cluster.server(p).faults().plan.counters();
     r.fault_injections +=
         sc.wire_drops + sc.wire_corrupts + sc.wire_duplicates;
@@ -118,13 +119,12 @@ ClusterRun run_cluster(int threads, std::uint64_t seed,
     EXPECT_EQ(cluster.client(p).faults().plan.counters().wire_drops, 0u);
   }
   r.events = cluster.lanes().events_executed();
-  r.messages = cluster.lanes().messages_posted();
   return r;
 }
 
 void expect_same(const ClusterRun& a, const ClusterRun& b) {
   EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.wire_frames, b.wire_frames);
   EXPECT_EQ(a.received, b.received);
   EXPECT_EQ(a.replies, b.replies);
   EXPECT_EQ(a.fc_hits, b.fc_hits);
@@ -141,7 +141,7 @@ TEST(ParallelDeterminismTest, OneThreadVsFourByteIdentical) {
     const ClusterRun serial = run_cluster(1, seed);
     const ClusterRun parallel = run_cluster(4, seed);
     ASSERT_GT(serial.events, 0u);
-    ASSERT_GT(serial.messages, 0u);
+    for (std::uint64_t frames : serial.wire_frames) ASSERT_GT(frames, 0u);
     for (std::uint64_t replies : serial.replies) EXPECT_GT(replies, 0u);
     expect_same(serial, parallel);
   }
@@ -197,7 +197,7 @@ TEST(ParallelDeterminismTest, DifferentSeedsDiverge) {
   EXPECT_NE(a.host_snapshots, b.host_snapshots);
 }
 
-// More pairs than threads: five components on four workers, so at
+// More pairs than threads: five lanes on four workers, so at
 // least one worker runs two pairs one after the other, next to workers
 // that run one. The snapshots must still be byte-identical to one
 // thread's.
@@ -207,7 +207,7 @@ TEST(ParallelDeterminismTest, MorePairsThanThreadsByteIdentical) {
   const ClusterRun parallel = run_cluster(4, 11, /*arm_detectors=*/false,
                                           /*flow_cache=*/false, /*pairs=*/5);
   ASSERT_EQ(serial.host_snapshots.size(), 10u);
-  ASSERT_GT(serial.messages, 0u);
+  for (std::uint64_t frames : serial.wire_frames) ASSERT_GT(frames, 0u);
   for (std::uint64_t replies : serial.replies) EXPECT_GT(replies, 0u);
   expect_same(serial, parallel);
 }

@@ -99,8 +99,7 @@ TEST(RollupTest, MergedLatencyCountsEqualSumOfHosts) {
 
 TEST(RollupTest, LanesJsonWithoutProfilerIsAnHonestStub) {
   const std::string doc = lanes_json(nullptr);
-  EXPECT_NE(doc.find("\"attached\":false"), npos) << doc;
-  EXPECT_NE(doc.find("\"rounds\":0"), npos) << doc;
+  EXPECT_EQ(doc, "{\"attached\":false,\"lanes\":[],\"workers\":[]}");
 }
 
 }  // namespace
