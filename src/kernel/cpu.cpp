@@ -1,5 +1,6 @@
 #include "kernel/cpu.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -8,25 +9,11 @@ namespace prism::kernel {
 Cpu::Cpu(sim::Simulator& sim, const CostModel& cost, int id)
     : sim_(sim), cost_(cost), id_(id) {}
 
-void Cpu::run_softirq(Chunk chunk) { enqueue(true, std::move(chunk)); }
-
-void Cpu::run_task(sim::Duration cost, std::function<void()> on_done) {
-  // Chunks run exactly once, so the completion callback can be moved into
-  // the scheduled event instead of copied (a copy would clone captures).
-  enqueue(false, [this, cost, cb = std::move(on_done)]() mutable {
-    sim_.schedule(cost, std::move(cb));
-    return cost;
-  });
-}
-
-void Cpu::run_task_fn(Chunk chunk) { enqueue(false, std::move(chunk)); }
-
-void Cpu::enqueue(bool softirq, Chunk chunk) {
-  (softirq ? softirq_q_ : task_q_).push_back(std::move(chunk));
+void Cpu::wake() {
   if (!running_) {
     running_ = true;
-    // The core might still be "cooling down" from a previous chunk whose
-    // completion event hasn't fired; never start before busy_until_.
+    // Never start before busy_until_. A core goes idle only in its last
+    // chunk's end event, at busy_until_, so this start is now.
     sim_.schedule_at(std::max(sim_.now(), busy_until_),
                      [this] { dispatch(); });
   }
@@ -55,13 +42,23 @@ void Cpu::dispatch() {
 void Cpu::run_next() {
   assert(!softirq_q_.empty() || !task_q_.empty());
   auto& q = softirq_q_.empty() ? task_q_ : softirq_q_;
+  // Moved out before it runs: a poll chunk re-queues itself on its own
+  // ring, which may grow the ring under a chunk running in its slot.
   Chunk chunk = std::move(q.front());
   q.pop_front();
   const sim::Duration cost = chunk();
   assert(cost >= 0 && "chunk cost must be non-negative");
   busy_until_ = sim_.now() + cost;
   acct_.add_busy(cost);
-  sim_.schedule(cost, [this] { dispatch(); });
+  sim_.schedule(cost, [this] { end_chunk(); });
+}
+
+void Cpu::end_chunk() {
+  if (done_) {
+    done_();
+    done_.reset();
+  }
+  dispatch();
 }
 
 }  // namespace prism::kernel

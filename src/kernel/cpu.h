@@ -13,13 +13,21 @@
 // preemptible kernel is bounded by one batch — the same granularity the
 // paper's own batch-level preemption argument uses.
 //
+// A chunk costs one event. Its body runs at the start instant, built once
+// in its ring slot; the one event at its end instant runs the chunk's
+// completion, if the body set one (on_chunk_done), and then dispatches
+// the next chunk. In Linux a task's return and the scheduler's next pick
+// are one context switch, and udp_sendmsg reaches dev_queue_xmit in the
+// sender's own context: there is no separate completion step to model.
+//
 // The Cpu also models the C1 sleep state the paper's testbed allowed
 // (max C-state = 1): a core idle longer than an entry threshold pays an
 // exit latency before its next chunk, reproducing the low-load latency
 // bump of Fig. 11.
 #pragma once
 
-#include <functional>
+#include <cassert>
+#include <utility>
 
 #include "kernel/cost_model.h"
 #include "sim/inline_fn.h"
@@ -37,9 +45,9 @@ class Cpu {
   /// simulated duration the chunk occupies the core. The body may schedule
   /// events at intermediate instants (start + partial cost) to model
   /// effects that happen midway through the chunk. Move-only with inline
-  /// capture storage only (a larger closure does not compile), queued in
-  /// rings that stop growing once warm — chunks queue and run without
-  /// heap traffic.
+  /// capture storage only (a larger closure does not compile), built in
+  /// its slot of a ring that stops growing once warm — chunks queue and
+  /// run without heap traffic.
   using Chunk = sim::InlineFn<sim::Duration()>;
 
   Cpu(sim::Simulator& sim, const CostModel& cost, int id);
@@ -48,14 +56,45 @@ class Cpu {
   Cpu& operator=(const Cpu&) = delete;
 
   /// Enqueues softirq-priority work (IRQ top halves, NAPI processing).
-  void run_softirq(Chunk chunk);
+  /// The Chunk is constructed from `chunk` in its ring slot.
+  template <typename F>
+  void run_softirq(F&& chunk) {
+    softirq_q_.emplace_back(std::forward<F>(chunk));
+    wake();
+  }
 
   /// Enqueues task-priority work with a cost known up front; `on_done`
-  /// fires at the chunk's completion instant.
-  void run_task(sim::Duration cost, std::function<void()> on_done);
+  /// runs at the chunk's end instant as its completion (on_chunk_done).
+  /// The chunk holds `on_done` until it starts, so `on_done` gets the
+  /// Chunk's 120 bytes less `this` and `cost`: 104. A larger closure
+  /// does not compile.
+  template <typename F>
+  void run_task(sim::Duration cost, F&& on_done) {
+    run_task_fn([this, cost, cb = std::forward<F>(on_done)]() mutable {
+      on_chunk_done(std::move(cb));
+      return cost;
+    });
+  }
 
   /// Enqueues task-priority work whose cost is computed when it starts.
-  void run_task_fn(Chunk chunk);
+  /// The Chunk is constructed from `chunk` in its ring slot.
+  template <typename F>
+  void run_task_fn(F&& chunk) {
+    task_q_.emplace_back(std::forward<F>(chunk));
+    wake();
+  }
+
+  /// Sets the running chunk's completion: `fn` runs at the chunk's end
+  /// instant, in the same event that then dispatches the next chunk.
+  /// So it runs after every event queued for that instant before the
+  /// chunk's body returned (the chunk's own included), and before the
+  /// next chunk's body; an event it queues for that instant runs after
+  /// that body. Only a running chunk may call this, at most once.
+  template <typename F>
+  void on_chunk_done(F&& fn) {
+    assert(running_ && !done_ && "one completion per running chunk");
+    done_.emplace(std::forward<F>(fn));
+  }
 
   /// True when nothing is running or queued on this core.
   bool idle() const noexcept {
@@ -74,15 +113,17 @@ class Cpu {
   std::uint64_t cstate_exits() const noexcept { return cstate_exits_; }
 
  private:
-  void enqueue(bool softirq, Chunk chunk);
+  void wake();
   void dispatch();
   void run_next();
+  void end_chunk();
 
   sim::Simulator& sim_;
   const CostModel& cost_;
   int id_;
   sim::Ring<Chunk> softirq_q_;
   sim::Ring<Chunk> task_q_;
+  sim::InlineFn<void()> done_;  // the running chunk's completion
   bool running_ = false;
   bool idle_pending_ = false;  // core went idle; C-state check on next work
   sim::Time idle_since_ = 0;

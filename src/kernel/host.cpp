@@ -569,10 +569,12 @@ void Host::udp_send(overlay::Netns& ns, Cpu& cpu, std::uint16_t src_port,
     return;
   }
 
-  cpu.run_task_fn([this, &ns, cost, frame = std::move(frame),
+  // Egress is the chunk's completion: it runs at the end instant in the
+  // event that dispatches the core's next chunk.
+  cpu.run_task_fn([&ns, &cpu, cost, frame = std::move(frame),
                    on_sent = std::move(on_sent)]() mutable {
-    sim_.schedule(cost, [&ns, frame = std::move(frame),
-                         on_sent = std::move(on_sent)]() mutable {
+    cpu.on_chunk_done([&ns, frame = std::move(frame),
+                       on_sent = std::move(on_sent)]() mutable {
       ns.egress(std::move(frame));
       if (on_sent) on_sent();
     });

@@ -62,6 +62,20 @@ class Ring {
   T& front() noexcept { return (*this)[0]; }
   const T& front() const noexcept { return (*this)[0]; }
 
+  /// Constructs `T(std::forward<U>(v))` directly in the back slot: a
+  /// callable converting into T is built once, where it will be popped.
+  /// Only growth relocates, and only the elements already present.
+  template <typename U>
+  void emplace_back(U&& v) {
+    if (size_ == capacity_) {
+      grow_with(size_, std::forward<U>(v));
+    } else {
+      ::new (static_cast<void*>(&slots_[wrap(head_ + size_)]))
+          T(std::forward<U>(v));
+    }
+    ++size_;
+  }
+
   void push_back(const T& v) { emplace_back(v); }
   void push_back(T&& v) { emplace_back(std::move(v)); }
 
@@ -96,17 +110,6 @@ class Ring {
  private:
   std::size_t wrap(std::size_t i) const noexcept {
     return i & (capacity_ - 1);
-  }
-
-  template <typename U>
-  void emplace_back(U&& v) {
-    if (size_ == capacity_) {
-      grow_with(size_, std::forward<U>(v));
-    } else {
-      ::new (static_cast<void*>(&slots_[wrap(head_ + size_)]))
-          T(std::forward<U>(v));
-    }
-    ++size_;
   }
 
   template <typename U>

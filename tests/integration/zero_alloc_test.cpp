@@ -1,5 +1,6 @@
 // Zero-allocation gate: once warm, the datapath allocates nothing. Beside
-// it, the frame-block gate: one pooled block per wire frame.
+// it, two exact work counts on a drained run: one pooled block per wire
+// frame, and at most 5.5 events per wire frame.
 //
 // This translation unit replaces every replaceable global allocation
 // function of the test binary with a counting one (alloc_counter.h). Each
@@ -276,19 +277,12 @@ TEST_P(ZeroAllocTest, WarmDatapathAllocatesNothing) {
   EXPECT_GE(stretch, shape.min_delivered);
 }
 
-// Exact work count: every frame block the pool hands out is one frame on
-// a wire, and every block comes back. One Testbed runs on one thread, so
-// one BufferPool sees the whole simulation. A frame that paid for a second
-// block anywhere between sender and application (a payload copy at the
-// socket, say) breaks the first equation; a block that never returns
-// breaks the second.
-TEST(FrameBlockGateTest, OneBlockPerWireFrame) {
-  const sim::PoolStats before = sim::BufferPool::instance().stats();
+/// The exact-count gates' workload: a prism-sync Testbed sends 300 kpps
+/// bulk beside the probe for 40 ms, then drains for 20 ms with the
+/// senders stopped.
+PairApps run_drained(harness::Testbed& tb) {
   constexpr sim::Time kStop = sim::milliseconds(40);
-  harness::TestbedConfig tc;
-  tc.mode = kernel::NapiMode::kPrismSync;
-  harness::Testbed tb(tc);
-  const PairApps apps = start_pair(
+  PairApps apps = start_pair(
       tb.client(), tb.server(), tb.client_sim(), tb.server_sim(),
       [&](const char* name) -> overlay::Netns& {
         return tb.add_client_container(name);
@@ -297,18 +291,54 @@ TEST(FrameBlockGateTest, OneBlockPerWireFrame) {
         return tb.add_server_container(name);
       },
       300'000.0, 1, kStop);
-  tb.run_until(kStop + sim::milliseconds(20));  // senders stopped: drain
+  tb.run_until(kStop + sim::milliseconds(20));
+  return apps;
+}
+
+harness::TestbedConfig prism_sync() {
+  harness::TestbedConfig tc;
+  tc.mode = kernel::NapiMode::kPrismSync;
+  return tc;
+}
+
+std::uint64_t wire_frames(harness::Testbed& tb) {
+  return tb.client().nic().tx_frames() + tb.server().nic().tx_frames();
+}
+
+// Exact work count: every frame block the pool hands out is one frame on
+// a wire, and every block comes back. One Testbed runs on one thread, so
+// one BufferPool sees the whole simulation. A frame that paid for a second
+// block anywhere between sender and application (a payload copy at the
+// socket, say) breaks the first equation; a block that never returns
+// breaks the second.
+TEST(FrameBlockGateTest, OneBlockPerWireFrame) {
+  const sim::PoolStats before = sim::BufferPool::instance().stats();
+  harness::Testbed tb(prism_sync());
+  const PairApps apps = run_drained(tb);
 
   const sim::PoolStats& after = sim::BufferPool::instance().stats();
   const std::uint64_t acquired = after.acquired - before.acquired;
   const std::uint64_t returned = (after.released - before.released) +
                                  (after.discarded - before.discarded);
-  const std::uint64_t wire_frames =
-      tb.client().nic().tx_frames() + tb.server().nic().tx_frames();
   EXPECT_GE(apps.delivered(), 10'000u);
   EXPECT_GE(apps.probe->replies(), 30u);  // echoes cross the wire too
-  EXPECT_EQ(acquired, wire_frames);
+  EXPECT_EQ(acquired, wire_frames(tb));
   EXPECT_EQ(returned, acquired);
+}
+
+// Exact work count: events per wire frame. A Cpu chunk costs one event,
+// its completion included (the send's egress, a task's callback), so the
+// same run reads 5.43 events per frame; with a separate completion event
+// per chunk it read 8.43.
+TEST(EventGateTest, AtMostFiveAndAHalfEventsPerWireFrame) {
+  harness::Testbed tb(prism_sync());
+  const PairApps apps = run_drained(tb);
+
+  const std::uint64_t events = tb.sim().events_executed();
+  const std::uint64_t frames = wire_frames(tb);
+  EXPECT_GE(apps.delivered(), 10'000u);
+  EXPECT_LE(2 * events, 11 * frames)
+      << events << " events for " << frames << " wire frames";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "sim/simulator.h"
 
 namespace prism::kernel {
@@ -148,6 +153,87 @@ TEST(CpuTest, RunTaskFnUsesReturnedCost) {
   sim.run();
   EXPECT_EQ(cpu.accounting().busy_time(), 321);
   EXPECT_EQ(cpu.busy_until(), 321);
+}
+
+// The completion contract (cpu.h, on_chunk_done): the completion runs at
+// the chunk's end instant after an event other code queued for that
+// instant before the chunk started, and before the next chunk's body; an
+// event the completion queues for that instant runs after that body.
+TEST(CpuTest, CompletionRunsAtTheEndInstantBeforeTheNextChunk) {
+  sim::Simulator sim;
+  CostModel cost;
+  Cpu cpu(sim, cost, 0);
+  std::vector<std::string> order;
+  sim.schedule_at(100, [&] { order.push_back("queued earlier"); });
+  cpu.run_task(100, [&] {
+    order.push_back("completion@" + std::to_string(sim.now()));
+    sim.schedule(0, [&] { order.push_back("queued by completion"); });
+  });
+  cpu.run_task_fn([&] {
+    order.push_back("next body@" + std::to_string(sim.now()));
+    return sim::Duration{10};
+  });
+  sim.run();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"queued earlier", "completion@100",
+                                      "next body@100",
+                                      "queued by completion"}));
+}
+
+TEST(CpuTest, BackToBackTasksCostOneEventEach) {
+  sim::Simulator sim;
+  CostModel cost;
+  Cpu cpu(sim, cost, 0);
+  constexpr std::uint64_t kTasks = 50;
+  std::vector<sim::Time> done;
+  for (std::uint64_t i = 0; i < kTasks; ++i) {
+    cpu.run_task(10, [&] { done.push_back(sim.now()); });
+  }
+  sim.run();
+  ASSERT_EQ(done.size(), kTasks);
+  EXPECT_EQ(done.back(), static_cast<sim::Time>(10 * kTasks));
+  // One dispatch to wake the core, then one end event per chunk that
+  // runs its completion and starts the next.
+  EXPECT_EQ(sim.events_executed(), kTasks + 1);
+}
+
+// Host::udp_send's shape: a chunk whose cost is known only when it runs
+// sets its own completion.
+TEST(CpuTest, RunTaskFnCompletionFiresAtTheReturnedCost) {
+  sim::Simulator sim;
+  CostModel cost;
+  Cpu cpu(sim, cost, 0);
+  sim::Time fired = -1;
+  sim.schedule_at(1000, [&] {
+    cpu.run_task_fn([&] {
+      cpu.on_chunk_done([&] { fired = sim.now(); });
+      return sim::Duration{321};
+    });
+  });
+  sim.run();
+  EXPECT_EQ(fired, 1000 + 321);
+  EXPECT_EQ(cpu.busy_until(), 1000 + 321);
+}
+
+// TcpEndpoint::send's shape: a pointer plus the payload vector, 32 bytes.
+// The chunk and the completion slot hold it inline; std::function would
+// box any capture over 16 bytes on the heap.
+TEST(CpuTest, RunTaskWithAVectorCaptureAllocatesNothing) {
+  sim::Simulator sim;
+  CostModel cost;
+  Cpu cpu(sim, cost, 0);
+  cpu.run_task(10, [] {});  // the ring and the event queue get storage
+  sim.run();
+  std::size_t sent = 0;
+  std::vector<std::uint8_t> data(1000, 7);
+  const std::uint64_t allocs = test::allocations_during([&] {
+    cpu.run_task(10, [counter = &sent, data = std::move(data)] {
+      *counter += data.size();
+    });
+    sim.run();
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(sent, 1000u);
 }
 
 TEST(CpuTest, HeavySoftirqStarvesTasks) {

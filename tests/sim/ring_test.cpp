@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "alloc_counter.h"
+#include "sim/inline_fn.h"
 
 namespace prism::sim {
 namespace {
@@ -29,6 +31,19 @@ struct Live {
   ~Live() { --count; }
 };
 int Live::count = 0;
+
+// Counts constructions from a value and moves, so a test sees where an
+// element was built and how often it was relocated.
+struct Moves {
+  static int built;
+  static int moves;
+  int value = 0;
+  explicit Moves(int v) : value(v) { ++built; }
+  Moves(Moves&& other) noexcept : value(other.value) { ++moves; }
+  static void zero() { built = moves = 0; }
+};
+int Moves::built = 0;
+int Moves::moves = 0;
 
 TEST(RingTest, FifoOrderAcrossWrapAround) {
   Ring<int> r;
@@ -137,6 +152,51 @@ TEST(RingTest, MoveOnlyElements) {
     EXPECT_EQ(*p, i);
   }
   EXPECT_TRUE(r.empty());
+}
+
+TEST(RingTest, EmplaceBackBuildsInTheSlot) {
+  Moves::zero();
+  Ring<Moves> r;
+  for (int i = 0; i < 8; ++i) r.emplace_back(i);  // fills the first 8
+  EXPECT_EQ(Moves::built, 8);
+  EXPECT_EQ(Moves::moves, 0);
+  r.emplace_back(8);  // grows: the 8 present relocate, the 9th is built
+  EXPECT_EQ(Moves::built, 9);
+  EXPECT_EQ(Moves::moves, 8);
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    EXPECT_EQ(r[i].value, static_cast<int>(i));
+  }
+
+  r.clear();
+  Moves::zero();
+  const std::uint64_t allocs = test::allocations_during([&] {
+    for (int round = 0; round < 100; ++round) {
+      for (int i = 0; i < 16; ++i) r.emplace_back(i);
+      while (!r.empty()) r.pop_front();
+    }
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(Moves::built, 1600);
+  EXPECT_EQ(Moves::moves, 0);
+  EXPECT_EQ(r.capacity(), 16u);
+}
+
+// Cpu's chunk rings: a closure handed to emplace_back is moved once, into
+// the InlineFn in its slot. Building the InlineFn first and pushing it
+// relocates the closure a second time.
+TEST(RingTest, EmplacedClosureMovesOnceIntoItsSlot) {
+  using Fn = InlineFn<int()>;
+  Ring<Fn> r;
+  r.push_back(Fn([] { return 0; }));  // allocate the slots up front
+  r.pop_front();
+  Moves::zero();
+  r.emplace_back([m = Moves(1)] { return m.value; });
+  EXPECT_EQ(Moves::moves, 1);
+  r.push_back(Fn([m = Moves(2)] { return m.value; }));
+  EXPECT_EQ(Moves::moves, 1 + 2);
+  EXPECT_EQ(Moves::built, 2);
+  EXPECT_EQ(r[0](), 1);
+  EXPECT_EQ(r[1](), 2);
 }
 
 TEST(RingTest, GrownRingAllocatesNothing) {
