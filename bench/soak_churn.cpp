@@ -20,7 +20,7 @@
 //     recover every probe lost to the churn (zero abandoned probes)
 //   * determinism: the full run repeats byte-identically on 1 vs 4
 //     engine threads (same-seed snapshot compare), because churn is
-//     applied only at conservative-window barriers
+//     applied only between run_until calls, while no lane runs
 //
 // Usage: soak_churn [seed] [--short] [--threads N] [--snapshot FILE]
 //                   [--disruptions N]
@@ -324,8 +324,8 @@ SoakResult run_soak(std::uint64_t seed, const Profile& prof, int threads,
       }
       res.dead_netns_drops +=
           h->faults().drops.total(fault::DropReason::kDeadNetns);
-      res.unlearned_misses += h->fdb(42 + static_cast<std::uint32_t>(p))
-                                  .unlearned_misses();
+      res.unlearned_misses +=
+          h->fdb(cluster.pair(p).overlay().vni()).unlearned_misses();
       const telemetry::AnomalyBank& bank = h->anomalies();
       res.recoveries += bank.recoveries().size();
       res.convergence_timeouts +=
@@ -341,7 +341,7 @@ SoakResult run_soak(std::uint64_t seed, const Profile& prof, int threads,
     std::string s;
     for (int p = 0; p < kPairs; ++p) {
       for (kernel::Host* h : {&cluster.client(p), &cluster.server(p)}) {
-        s += "== " + h->name() + " ==\n";
+        s += "== pair " + std::to_string(p) + " " + h->name() + " ==\n";
         s += h->proc().read("prism/faults");
         s += "\n";
         s += h->proc().read("prism/anomalies");

@@ -33,7 +33,7 @@ void ChurnOrchestrator::apply(const fault::ChurnEvent& e) {
   if (ns == nullptr) {
     throw std::logic_error("ChurnOrchestrator: event for unregistered slot");
   }
-  overlay::OverlayNetwork& overlay = cluster_.overlay(e.pair);
+  overlay::OverlayNetwork& overlay = cluster_.pair(e.pair).overlay();
   switch (e.kind) {
     case fault::ChurnKind::kStop: {
       overlay.stop_container(*ns, plan_.config().drain);

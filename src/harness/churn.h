@@ -46,7 +46,7 @@ class ChurnOrchestrator {
 
   /// The host currently running (or last running) container (pair, idx).
   kernel::Host& host_of(int pair, int idx) {
-    return cluster_.overlay(pair).host_of(container(pair, idx));
+    return cluster_.pair(pair).overlay().host_of(container(pair, idx));
   }
 
   /// Advances every lane to `deadline`, pausing at each plan event whose

@@ -1,24 +1,22 @@
-// Multi-pair testbed for parallel simulation: N client/server pairs, one
-// event lane per pair.
+// Multi-pair testbed for parallel simulation: P client/server pairs,
+// one event lane per pair.
 //
 // The paper's testbed is one client/server pair on one wire; Cluster
-// replicates that pair P times (2P hosts). Each pair gets its own wire,
-// VXLAN overlay (distinct VNI), and address range, so pairs never
-// exchange a frame: pair p's two hosts and its wire share lane p of the
-// lane engine (sim/lane.h), one Simulator, and a P-pair cluster runs on
-// up to P real threads, one pair at a time per thread. Nothing
-// synchronizes the pairs until run_until() returns.
+// replicates that pair P times (2P hosts). Each pair is a Testbed built
+// from the same TestbedConfig, with its own wire and VXLAN overlay, so
+// pairs repeat each other's host names, addresses and VNI but never
+// exchange a frame. Pair p's Simulator is lane p of the lane engine
+// (sim/lane.h), and a P-pair cluster runs on up to P real threads, one
+// pair at a time per thread. Nothing synchronizes the pairs until
+// run_until() returns.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "kernel/host.h"
-#include "nic/wire.h"
-#include "overlay/overlay_network.h"
+#include "harness/testbed.h"
 #include "sim/lane.h"
 
 namespace prism::sim {
@@ -30,28 +28,10 @@ class SpanTracer;
 
 namespace prism::harness {
 
-/// Cluster parameters. Per-pair defaults mirror TestbedConfig.
-struct ClusterConfig {
-  int pairs = 2;  ///< client/server pairs in [1, 127]; one lane each
-  kernel::NapiMode mode = kernel::NapiMode::kVanilla;
-  kernel::CostModel cost;
-  int client_cpus = 4;
-  int server_cpus = 4;
-  int client_queues = 4;  ///< client-side RSS
-  std::size_t nic_ring_capacity = 4096;
-  nic::CoalesceConfig coalesce{sim::microseconds(50), 64};
-  double wire_gbps = 100.0;
-  sim::Duration propagation = sim::nanoseconds(500);
-  /// Fault injection on every server host (default inactive); clients
-  /// stay fault-free, as in TestbedConfig. Each server owns an
-  /// independent FaultLayer seeded from this config, so faults on pair i
-  /// never perturb pair j.
-  fault::FaultConfig server_faults;
-  /// Overload control + backlog sizing on every server host.
-  kernel::OverloadConfig server_overload;
-  std::size_t server_netdev_max_backlog = 1000;
-  /// Overlay flow cache (ONCache-style stage-1 fast path) on every host.
-  bool flow_cache = false;
+/// Cluster parameters: every pair is a Testbed built from the inherited
+/// fields.
+struct ClusterConfig : TestbedConfig {
+  int pairs = 2;  ///< client/server pairs, at least 1; one lane each
 };
 
 /// P client/server pairs, 2P hosts, P lanes.
@@ -68,22 +48,19 @@ class Cluster {
 
   sim::LaneSet& lanes() noexcept { return lanes_; }
 
-  kernel::Host& client(int pair) { return *pairs_.at(pair).client; }
-  kernel::Host& server(int pair) { return *pairs_.at(pair).server; }
-  nic::Wire& wire(int pair) { return *pairs_.at(pair).wire; }
-  overlay::OverlayNetwork& overlay(int pair) {
-    return *pairs_.at(pair).overlay;
+  /// Pair `p`: a Testbed whose Simulator is lane p.
+  Testbed& pair(int p) { return *pairs_.at(static_cast<std::size_t>(p)); }
+
+  kernel::Host& client(int p) { return pair(p).client(); }
+  kernel::Host& server(int p) { return pair(p).server(); }
+  sim::Simulator& client_sim(int p) { return pair(p).client_sim(); }
+  sim::Simulator& server_sim(int p) { return pair(p).server_sim(); }
+  overlay::Netns& add_client_container(int p, const std::string& name) {
+    return pair(p).add_client_container(name);
   }
-
-  /// The Simulator pair `pair`'s client/server host schedules on: both
-  /// are lane `pair`.
-  sim::Simulator& client_sim(int pair) { return lanes_.lane(pair); }
-  sim::Simulator& server_sim(int pair) { return lanes_.lane(pair); }
-
-  /// Adds a container on pair `pair`'s client/server host, attached to
-  /// that pair's overlay. Container IPs auto-assign in 172.17.<pair>.0/24.
-  overlay::Netns& add_client_container(int pair, const std::string& name);
-  overlay::Netns& add_server_container(int pair, const std::string& name);
+  overlay::Netns& add_server_container(int p, const std::string& name) {
+    return pair(p).add_server_container(name);
+  }
 
   /// Advances every lane to `deadline`, running the pairs on up to
   /// `threads` OS threads (one pair at a time per thread). Deterministic
@@ -118,18 +95,12 @@ class Cluster {
   std::vector<std::string> proc_paths() const;
 
  private:
-  struct Pair {
-    std::unique_ptr<kernel::Host> client;
-    std::unique_ptr<kernel::Host> server;
-    std::unique_ptr<nic::Wire> wire;
-    std::unique_ptr<overlay::OverlayNetwork> overlay;
-    std::uint8_t next_container_ip = 2;
-  };
-
   std::string cluster_json();
 
+  /// Declared before lanes_, so the lane engine's helper threads are
+  /// joined before any pair's Simulator is destroyed.
+  std::vector<std::unique_ptr<Testbed>> pairs_;
   sim::LaneSet lanes_;
-  std::vector<Pair> pairs_;
   /// Owned by the cluster, attached to lanes_ (which only borrows it);
   /// declared after lanes_ yet destroyed first, so the dtor detaches it
   /// before the engine goes away.

@@ -7,10 +7,11 @@
 // across queues so it is never the bottleneck. One VXLAN overlay spans
 // both hosts for container workloads.
 //
-// Both hosts and the wire share one Simulator, which runs on the
-// caller's thread. client_sim() and server_sim() both return it; callers
-// still name the host whose state a callback touches, and drive the
-// clock through run_until().
+// Both hosts and the wire share one Simulator. client_sim() and
+// server_sim() both return it; callers still name the host whose state a
+// callback touches. A Testbed run alone advances through run_until() on
+// the caller's thread; a Cluster (harness/cluster.h) is P Testbeds and
+// runs their Simulators on its lane engine's workers instead.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +55,9 @@ struct TestbedConfig {
   /// Overlay flow cache (ONCache-style stage-1 fast path) on both hosts.
   /// Off by default so baselines measure the full pipeline.
   bool flow_cache = false;
-  /// Read by nothing: a Testbed is one Simulator on the caller's
-  /// thread. Kept because perfbench sets it.
+  /// Read by nothing: a Testbed runs on the caller's thread, and a
+  /// Cluster takes its thread count from run_until(). Kept because
+  /// perfbench sets it.
   int threads = 1;
 };
 
@@ -74,7 +76,8 @@ class Testbed {
   sim::Simulator& client_sim() noexcept { return sim_; }
   sim::Simulator& server_sim() noexcept { return sim_; }
 
-  /// Advances the testbed to `deadline` on the caller's thread.
+  /// Advances the testbed to `deadline` on the caller's thread. A
+  /// Cluster's pairs advance through Cluster::run_until() instead.
   void run_until(sim::Time deadline) { sim_.run_until(deadline); }
 
   kernel::Host& client() noexcept { return client_; }

@@ -318,7 +318,6 @@ overlay::Bridge& Host::bridge(std::uint32_t vni) {
 }
 
 overlay::Fdb& Host::fdb(std::uint32_t vni) {
-  bridge(vni);  // ensure it exists
   return *bridges_.at(vni).fdb;
 }
 

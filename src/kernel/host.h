@@ -148,10 +148,11 @@ class Host {
   /// Creates (or returns) the overlay bridge for `vni`.
   overlay::Bridge& bridge(std::uint32_t vni);
 
-  /// The `vni` bridge's forwarding database (creates the bridge on first
-  /// use). Mutations through it — add, remap, remove — bump the flow
-  /// cache's generation via the installed hook, so cached transforms
-  /// resolved under the old table are never replayed.
+  /// The `vni` bridge's forwarding database. Reading it creates
+  /// nothing: an unknown VNI throws std::out_of_range. Mutations through
+  /// it — add, remap, remove — bump the flow cache's generation via the
+  /// installed hook, so cached transforms resolved under the old table
+  /// are never replayed.
   overlay::Fdb& fdb(std::uint32_t vni);
 
   /// Creates a container attached to the `vni` bridge. The container MAC

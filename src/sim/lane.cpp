@@ -104,11 +104,17 @@ class LaneSet::Helpers {
   std::vector<std::jthread> threads_;
 };
 
-LaneSet::LaneSet(int lanes) {
-  if (lanes < 1) {
+LaneSet::LaneSet(std::vector<Simulator*> lanes) {
+  if (lanes.empty()) {
     throw std::invalid_argument("LaneSet: need at least one lane");
   }
-  lanes_ = std::vector<Lane>(static_cast<std::size_t>(lanes));
+  lanes_ = std::vector<Lane>(lanes.size());
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    if (lanes[i] == nullptr) {
+      throw std::invalid_argument("LaneSet: null lane");
+    }
+    lanes_[i].sim = lanes[i];
+  }
   runs_.resize(lanes_.size());
 }
 
@@ -116,16 +122,16 @@ LaneSet::~LaneSet() = default;
 
 void LaneSet::run_lane(Lane& l, Time deadline, bool profiled) {
   l.error = nullptr;
-  l.begin = l.sim.now();
-  const std::uint64_t events0 = l.sim.events_executed();
+  l.begin = l.sim->now();
+  const std::uint64_t events0 = l.sim->events_executed();
   const Clock::time_point t0 = profiled ? Clock::now() : Clock::time_point{};
   try {
-    l.sim.run_until(deadline);
+    l.sim->run_until(deadline);
   } catch (...) {
     l.error = std::current_exception();
   }
   l.busy_ns = profiled ? ns_between(t0, Clock::now()) : 0;
-  l.events = l.sim.events_executed() - events0;
+  l.events = l.sim->events_executed() - events0;
 }
 
 void LaneSet::run_until(Time deadline, int threads) {
@@ -168,7 +174,7 @@ void LaneSet::run_until(Time deadline, int threads) {
     }
     for (std::size_t i = 0; i < n; ++i) {
       Lane& l = lanes_[i];
-      prof->add_lane_run(static_cast<int>(i), l.begin, l.sim.now(), l.events,
+      prof->add_lane_run(static_cast<int>(i), l.begin, l.sim->now(), l.events,
                          l.busy_ns);
     }
   }
@@ -179,13 +185,13 @@ void LaneSet::run_until(Time deadline, int threads) {
 
 std::uint64_t LaneSet::events_executed() const {
   std::uint64_t total = 0;
-  for (const Lane& l : lanes_) total += l.sim.events_executed();
+  for (const Lane& l : lanes_) total += l.sim->events_executed();
   return total;
 }
 
 std::size_t LaneSet::pending_events() const {
   std::size_t total = 0;
-  for (const Lane& l : lanes_) total += l.sim.pending_events();
+  for (const Lane& l : lanes_) total += l.sim->pending_events();
   return total;
 }
 

@@ -3,10 +3,12 @@
 //
 // A lane is one Simulator that a whole connected part of the model
 // shares: in every topology this project builds, a client/server pair
-// joined by one wire (nic/wire.h). Nothing crosses from one lane to
-// another, so lanes need no synchronisation while they run; they meet
-// once, when run_until() joins its workers. Inside a lane the events
-// run in (time, queue order), exactly as on a lone Simulator.
+// joined by one wire (nic/wire.h). The set borrows its lanes: a Cluster
+// hands it the Simulators of its Testbeds, which must outlive the set.
+// Nothing crosses from one lane to another, so lanes need no
+// synchronisation while they run; they meet once, when run_until()
+// joins its workers. Inside a lane the events run in (time, queue
+// order), exactly as on a lone Simulator.
 //
 // Lane i always runs on worker i mod W, the caller's thread being worker
 // 0, so a lane's packet buffers keep cycling through one thread's pools.
@@ -33,14 +35,16 @@ class LaneProfiler;
 /// per worker thread.
 class LaneSet {
  public:
-  explicit LaneSet(int lanes);
+  /// Lane i is `*lanes[i]`. Throws std::invalid_argument on an empty
+  /// list or a null entry.
+  explicit LaneSet(std::vector<Simulator*> lanes);
   ~LaneSet();
 
   LaneSet(const LaneSet&) = delete;
   LaneSet& operator=(const LaneSet&) = delete;
 
   int num_lanes() const noexcept { return static_cast<int>(lanes_.size()); }
-  Simulator& lane(int i) { return lanes_[static_cast<std::size_t>(i)].sim; }
+  Simulator& lane(int i) { return *lanes_[static_cast<std::size_t>(i)].sim; }
 
   /// Advances every lane to `deadline`. Events at exactly `deadline`
   /// run; later events stay queued; every lane's clock ends at >=
@@ -90,7 +94,7 @@ class LaneSet {
   /// by the worker running the lane; cache-line aligned so two lanes
   /// never share a line.
   struct alignas(64) Lane {
-    Simulator sim;
+    Simulator* sim = nullptr;    ///< borrowed
     std::exception_ptr error;    ///< thrown by an event this run
     Time begin = 0;              ///< clock when this run began
     std::uint64_t events = 0;    ///< executed this run

@@ -109,7 +109,7 @@ ClusterRun run_cluster(int threads, std::uint64_t seed,
     r.received.push_back(servers[static_cast<std::size_t>(p)]->received());
     r.replies.push_back(clients[static_cast<std::size_t>(p)]->replies());
     r.fc_hits.push_back(cluster.server(p).flow_cache().hits());
-    r.wire_frames.push_back(cluster.wire(p).frames_delivered());
+    r.wire_frames.push_back(cluster.pair(p).wire().frames_delivered());
     const auto& sc = cluster.server(p).faults().plan.counters();
     r.fault_injections +=
         sc.wire_drops + sc.wire_corrupts + sc.wire_duplicates;

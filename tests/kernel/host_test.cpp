@@ -2,6 +2,8 @@
 // GRO byte-level correctness, and multi-overlay isolation.
 #include "kernel/host.h"
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "harness/testbed.h"
@@ -59,6 +61,19 @@ TEST(HostTest, BridgeIsPerVniAndIdempotent) {
   EXPECT_NE(&b1, &b2);
   EXPECT_EQ(b1.vni(), 100u);
   EXPECT_EQ(b2.vni(), 200u);
+}
+
+// Reading a VNI's FDB creates no bridge: only bridge(), add_container,
+// adopt_container and add_overlay_route do.
+TEST(HostTest, FdbOfUnknownVniThrows) {
+  sim::Simulator sim;
+  HostConfig cfg;
+  cfg.ip = net::Ipv4Addr::of(10, 0, 0, 7);
+  Host host(sim, cfg);
+  EXPECT_THROW(host.fdb(100), std::out_of_range);
+  host.bridge(100);
+  EXPECT_EQ(host.fdb(100).size(), 0u);
+  EXPECT_THROW(host.fdb(200), std::out_of_range);
 }
 
 TEST(HostTest, MaxUdpPayloadDependsOnPath) {

@@ -14,6 +14,14 @@
 namespace prism::sim {
 namespace {
 
+/// The pointers a LaneSet borrows: lane i is `sims[i]`, which the
+/// caller keeps alive for as long as the set.
+std::vector<Simulator*> pointers_to(std::vector<Simulator>& sims) {
+  std::vector<Simulator*> out;
+  for (Simulator& s : sims) out.push_back(&s);
+  return out;
+}
+
 /// Host-to-host ping-pong on one lane: the two hosts of a pair exchange
 /// `remaining` hops, each landing `prop` + 1 ns after it was sent.
 struct PingPong {
@@ -37,7 +45,8 @@ using RunResult = std::vector<std::uint64_t>;
 /// the lanes differ in load.
 RunResult run_ping_pong(int threads, LaneProfiler* prof, int lanes = 1,
                         Time deadline = 200'000) {
-  LaneSet set(lanes);
+  std::vector<Simulator> sims(lanes);
+  LaneSet set(pointers_to(sims));
   std::vector<PingPong> pps;
   pps.reserve(static_cast<std::size_t>(lanes));
   for (int i = 0; i < lanes; ++i) {
@@ -55,7 +64,8 @@ RunResult run_ping_pong(int threads, LaneProfiler* prof, int lanes = 1,
 }
 
 TEST(LaneProfilerTest, AttachAndDetach) {
-  LaneSet set(2);
+  std::vector<Simulator> sims(2);
+  LaneSet set(pointers_to(sims));
   LaneProfiler prof;
   set.set_profiler(&prof);
   EXPECT_EQ(set.profiler(), &prof);
@@ -104,7 +114,8 @@ TEST(LaneProfilerTest, WorkerRoundTimeConservation) {
 }
 
 TEST(LaneProfilerTest, ExactTotalsMatchEngineCounters) {
-  LaneSet set(2);
+  std::vector<Simulator> sims(2);
+  LaneSet set(pointers_to(sims));
   LaneProfiler prof;
   set.set_profiler(&prof);
   PingPong pp0{set.lane(0), 100, 300};
@@ -137,7 +148,8 @@ TEST(LaneProfilerTest, ExactTotalsMatchEngineCounters) {
 
   // Lopsided: lane 0 runs a dense local schedule; lane 1 runs one event.
   // The max/mean event ratio shows it.
-  LaneSet lopsided(2);
+  std::vector<Simulator> lopsided_sims(2);
+  LaneSet lopsided(pointers_to(lopsided_sims));
   LaneProfiler prof2;
   lopsided.set_profiler(&prof2);
   for (Time t = 1; t < 50'000; t += 10) {
@@ -151,7 +163,8 @@ TEST(LaneProfilerTest, ExactTotalsMatchEngineCounters) {
 }
 
 TEST(LaneProfilerTest, ResetClearsEverything) {
-  LaneSet set(1);
+  std::vector<Simulator> sims(1);
+  LaneSet set(pointers_to(sims));
   PingPong pp{set.lane(0), 100, 400};
   pp.start();
   LaneProfiler prof;

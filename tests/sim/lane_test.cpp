@@ -22,18 +22,32 @@ namespace {
 
 // -------------------------------------------------------------- LaneSet
 
+/// The pointers a LaneSet borrows: lane i is `sims[i]`, which the
+/// caller keeps alive for as long as the set.
+std::vector<Simulator*> pointers_to(std::vector<Simulator>& sims) {
+  std::vector<Simulator*> out;
+  for (Simulator& s : sims) out.push_back(&s);
+  return out;
+}
+
 TEST(LaneSetTest, ConstructionValidation) {
-  EXPECT_THROW(LaneSet(0), std::invalid_argument);
-  EXPECT_THROW(LaneSet(-1), std::invalid_argument);
-  LaneSet set(3);
+  EXPECT_THROW(LaneSet(std::vector<Simulator*>{}), std::invalid_argument);
+  Simulator one;
+  EXPECT_THROW(LaneSet(std::vector<Simulator*>{&one, nullptr}),
+               std::invalid_argument);
+  std::vector<Simulator> sims(3);
+  LaneSet set(pointers_to(sims));
   EXPECT_EQ(set.num_lanes(), 3);
-  EXPECT_NE(&set.lane(0), &set.lane(1));  // one engine per lane
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(&set.lane(i), &sims[static_cast<size_t>(i)]);  // borrowed
+  }
   EXPECT_EQ(set.events_executed(), 0u);
   EXPECT_EQ(set.pending_events(), 0u);
 }
 
 TEST(LaneSetTest, SingleLaneRunsLikeASimulator) {
-  LaneSet set(1);
+  std::vector<Simulator> sims(1);
+  LaneSet set(pointers_to(sims));
   std::vector<Time> log;
   set.lane(0).schedule_at(10, [&] { log.push_back(set.lane(0).now()); });
   set.lane(0).schedule_at(30, [&] { log.push_back(set.lane(0).now()); });
@@ -46,7 +60,8 @@ TEST(LaneSetTest, SingleLaneRunsLikeASimulator) {
 }
 
 TEST(LaneSetTest, DeadlineSemanticsMatchSimulatorRunUntil) {
-  LaneSet set(2);
+  std::vector<Simulator> sims(2);
+  LaneSet set(pointers_to(sims));
   int at_deadline = 0;
   int beyond = 0;
   set.lane(0).schedule_at(1'000, [&] { ++at_deadline; });
@@ -65,7 +80,8 @@ TEST(LaneSetTest, DeadlineSemanticsMatchSimulatorRunUntil) {
 // lane: it runs at exactly the instant it was queued for, and the engine
 // counts no window, message or spill.
 TEST(LaneSetTest, CrossLanePostDeliversAtExactTime) {
-  LaneSet set(2);
+  std::vector<Simulator> sims(2);
+  LaneSet set(pointers_to(sims));
   Time delivered_at = -1;
   set.lane(1).schedule_at(100, [&] {
     set.lane(1).schedule_at(601, [&] { delivered_at = set.lane(1).now(); });
@@ -82,7 +98,8 @@ TEST(LaneSetTest, CrossLanePostDeliversAtExactTime) {
 // 1 ns after the one before (a frame's serialization floor). A chain 100
 // hops deep completes, and the clock still ends at the deadline.
 TEST(LaneSetTest, ZeroPropagationLockstepPingPong) {
-  LaneSet set(1);
+  std::vector<Simulator> sims(1);
+  LaneSet set(pointers_to(sims));
   Simulator& sim = set.lane(0);
   int hops = 0;
   // InlineFn cannot capture a recursive lambda by value; use a small
@@ -110,7 +127,8 @@ TEST(LaneSetTest, ZeroPropagationLockstepPingPong) {
 // A lane with no work beside busy lanes still ends at the deadline, and
 // a busy lane runs every event at its own time.
 TEST(LaneSetTest, PeerlessLaneFreeRuns) {
-  LaneSet set(3);
+  std::vector<Simulator> sims(3);
+  LaneSet set(pointers_to(sims));
   std::vector<Time> log;
   for (int i = 1; i <= 10; ++i) {
     set.lane(2).schedule_at(i * 100, [&log, &set] {
@@ -129,7 +147,8 @@ TEST(LaneSetTest, PeerlessLaneFreeRuns) {
 }
 
 TEST(LaneSetTest, NoLinksAtAllStillRuns) {
-  LaneSet set(4);
+  std::vector<Simulator> sims(4);
+  LaneSet set(pointers_to(sims));
   int ran = 0;
   for (int i = 0; i < 4; ++i) {
     set.lane(i).schedule_at(10 * (i + 1), [&] { ++ran; });
@@ -147,7 +166,8 @@ TEST(LaneSetTest, NoLinksAtAllStillRuns) {
 /// the queue's tie order. Each lane's log is written only by that lane's
 /// events, so two runs are byte-comparable.
 struct LaneWorkload {
-  explicit LaneWorkload(int lanes) : set(lanes), logs(lanes) {}
+  explicit LaneWorkload(int lanes)
+      : sims(lanes), set(pointers_to(sims)), logs(lanes) {}
 
   void tick(int lane, Time at, Time stop) {
     set.lane(lane).schedule_at(at, [this, lane, at, stop] {
@@ -168,6 +188,7 @@ struct LaneWorkload {
     set.run_until(40'000, threads);
   }
 
+  std::vector<Simulator> sims;
   LaneSet set;
   std::vector<std::vector<std::int64_t>> logs;
 };
@@ -215,7 +236,8 @@ TEST(LaneSetTest, OversubscribedThreadCountClampsToLanes) {
 TEST(LaneSetTest, EachComponentRunsOnOneThread) {
   constexpr int kLanes = 7;
   for (int threads : {1, 2, 4, 16}) {
-    LaneSet set(kLanes);
+    std::vector<Simulator> sims(kLanes);
+    LaneSet set(pointers_to(sims));
     std::vector<std::vector<std::thread::id>> ran_on(kLanes);
     // With several workers, every lane's first event waits (boundedly)
     // until a second lane has started, so the caller cannot finish every
@@ -265,7 +287,8 @@ TEST(LaneSetTest, EachComponentRunsOnOneThread) {
 // lowest-numbered lane's exception wins.
 TEST(LaneSetTest, EventExceptionReachesCallerAtAnyThreadCount) {
   for (int threads : {1, 2, 4, 16}) {
-    LaneSet set(5);
+    std::vector<Simulator> sims(5);
+    LaneSet set(pointers_to(sims));
     // Lane 3 throws first in simulated time; lane 1 throws later; lane 4
     // does not throw.
     set.lane(3).schedule_at(100, [] { throw std::runtime_error("lane 3"); });
