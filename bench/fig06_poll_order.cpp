@@ -6,30 +6,41 @@
 // N+1. PRISM (Fig. 6b) polls {eth, br, veth, eth, br, veth, ...}: each
 // batch completes all stages before the next is fetched.
 //
-// With --trace-out PATH the same runs are re-recorded through the span
-// tracer and exported as Chrome trace_event JSON (load in Perfetto or
-// chrome://tracing): one track per CPU, one span per device poll, so the
-// interleaved vs streamlined orders are visible as the paper drew them.
+// Both runs are recorded through one span tracer (one track per CPU, one
+// span per device poll carrying the poll list after it); the tables read
+// the server RX core's polls back from it. With --trace-out PATH the
+// tracer is exported as Chrome trace_event JSON (load in Perfetto or
+// chrome://tracing), so the interleaved vs streamlined orders are visible
+// as the paper drew them.
 #include <cstdio>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "apps/sockperf.h"
 #include "bench_util.h"
 #include "harness/testbed.h"
 #include "telemetry/span_tracer.h"
-#include "trace/poll_trace.h"
 
 namespace {
 
-prism::trace::PollTrace trace_mode(
-    prism::kernel::NapiMode mode,
-    prism::telemetry::SpanTracer* tracer = nullptr, int track_base = 0,
-    prism::telemetry::LatencyBreakdown* breakdown = nullptr) {
+/// Runs `mode` with the server's CPUs on tracks [track_base, track_base +
+/// 4) of `tracer` and returns the RX core's polls after warmup.
+std::vector<prism::telemetry::SpanTracer::PollRow> trace_mode(
+    prism::kernel::NapiMode mode, prism::telemetry::SpanTracer& tracer,
+    int track_base, prism::telemetry::LatencyBreakdown& breakdown) {
   using namespace prism;
   harness::TestbedConfig tc;
   tc.mode = mode;
   harness::Testbed tb(tc);
-  if (tracer != nullptr) tb.server().set_span_tracer(tracer, track_base);
+  tb.server().set_span_tracer(&tracer, track_base);
+  // Rows read "<mode>.server.cpu<i>", so the two runs' rows differ.
+  for (int i = 0; i < tb.server().num_cpus(); ++i) {
+    tracer.set_track_label(track_base + i,
+                           std::string(kernel::to_string(mode)) + "." +
+                               tb.server().name() + ".cpu" +
+                               std::to_string(i));
+  }
   auto& cli = tb.add_client_container("cli");
   auto& srv = tb.add_server_container("srv");
   // The traced flow is high priority so PRISM's streamlining engages.
@@ -50,17 +61,11 @@ prism::trace::PollTrace trace_mode(
   apps::SockperfClient client(tb.client_sim(), cc);
   client.start();
 
-  trace::PollTrace trace;
-  // Attach after warmup so the steady-state order is captured.
-  tb.server_sim().schedule_at(sim::milliseconds(2), [&] {
-    tb.server().set_poll_trace(tb.server().default_rx_cpu(), &trace);
-  });
   tb.run_until(sim::milliseconds(3));
-  tb.server().set_poll_trace(tb.server().default_rx_cpu(), nullptr);
-  if (breakdown != nullptr) {
-    *breakdown = tb.server().latency_ledger().snapshot();
-  }
-  return trace;
+  breakdown = tb.server().latency_ledger().snapshot();
+  // The polls from 2 ms on, so the steady-state order is shown.
+  return tracer.polls(track_base + tb.server().default_rx_cpu(),
+                      sim::milliseconds(2));
 }
 
 }  // namespace
@@ -78,19 +83,20 @@ int main(int argc, char** argv) {
                       "NAPI device processing order, Vanilla vs PRISM");
 
   telemetry::SpanTracer tracer;
-  telemetry::SpanTracer* tp = trace_out != nullptr ? &tracer : nullptr;
 
   // Vanilla on tracks [0, 4), PRISM on tracks [4, 8): both orders appear
   // in one exported timeline, one row per (mode, CPU).
   telemetry::LatencyBreakdown vanilla_lat;
   telemetry::LatencyBreakdown prism_lat;
   const auto vanilla =
-      trace_mode(kernel::NapiMode::kVanilla, tp, 0, &vanilla_lat);
-  std::printf("(a) Vanilla\n%s\n", vanilla.render(12).c_str());
+      trace_mode(kernel::NapiMode::kVanilla, tracer, 0, vanilla_lat);
+  std::printf("(a) Vanilla\n%s\n",
+              telemetry::render_poll_table(vanilla, 12).c_str());
 
-  const auto prism_trace =
-      trace_mode(kernel::NapiMode::kPrismBatch, tp, 4, &prism_lat);
-  std::printf("(b) PRISM\n%s\n", prism_trace.render(12).c_str());
+  const auto prism_rows =
+      trace_mode(kernel::NapiMode::kPrismBatch, tracer, 4, prism_lat);
+  std::printf("(b) PRISM\n%s\n",
+              telemetry::render_poll_table(prism_rows, 12).c_str());
 
   std::printf(
       "Note how in (a) veth (stage 3 of batch N) is polled only after eth\n"
@@ -99,11 +105,9 @@ int main(int argc, char** argv) {
   bench::print_latency_breakdown("vanilla", vanilla_lat);
   bench::print_latency_breakdown("prism-batch", prism_lat);
 
-  if (vanilla.dropped_records() + prism_trace.dropped_records() > 0) {
-    std::printf("poll-trace records dropped: vanilla %llu, prism %llu\n",
-                static_cast<unsigned long long>(vanilla.dropped_records()),
-                static_cast<unsigned long long>(
-                    prism_trace.dropped_records()));
+  if (tracer.dropped() > 0) {
+    std::printf("spans dropped: %llu (the tables miss the oldest polls)\n",
+                static_cast<unsigned long long>(tracer.dropped()));
   }
 
   if (trace_out != nullptr) {

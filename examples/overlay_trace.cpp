@@ -10,7 +10,7 @@
 #include "apps/sockperf.h"
 #include "harness/testbed.h"
 #include "telemetry/latency.h"
-#include "trace/poll_trace.h"
+#include "telemetry/span_tracer.h"
 
 namespace {
 
@@ -39,21 +39,24 @@ void run_mode(prism::kernel::NapiMode mode) {
   apps::SockperfClient client(tb.client_sim(), cc);
   client.start();
 
-  // Trace the [4 ms, 6 ms) window: poll order from the engine, per-stage
-  // latency from the server's ledger, reset at the window's start.
-  trace::PollTrace polls;
+  // Trace the [4 ms, 6 ms) window: poll order from the engine's spans,
+  // per-stage latency from the server's ledger, reset at the window's
+  // start.
+  telemetry::SpanTracer spans;
   tb.server_sim().schedule_at(sim::milliseconds(4), [&] {
-    tb.server().set_poll_trace(tb.server().default_rx_cpu(), &polls);
+    tb.server().set_span_tracer(&spans);
     tb.server().latency_ledger().reset();
   });
   tb.run_until(sim::milliseconds(6));
-  tb.server().set_poll_trace(tb.server().default_rx_cpu(), nullptr);
+  tb.server().set_span_tracer(nullptr);
   const telemetry::LatencyBreakdown window =
       tb.server().latency_ledger().snapshot();
   tb.run_until(sim::milliseconds(20));  // drain past the client's stop
 
   std::printf("--- %s ---\n", kernel::to_string(mode));
-  std::printf("%s\n", polls.render(9).c_str());
+  std::printf("%s\n", telemetry::render_poll_table(
+                           spans.polls(tb.server().default_rx_cpu()), 9)
+                           .c_str());
   std::printf("%s\n", telemetry::render_latency_breakdown(window).c_str());
 }
 

@@ -46,10 +46,7 @@ int main(int argc, char** argv) {
     cfg.mode = mode;
     cfg.busy = busy;
     cfg.duration = sim::milliseconds(300);
-    if (instrument) {
-      cfg.collect_telemetry = telemetry;
-      if (trace_out != nullptr) cfg.trace_out = trace_out;
-    }
+    if (instrument && trace_out != nullptr) cfg.trace_out = trace_out;
     const auto r = harness::run_priority_scenario(cfg);
     if (instrument && telemetry) softnet_stat = r.server_softnet_stat;
     if (instrument) breakdown = r.server_latency;

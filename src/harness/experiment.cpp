@@ -9,7 +9,6 @@
 #include "harness/testbed.h"
 #include "telemetry/anomaly.h"
 #include "telemetry/flight_recorder.h"
-#include "telemetry/snapshot.h"
 #include "telemetry/span_tracer.h"
 
 namespace prism::harness {
@@ -163,8 +162,7 @@ PriorityScenarioResult run_priority_scenario(
   probe_client.start();
   if (cfg.busy && cfg.bg_rate_pps > 0) bg_client.start();
 
-  // Measure server RX-core utilization over the probe window (server
-  // state, so it samples on the server's lane).
+  // Measure server RX-core utilization over the probe window.
   auto& rx_acct = tb.server_rx_cpu().accounting();
   tb.server_sim().schedule_at(cfg.warmup, [&] {
     rx_acct.begin_window(tb.server_sim().now());
@@ -187,20 +185,7 @@ PriorityScenarioResult run_priority_scenario(
   result.server_latency = tb.server().latency_ledger().snapshot();
   fill_flowcache_stats(result, tb);
   result.server_anomalies = anomaly_summary_of(tb);
-  if (cfg.arm_detectors) {
-    result.server_anomalies_json = telemetry::anomalies_json(
-        tb.server().anomalies(), &tb.server().flight_recorder());
-  }
-  if (!cfg.anomaly_trace_out.empty() &&
-      !telemetry::export_anomaly_trace_file(tb.server().anomalies(),
-                                            cfg.anomaly_trace_out)) {
-    std::fprintf(stderr, "run_priority_scenario: cannot write %s\n",
-                 cfg.anomaly_trace_out.c_str());
-  }
-  if (cfg.collect_telemetry) {
-    result.server_telemetry_json = tb.server().proc().read("prism/telemetry");
-    result.server_softnet_stat = tb.server().softnet_stat();
-  }
+  result.server_softnet_stat = tb.server().softnet_stat();
   if (!cfg.trace_out.empty() &&
       !tracer.export_chrome_trace_file(cfg.trace_out, "prism-testbed")) {
     std::fprintf(stderr, "run_priority_scenario: cannot write %s\n",
@@ -249,9 +234,8 @@ StreamlinedScenarioResult run_streamlined_scenario(
   apps::SockperfClient client(tb.client_sim(), cc);
   client.start();
 
-  // Window-edge sampling, split by which host owns the counter: server
-  // goodput and CPU accounting sample on the server's lane, the client
-  // send counter on the client's lane.
+  // Window-edge sampling of server goodput, RX-core accounting and the
+  // client send counter.
   auto& rx_acct = tb.server_rx_cpu().accounting();
   std::uint64_t received_at_warmup = 0;
   tb.server_sim().schedule_at(cfg.warmup, [&] {

@@ -37,9 +37,6 @@ struct PriorityScenarioConfig {
   sim::Duration warmup = sim::milliseconds(50);
   sim::Duration duration = sim::milliseconds(500);
   kernel::CostModel cost{};
-  /// Collect the server's telemetry (registry JSON + softnet_stat) into
-  /// the result. Counters are always live; this only snapshots them.
-  bool collect_telemetry = false;
   /// > 0: override the server latency ledger's window interval, for
   /// finer/coarser p50/p99-vs-time series (default 10 ms).
   sim::Duration latency_window = 0;
@@ -59,9 +56,6 @@ struct PriorityScenarioConfig {
   sim::Duration inversion_wait_ns = sim::microseconds(100);
   /// Per-class p99 SLO over 1 ms windows (0 = SLO detector off).
   sim::Duration slo_p99_ns = 0;
-  /// Non-empty: export the findings' frozen evidence slices as Chrome
-  /// trace_event JSON to this path (Perfetto-loadable).
-  std::string anomaly_trace_out;
   /// Mild wire fault injection on the server (drop/duplicate
   /// probabilities), so detector runs see realistic loss; seeded by
   /// fault_seed for reproducible multi-seed tables.
@@ -71,7 +65,7 @@ struct PriorityScenarioConfig {
 };
 
 /// Counts of detector firings on the server, lifted from the bank after
-/// the run (full document in server_anomalies_json when arm_detectors).
+/// the run.
 struct AnomalySummary {
   std::uint64_t queue_inversions = 0;
   std::uint64_t ring_inversions = 0;
@@ -98,10 +92,7 @@ struct PriorityScenarioResult {
   std::uint64_t bg_sent = 0;
   std::uint64_t bg_received = 0;
   std::uint64_t server_ring_drops = 0;
-  /// Filled when collect_telemetry: the server telemetry bundle as JSON
-  /// ({"counters", "gauges", "rings", "latency", "flows"}) and its
-  /// softnet_stat rendering.
-  std::string server_telemetry_json;
+  /// The server's /proc/net/softnet_stat rendering at the end of the run.
   std::string server_softnet_stat;
   /// Server-side per-stage latency attribution over the measurement
   /// window (warmup excluded).
@@ -109,9 +100,6 @@ struct PriorityScenarioResult {
   /// Detector firings on the server over the measurement window (warmup
   /// excluded; always filled — the default bank detects inversions).
   AnomalySummary server_anomalies;
-  /// The server's full "prism/anomalies" document (findings + frozen
-  /// evidence), filled when arm_detectors.
-  std::string server_anomalies_json;
   /// Server overlay flow-cache counters over the whole run (zero when the
   /// cache is off).
   std::uint64_t server_flowcache_hits = 0;

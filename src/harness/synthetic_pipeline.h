@@ -21,7 +21,7 @@
 #include "kernel/skb.h"
 #include "kernel/stage_transition.h"
 #include "sim/simulator.h"
-#include "trace/poll_trace.h"
+#include "telemetry/span_tracer.h"
 
 namespace prism::harness {
 
@@ -154,7 +154,7 @@ class SyntheticPipeline {
     source_high = std::make_unique<SyntheticSource>(
         stages == 3 ? "eth" : "s1", cost, transition, *napis_.front(),
         /*high_packets=*/true);
-    engine.set_poll_trace(&trace);
+    engine.set_span_tracer(&trace, 0);
   }
 
   /// Feeds `n` frames into the chosen source and schedules it (the IRQ
@@ -175,7 +175,9 @@ class SyntheticPipeline {
   std::vector<SyntheticDelivery> deliveries;
   std::unique_ptr<SyntheticSource> source;       ///< low-priority packets
   std::unique_ptr<SyntheticSource> source_high;  ///< high-priority packets
-  trace::PollTrace trace;
+  /// The engine's timeline on track 0; trace.polls(0) reads the poll
+  /// order.
+  telemetry::SpanTracer trace;
 
  private:
   std::vector<std::unique_ptr<SyntheticStage>> stages_;

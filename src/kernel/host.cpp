@@ -220,17 +220,9 @@ Host::Host(sim::Simulator& sim, HostConfig config)
                        [this] { return softnet_stat(); });
   proc_->register_file("net/dev", [this] { return net_dev(); });
   proc_->register_file("prism/telemetry", [this] {
-    // The attached span tracer and any poll-trace rings report their
-    // retention, so truncation is never silent.
-    std::vector<telemetry::RingStat> rings;
-    for (int i = 0; i < num_cpus(); ++i) {
-      if (const auto* t = engine(i).poll_trace(); t != nullptr) {
-        rings.push_back({"cpu" + std::to_string(i) + ".poll_trace",
-                         static_cast<std::uint64_t>(t->size()),
-                         t->dropped_records()});
-      }
-    }
-    return telemetry::telemetry_json(telemetry_, tracer_, rings);
+    // The attached span tracer reports its retention, so truncation is
+    // never silent.
+    return telemetry::telemetry_json(telemetry_, tracer_);
   });
   proc_->register_file("prism/latency", [this] {
     return telemetry::latency_json(telemetry_.latency);

@@ -228,9 +228,6 @@ class Host {
 
   // ---------------------------------------------------------- telemetry
   SocketDeliverer& deliverer() noexcept { return *deliverer_; }
-  void set_poll_trace(int cpu, trace::PollTrace* trace) {
-    engine(cpu).set_poll_trace(trace);
-  }
   NicNapi& nic_napi(int queue) {
     return *nic_napis_[static_cast<std::size_t>(queue)];
   }

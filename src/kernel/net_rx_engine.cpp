@@ -172,11 +172,19 @@ sim::Duration NetRxEngine::poll_chunk() {
     }
   }
 
-  if (trace_ != nullptr) trace_poll(dev, out.processed);
   if (tracer_ != nullptr) {
-    tracer_->span(track_, tracer_->intern(dev->name()), poll_start,
-                  out.cost, static_cast<std::uint32_t>(out.processed),
-                  static_cast<std::uint32_t>(out.cost));
+    // Fig. 6's row: the device polled and the poll list after requeue.
+    telemetry::SpanTracer::PollList after;
+    for (std::size_t i = 0; i < local_list_.size(); ++i) {
+      after.push(tracer_->intern(local_list_[i]->name()));
+    }
+    for (std::size_t i = 0; i < global_list_.size(); ++i) {
+      after.push(tracer_->intern(global_list_[i]->name()));
+    }
+    tracer_->poll(track_, tracer_->intern(dev->name(), "packets", "stage_ns"),
+                  poll_start, out.cost,
+                  static_cast<std::uint64_t>(out.processed),
+                  static_cast<std::uint64_t>(out.cost), after);
   }
 
   auto& cur = mode_ == NapiMode::kVanilla ? local_list_ : global_list_;
@@ -228,19 +236,6 @@ void NetRxEngine::finish_softirq(bool squeezed) {
       raise_softirq();
     }
   }
-}
-
-void NetRxEngine::trace_poll(NapiStruct* dev, int processed) {
-  trace_scratch_.clear();
-  for (std::size_t i = 0; i < local_list_.size(); ++i) {
-    trace_scratch_.push_back(trace_->intern(local_list_[i]->name()));
-  }
-  for (std::size_t i = 0; i < global_list_.size(); ++i) {
-    trace_scratch_.push_back(trace_->intern(global_list_[i]->name()));
-  }
-  trace_->on_poll_ids(sim_.now(), trace_->intern(dev->name()),
-                      trace_scratch_.data(), trace_scratch_.size(),
-                      processed);
 }
 
 }  // namespace prism::kernel

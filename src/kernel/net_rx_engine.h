@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "kernel/cost_model.h"
 #include "kernel/cpu.h"
@@ -44,7 +43,6 @@
 #include "sim/simulator.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span_tracer.h"
-#include "trace/poll_trace.h"
 
 namespace prism::kernel {
 
@@ -88,13 +86,10 @@ class NetRxEngine {
   /// immediate re-raise.
   void set_ksoftirqd(bool on) noexcept { ksoftirqd_enabled_ = on; }
 
-  /// Attaches a poll-order trace collector (may be nullptr to detach).
-  void set_poll_trace(trace::PollTrace* trace) noexcept { trace_ = trace; }
-  const trace::PollTrace* poll_trace() const noexcept { return trace_; }
-
   /// Attaches a timeline span tracer (nullptr detaches). Softirq entries
   /// and device polls are recorded as spans on `track` (one row per CPU
-  /// in the exported trace; multi-host setups offset the track).
+  /// in the exported trace; multi-host setups offset the track); each
+  /// poll span carries the poll list after the poll (paper Fig. 6).
   void set_span_tracer(telemetry::SpanTracer* tracer, int track);
 
   /// Registers this engine's counters under `prefix` (e.g. "cpu0.").
@@ -143,7 +138,6 @@ class NetRxEngine {
   sim::Duration entry_chunk();
   sim::Duration poll_chunk();
   void finish_softirq(bool squeezed);
-  void trace_poll(NapiStruct* dev, int processed);
 
   sim::Simulator& sim_;
   Cpu& cpu_;
@@ -169,8 +163,6 @@ class NetRxEngine {
   bool ksoftirqd_enabled_ = true;
   OverloadGovernor* governor_ = nullptr;
 
-  trace::PollTrace* trace_ = nullptr;
-  std::vector<trace::PollTrace::NameId> trace_scratch_;
   telemetry::SpanTracer* tracer_ = nullptr;
   int track_ = 0;
   telemetry::SpanTracer::NameId softirq_span_name_ = 0;

@@ -403,8 +403,9 @@ bool export_anomaly_trace_file(const AnomalyBank& bank,
   }
   std::array<SpanTracer::NameId, 6> event_ids{};
   for (std::uint8_t k = 0; k < event_ids.size(); ++k) {
-    event_ids[k] =
-        tracer.intern(flight_event_kind_name(static_cast<FlightEventKind>(k)));
+    event_ids[k] = tracer.intern(
+        flight_event_kind_name(static_cast<FlightEventKind>(k)), "level",
+        "head_level");
   }
   for (const AnomalyFinding& f : bank.findings()) {
     tracer.instant(0, kind_ids[static_cast<std::size_t>(f.kind)], f.at);
@@ -416,8 +417,8 @@ bool export_anomaly_trace_file(const AnomalyBank& bank,
            e.kind == FlightEventKind::kRingArrival) &&
           e.wait_ns > 0) {
         tracer.span(track, name, e.at - e.wait_ns, e.wait_ns,
-                    static_cast<std::uint32_t>(e.level),
-                    static_cast<std::uint32_t>(
+                    static_cast<std::uint64_t>(e.level),
+                    static_cast<std::uint64_t>(
                         e.head_level < 0 ? 0 : e.head_level));
       } else {
         tracer.instant(track, name, e.at);

@@ -227,8 +227,8 @@ std::string anomalies_json(const AnomalyBank& bank,
 
 /// Renders every finding's frozen slice as a Chrome trace (one track per
 /// pipeline stage; dequeue/deliver events become spans covering their
-/// wait, the rest instants; findings themselves are instants on track 0)
-/// and writes it to `path`. Returns false when the file can't be opened.
+/// wait, with args "level" and "head_level", the rest instants; findings
+/// themselves are instants on track 0) and writes it to `path`. Returns false when the file can't be opened.
 bool export_anomaly_trace_file(const AnomalyBank& bank,
                                const std::string& path);
 

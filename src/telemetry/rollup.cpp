@@ -1,6 +1,5 @@
 #include "telemetry/rollup.h"
 
-#include <algorithm>
 #include <array>
 #include <map>
 #include <string>
@@ -205,15 +204,11 @@ std::string lanes_json(const sim::LaneProfiler* profiler) {
 
 void export_lane_trace(const sim::LaneProfiler& profiler,
                        SpanTracer& tracer) {
-  const auto busy_id = tracer.intern("busy");
+  const auto busy_id = tracer.intern("busy", "events", "busy_ns");
   for (int i = 0; i < profiler.num_lanes(); ++i) {
     const auto& l = profiler.lane(i);
     tracer.set_track_label(i, "lane" + std::to_string(i) + ".busy");
-    tracer.span(i, busy_id, l.sim_begin, l.sim_ns,
-                static_cast<std::uint32_t>(
-                    std::min<std::uint64_t>(l.events, UINT32_MAX)),
-                static_cast<std::uint32_t>(
-                    std::min<std::uint64_t>(l.busy_ns, UINT32_MAX)));
+    tracer.span(i, busy_id, l.sim_begin, l.sim_ns, l.events, l.busy_ns);
   }
 }
 

@@ -72,8 +72,8 @@ std::string lanes_json(const sim::LaneProfiler* profiler);
 
 /// Writes the profiler's per-lane totals into `tracer`: on track i, one
 /// "busy" span labelled "lane<i>.busy" over the simulated time the
-/// lane was profiled for, args = events / busy wall-ns (each saturating
-/// at 2^32 - 1, the tracer's argument width).
+/// lane was profiled for, with args "events" and "busy_ns" (busy wall
+/// time).
 void export_lane_trace(const sim::LaneProfiler& profiler, SpanTracer& tracer);
 
 }  // namespace prism::telemetry

@@ -67,8 +67,7 @@ std::string registry_json(const Registry& registry) {
 }
 
 void write_telemetry_json(JsonWriter& w, const Telemetry& telemetry,
-                          const SpanTracer* spans,
-                          const std::vector<RingStat>& extra_rings) {
+                          const SpanTracer* spans) {
   w.begin_object();
   w.key("counters").begin_object();
   for (const auto& c : telemetry.registry.counters()) {
@@ -93,15 +92,8 @@ void write_telemetry_json(JsonWriter& w, const Telemetry& telemetry,
                               ? static_cast<std::uint64_t>(spans->size())
                               : 0)
       .member("dropped", spans != nullptr ? spans->dropped() : 0)
+      .end_object()
       .end_object();
-  for (const auto& ring : extra_rings) {
-    w.key(ring.name)
-        .begin_object()
-        .member("retained", ring.retained)
-        .member("dropped", ring.dropped)
-        .end_object();
-  }
-  w.end_object();
   w.key("latency");
   write_latency_json(w, telemetry.latency);
   w.key("flows");
@@ -110,10 +102,9 @@ void write_telemetry_json(JsonWriter& w, const Telemetry& telemetry,
 }
 
 std::string telemetry_json(const Telemetry& telemetry,
-                           const SpanTracer* spans,
-                           const std::vector<RingStat>& extra_rings) {
+                           const SpanTracer* spans) {
   JsonWriter w;
-  write_telemetry_json(w, telemetry, spans, extra_rings);
+  write_telemetry_json(w, telemetry, spans);
   return w.take();
 }
 

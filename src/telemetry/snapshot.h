@@ -59,29 +59,17 @@ void write_registry_json(JsonWriter& w, const Registry& registry);
 /// write_registry_json as a standalone document.
 std::string registry_json(const Registry& registry);
 
-/// Retention stats of one bounded ring beyond the span tracer (a poll
-/// trace attached to the host), reported under "rings" so truncation is
-/// never silent.
-struct RingStat {
-  std::string name;
-  std::uint64_t retained = 0;
-  std::uint64_t dropped = 0;
-};
-
 /// Full bundle dump: the registry (as write_registry_json) plus a
 /// "rings" section reporting the attached span tracer's recorded/
-/// retained/dropped (zeros when `spans` is nullptr) and any
-/// `extra_rings`, so ring truncation is visible in every export, a
-/// "latency" section (write_latency_json), and a "flows" section
-/// (write_flow_table_json).
+/// retained/dropped (zeros when `spans` is nullptr), so ring truncation
+/// is visible in every export, a "latency" section (write_latency_json),
+/// and a "flows" section (write_flow_table_json).
 void write_telemetry_json(JsonWriter& w, const Telemetry& telemetry,
-                          const SpanTracer* spans,
-                          const std::vector<RingStat>& extra_rings = {});
+                          const SpanTracer* spans);
 
 /// write_telemetry_json as a standalone document (the "prism/telemetry"
 /// proc file).
 std::string telemetry_json(const Telemetry& telemetry,
-                           const SpanTracer* spans,
-                           const std::vector<RingStat>& extra_rings = {});
+                           const SpanTracer* spans);
 
 }  // namespace prism::telemetry

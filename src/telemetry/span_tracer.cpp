@@ -13,16 +13,43 @@ SpanTracer::SpanTracer(std::size_t capacity) : capacity_(capacity) {
   }
 }
 
-SpanTracer::NameId SpanTracer::intern(std::string_view name) {
-  const auto it = name_index_.find(std::string(name));
-  if (it != name_index_.end()) return it->second;
-  if (names_.size() > 0xffff) {
-    throw std::length_error("SpanTracer: name table full");
+SpanTracer::NameId SpanTracer::intern(std::string_view name,
+                                      std::string_view arg_name,
+                                      std::string_view arg2_name) {
+  auto it = name_index_.find(std::string(name));
+  if (it == name_index_.end()) {
+    if (names_.size() > 0xffff) {
+      throw std::length_error("SpanTracer: name table full");
+    }
+    const NameId id = static_cast<NameId>(names_.size());
+    names_.push_back(Name{std::string(name)});
+    it = name_index_.emplace(names_.back().name, id).first;
   }
-  const NameId id = static_cast<NameId>(names_.size());
-  names_.emplace_back(name);
-  name_index_.emplace(names_.back(), id);
-  return id;
+  Name& n = names_[it->second];
+  if (!arg_name.empty()) n.arg = arg_name;
+  if (!arg2_name.empty()) n.arg2 = arg2_name;
+  return it->second;
+}
+
+std::vector<SpanTracer::PollRow> SpanTracer::polls(int track,
+                                                   sim::Time from) const {
+  std::vector<PollRow> out;
+  for (std::size_t i = 0; i < size(); ++i) {
+    const Span& s = at(i);
+    if (s.kind != Kind::kPoll || s.track != track || s.begin < from) {
+      continue;
+    }
+    PollRow r;
+    r.iteration = out.size() + 1;
+    r.at = s.begin;
+    r.device = name(s.name);
+    r.packets = s.arg;
+    for (std::size_t j = 0; j < s.poll_list.size; ++j) {
+      r.poll_list.push_back(name(s.poll_list.ids[j]));
+    }
+    out.push_back(std::move(r));
+  }
+  return out;
 }
 
 std::string SpanTracer::export_chrome_trace(
@@ -70,18 +97,22 @@ std::string SpanTracer::export_chrome_trace(
     w.member("pid", 0).member("tid", static_cast<int>(s.track));
     w.member("name", name(s.name));
     w.member("ts", static_cast<double>(s.begin) / 1e3);
-    if (s.instant) {
+    if (s.kind == Kind::kInstant) {
       w.member("ph", "i").member("s", "t");
     } else {
       w.member("ph", "X");
       w.member("dur", static_cast<double>(s.duration) / 1e3);
-      if (s.arg != 0 || s.arg2 != 0) {
+      if (s.arg != 0 || s.arg2 != 0 || s.kind == Kind::kPoll) {
+        const Name& n = names_[s.name];
         w.key("args").begin_object();
-        if (s.arg != 0) {
-          w.member("packets", static_cast<std::uint64_t>(s.arg));
-        }
-        if (s.arg2 != 0) {
-          w.member("stage_ns", static_cast<std::uint64_t>(s.arg2));
+        if (s.arg != 0) w.member(n.arg, s.arg);
+        if (s.arg2 != 0) w.member(n.arg2, s.arg2);
+        if (s.kind == Kind::kPoll) {
+          w.key("poll_list").begin_array();
+          for (std::size_t j = 0; j < s.poll_list.size; ++j) {
+            w.value(name(s.poll_list.ids[j]));
+          }
+          w.end_array();
         }
         w.end_object();
       }
@@ -103,6 +134,25 @@ bool SpanTracer::export_chrome_trace_file(
   const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
   std::fclose(f);
   return ok;
+}
+
+std::string render_poll_table(const std::vector<SpanTracer::PollRow>& rows,
+                              std::size_t max_rows) {
+  std::string out = "Iter.  Device  Poll list\n";
+  char buf[32];
+  for (std::size_t i = 0; i < rows.size() && i < max_rows; ++i) {
+    const SpanTracer::PollRow& r = rows[i];
+    std::snprintf(buf, sizeof(buf), "%-5llu  %-6s  [",
+                  static_cast<unsigned long long>(r.iteration),
+                  r.device.c_str());
+    out += buf;
+    for (std::size_t j = 0; j < r.poll_list.size(); ++j) {
+      if (j != 0) out += ", ";
+      out += r.poll_list[j];
+    }
+    out += "]\n";
+  }
+  return out;
 }
 
 }  // namespace prism::telemetry

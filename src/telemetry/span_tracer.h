@@ -1,16 +1,19 @@
 // Simulated-time span tracer with Chrome trace_event export.
 //
 // The paper made its core argument visible with an eBPF trace of the NAPI
-// poll order (Fig. 6). This tracer generalizes that: components record
-// sim-time spans (poll iterations, softirq entries, IRQ instants) into a
-// preallocated ring — interned name ids and plain stores on the hot path,
-// no allocation in steady state — and the whole timeline exports as Chrome
-// trace_event JSON, loadable in Perfetto / chrome://tracing. Tracks map to
-// CPUs (one row per core, labelled via set_track_label), so vanilla
-// interleaving vs PRISM streamlining is visible as alternating span colors
-// on one row.
+// poll order (Fig. 6): at each poll, the device polled and the poll list
+// after it. This tracer is that trace and its generalization: components
+// record sim-time spans (device polls with their poll list, softirq
+// entries, IRQ instants) into a preallocated ring — interned name ids and
+// plain stores on the hot path, no allocation in steady state — and the
+// whole timeline exports as Chrome trace_event JSON, loadable in
+// Perfetto / chrome://tracing. Tracks map to CPUs (one row per core,
+// labelled via set_track_label), so vanilla interleaving vs PRISM
+// streamlining is visible as alternating span colors on one row; polls()
+// reads one row back as the rows of the paper's Fig. 6 table.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -28,6 +31,11 @@ class SpanTracer {
 
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
+  /// Poll-list entries a poll span keeps; longer lists are truncated
+  /// (counted in truncated_lists()). Real poll lists hold one entry per
+  /// pipeline device on the CPU, far below this bound.
+  static constexpr std::size_t kMaxPollList = 12;
+
   /// `capacity` bounds the ring; the oldest spans are overwritten (and
   /// counted in dropped()) once it is full.
   explicit SpanTracer(std::size_t capacity = kDefaultCapacity);
@@ -37,11 +45,15 @@ class SpanTracer {
 
   /// Resolves a span name to a small id, registering it on first use.
   /// Call once per name at attach time and keep the id; the hot path then
-  /// records integers only.
-  NameId intern(std::string_view name);
+  /// records integers only. Non-empty `arg_name`/`arg2_name` name the two
+  /// args of the spans recorded under this name in the export (e.g.
+  /// "packets", "stage_ns"); a name never given them exports "arg" and
+  /// "arg2".
+  NameId intern(std::string_view name, std::string_view arg_name = {},
+                std::string_view arg2_name = {});
 
   const std::string& name(NameId id) const {
-    return names_[static_cast<std::size_t>(id)];
+    return names_[static_cast<std::size_t>(id)].name;
   }
 
   /// Labels a track row in the exported trace (thread_name metadata),
@@ -50,29 +62,62 @@ class SpanTracer {
     track_labels_[track] = std::move(label);
   }
 
-  /// One recorded event. duration == 0 with instant == true renders as a
-  /// Chrome instant event, otherwise as a complete ("X") span.
+  /// kSpan renders as a complete ("X") Chrome span, kInstant as a
+  /// zero-duration instant event, kPoll as a complete span that also
+  /// carries the poll list after the poll (a "poll_list" arg).
+  enum class Kind : std::uint8_t { kSpan, kInstant, kPoll };
+
+  /// A poll span's poll list: the local list, then the global list, as
+  /// interned ids, cut off at kMaxPollList entries.
+  struct PollList {
+    std::array<NameId, kMaxPollList> ids{};
+    std::uint8_t size = 0;
+    bool truncated = false;  ///< entries past kMaxPollList were cut off
+
+    void push(NameId id) noexcept {
+      if (size < kMaxPollList) {
+        ids[size++] = id;
+      } else {
+        truncated = true;
+      }
+    }
+  };
+
+  /// One recorded event.
   struct Span {
     sim::Time begin = 0;
     sim::Duration duration = 0;
+    std::uint64_t arg = 0;   ///< e.g. packets processed by the poll
+    std::uint64_t arg2 = 0;  ///< e.g. in-stage service time, ns
     NameId name = 0;
     std::int16_t track = 0;
-    std::uint32_t arg = 0;   ///< e.g. packets processed by the poll
-    std::uint32_t arg2 = 0;  ///< e.g. in-stage service time, ns
-    bool instant = false;
+    Kind kind = Kind::kSpan;
+    PollList poll_list;  ///< kPoll only
   };
+  static_assert(sizeof(Span) == 64, "a span fills one cache line");
 
   /// Records a complete span [begin, begin + duration) on `track`.
-  /// `arg`/`arg2` export as "packets"/"stage_ns" span args.
+  /// `arg`/`arg2` export under the arg names `name` was interned with.
   void span(int track, NameId name, sim::Time begin, sim::Duration duration,
-            std::uint32_t arg = 0, std::uint32_t arg2 = 0) {
-    push(Span{begin, duration, name, static_cast<std::int16_t>(track), arg,
-              arg2, false});
+            std::uint64_t arg = 0, std::uint64_t arg2 = 0) {
+    push(Span{begin, duration, arg, arg2, name,
+              static_cast<std::int16_t>(track), Kind::kSpan, {}});
   }
 
   /// Records a zero-duration marker (IRQ fire, preemption).
   void instant(int track, NameId name, sim::Time at) {
-    push(Span{at, 0, name, static_cast<std::int16_t>(track), 0, 0, true});
+    push(Span{at, 0, 0, 0, name, static_cast<std::int16_t>(track),
+              Kind::kInstant, {}});
+  }
+
+  /// Records one device poll: a span like span() that also carries the
+  /// poll list after the poll's requeue.
+  void poll(int track, NameId device, sim::Time begin,
+            sim::Duration duration, std::uint64_t arg, std::uint64_t arg2,
+            const PollList& list) {
+    if (list.truncated) ++truncated_;
+    push(Span{begin, duration, arg, arg2, device,
+              static_cast<std::int16_t>(track), Kind::kPoll, list});
   }
 
   std::size_t size() const noexcept { return ring_.size(); }
@@ -80,6 +125,8 @@ class SpanTracer {
   std::uint64_t recorded() const noexcept { return recorded_; }
   /// Spans overwritten because the ring was full.
   std::uint64_t dropped() const noexcept { return dropped_; }
+  /// Poll lists cut off at kMaxPollList entries.
+  std::uint64_t truncated_lists() const noexcept { return truncated_; }
 
   /// i-th retained span, oldest first.
   const Span& at(std::size_t i) const {
@@ -91,7 +138,22 @@ class SpanTracer {
     head_ = 0;
     recorded_ = 0;
     dropped_ = 0;
+    truncated_ = 0;
   }
+
+  /// One retained poll span resolved to names: a row of the paper's
+  /// Fig. 6 table.
+  struct PollRow {
+    std::uint64_t iteration = 0;  ///< 1 for the first row read
+    sim::Time at = 0;             ///< the poll's start
+    std::string device;           ///< device polled
+    std::vector<std::string> poll_list;  ///< list after the requeue
+    std::uint64_t packets = 0;    ///< the span's arg: packets polled
+  };
+
+  /// The retained poll spans on `track` that begin at or after `from`,
+  /// oldest first, numbered from 1.
+  std::vector<PollRow> polls(int track, sim::Time from = 0) const;
 
   /// Renders the retained spans as a Chrome trace_event JSON document
   /// ({"traceEvents": [...]}). Timestamps are exported in microseconds,
@@ -105,6 +167,12 @@ class SpanTracer {
       std::string_view process_name = "prism") const;
 
  private:
+  struct Name {
+    std::string name;
+    std::string arg = "arg";
+    std::string arg2 = "arg2";
+  };
+
   void push(const Span& s) {
     ++recorded_;
     if (ring_.size() < capacity_) {
@@ -121,9 +189,15 @@ class SpanTracer {
   std::size_t head_ = 0;
   std::uint64_t recorded_ = 0;
   std::uint64_t dropped_ = 0;
-  std::vector<std::string> names_;
+  std::uint64_t truncated_ = 0;
+  std::vector<Name> names_;
   std::unordered_map<std::string, NameId> name_index_;
   std::map<int, std::string> track_labels_;
 };
+
+/// Renders poll rows as the paper's Fig. 6 table ("Iter.  Device  Poll
+/// list"), at most `max_rows` of them.
+std::string render_poll_table(const std::vector<SpanTracer::PollRow>& rows,
+                              std::size_t max_rows = 32);
 
 }  // namespace prism::telemetry

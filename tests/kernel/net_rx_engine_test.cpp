@@ -21,6 +21,13 @@ std::vector<std::string> prefix(const std::vector<std::string>& v,
                                      std::min(n, v.size()))};
 }
 
+/// Devices in poll order, e.g. {"eth", "br", "eth", "veth", ...}.
+std::vector<std::string> device_order(const Pipeline& p) {
+  std::vector<std::string> out;
+  for (const auto& row : p.trace.polls(0)) out.push_back(row.device);
+  return out;
+}
+
 // ------------------------------------------------------------- Fig. 6a
 
 TEST(NetRxEngineTest, VanillaDeviceOrderMatchesFig6a) {
@@ -30,7 +37,7 @@ TEST(NetRxEngineTest, VanillaDeviceOrderMatchesFig6a) {
   // Paper Fig. 6a: eth, br, eth, veth, br, eth, ... — the third stage
   // (veth) of batch N is delayed behind the first stage (eth) of batch
   // N+1.
-  const auto order = p.trace.device_order();
+  const auto order = device_order(p);
   ASSERT_GE(order.size(), 9u);
   EXPECT_EQ(prefix(order, 9),
             (std::vector<std::string>{"eth", "br", "eth", "veth", "br",
@@ -41,7 +48,7 @@ TEST(NetRxEngineTest, VanillaSteadyStatePollListMatchesFig6a) {
   Pipeline p(NapiMode::kVanilla);
   p.feed(p.eth, 64 * 10);
   p.sim.run();
-  const auto& rec = p.trace.records();
+  const auto rec = p.trace.polls(0);
   ASSERT_GE(rec.size(), 6u);
   // Rows 4-6 of Fig. 6a (steady state): veth -> [br, eth],
   // br -> [eth, veth], eth -> [veth, br, eth].
@@ -62,7 +69,7 @@ TEST(NetRxEngineTest, PrismBatchHighPriorityOrderMatchesFig6b) {
   p.sim.run();
   // Paper Fig. 6b: eth, br, veth, eth, br, veth, ... — each batch is
   // fully processed through all stages before the next batch is fetched.
-  const auto order = p.trace.device_order();
+  const auto order = device_order(p);
   ASSERT_GE(order.size(), 9u);
   EXPECT_EQ(prefix(order, 9),
             (std::vector<std::string>{"eth", "br", "veth", "eth", "br",
@@ -73,7 +80,7 @@ TEST(NetRxEngineTest, PrismBatchPollListMatchesFig6b) {
   Pipeline p(NapiMode::kPrismBatch);
   p.feed(p.eth_high, 64 * 5);
   p.sim.run();
-  const auto& rec = p.trace.records();
+  const auto rec = p.trace.polls(0);
   ASSERT_GE(rec.size(), 4u);
   // Fig. 6b rows 1-4: eth -> [br, eth], br -> [veth, eth], veth -> [eth],
   // eth -> [br, eth].
@@ -87,6 +94,31 @@ TEST(NetRxEngineTest, PrismBatchPollListMatchesFig6b) {
   EXPECT_EQ(rec[3].poll_list, (std::vector<std::string>{"br", "eth"}));
 }
 
+TEST(NetRxEngineTest, PollSpansExportPacketsStageNsAndPollList) {
+  Pipeline p(NapiMode::kPrismBatch);
+  p.feed(p.eth_high, 64 * 5);
+  p.sim.run();
+  // Fig. 6b row 1 as a Chrome span: eth polled a full batch and left
+  // [br, eth]; stage_ns is the poll's service time.
+  sim::Duration first_poll_ns = 0;
+  for (std::size_t i = 0; i < p.trace.size(); ++i) {
+    if (p.trace.at(i).kind == telemetry::SpanTracer::Kind::kPoll) {
+      first_poll_ns = p.trace.at(i).duration;
+      break;
+    }
+  }
+  ASSERT_GT(first_poll_ns, 0);
+  const std::string json = p.trace.export_chrome_trace();
+  EXPECT_NE(json.find("\"name\":\"eth\""), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"packets\":64,\"stage_ns\":" +
+                      std::to_string(first_poll_ns) +
+                      ",\"poll_list\":[\"br\",\"eth\"]}"),
+            std::string::npos)
+      << json;
+  // The last poll drains the list; its span still carries it.
+  EXPECT_NE(json.find("\"poll_list\":[]"), std::string::npos) << json;
+}
+
 TEST(NetRxEngineTest, PrismLowPriorityBehavesLikeVanillaOrder) {
   // With only low-priority traffic, PRISM's single list degenerates to
   // tail-enqueue everywhere: the interleaved order persists — PRISM's
@@ -94,7 +126,7 @@ TEST(NetRxEngineTest, PrismLowPriorityBehavesLikeVanillaOrder) {
   Pipeline p(NapiMode::kPrismBatch);
   p.feed(p.eth, 64 * 5);
   p.sim.run();
-  const auto order = p.trace.device_order();
+  const auto order = device_order(p);
   ASSERT_GE(order.size(), 6u);
   EXPECT_EQ(prefix(order, 6),
             (std::vector<std::string>{"eth", "br", "eth", "veth", "br",
@@ -107,7 +139,7 @@ TEST(NetRxEngineTest, PrismSyncOnlyPollsTheSourceDevice) {
   Pipeline p(NapiMode::kPrismSync);
   p.feed(p.eth_high, 64 * 3);
   p.sim.run();
-  for (const auto& dev : p.trace.device_order()) {
+  for (const auto& dev : device_order(p)) {
     EXPECT_EQ(dev, "eth");
   }
   EXPECT_EQ(p.deliveries.size(), 64u * 3);
@@ -313,7 +345,7 @@ TEST(NetRxEngineTest, QueuesModeKeepsInterleavedOrder) {
   Pipeline p(NapiMode::kPrismQueues);
   p.feed(p.eth_high, 64 * 5);
   p.sim.run();
-  const auto order = p.trace.device_order();
+  const auto order = device_order(p);
   ASSERT_GE(order.size(), 6u);
   EXPECT_EQ(prefix(order, 6),
             (std::vector<std::string>{"eth", "br", "eth", "veth", "br",

@@ -13,7 +13,7 @@
 #include "harness/testbed.h"
 #include "kernel/skb_pool.h"
 #include "sim/pool.h"
-#include "trace/poll_trace.h"
+#include "telemetry/span_tracer.h"
 
 namespace prism {
 namespace {
@@ -51,15 +51,16 @@ RunResult run_scenario(kernel::NapiMode mode, bool pools_enabled) {
   apps::SockperfClient client(tb.client_sim(), cc);
   client.start();
 
-  trace::PollTrace trace;
-  tb.server_sim().schedule_at(sim::milliseconds(1), [&] {
-    tb.server().set_poll_trace(tb.server().default_rx_cpu(), &trace);
-  });
+  const int rx = tb.server().default_rx_cpu();
+  telemetry::SpanTracer trace;
+  tb.server().engine(rx).set_span_tracer(&trace, rx);
   tb.run_until(sim::milliseconds(5));
-  tb.server().set_poll_trace(tb.server().default_rx_cpu(), nullptr);
+  tb.server().engine(rx).set_span_tracer(nullptr, rx);
 
   RunResult r;
-  r.poll_order = trace.device_order();
+  for (const auto& poll : trace.polls(rx, sim::milliseconds(1))) {
+    r.poll_order.push_back(poll.device);
+  }
   r.events = tb.sim().events_executed();
   r.received = server.received();
   r.replies = client.replies();

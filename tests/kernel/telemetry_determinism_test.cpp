@@ -2,7 +2,8 @@
 // tracer attached (and counters snapshotted mid-flight) must execute the
 // exact same events, poll the same devices in the same order, and deliver
 // the same packets as an uninstrumented run, which has every recorder
-// switched off at run time. This mirrors the pooling determinism guard,
+// switched off at run time and traces only the server RX engine's polls
+// (the order compared). This mirrors the pooling determinism guard,
 // A/B-ing on instrumentation instead of allocators.
 #include <gtest/gtest.h>
 
@@ -16,7 +17,6 @@
 #include "telemetry/latency.h"
 #include "telemetry/snapshot.h"
 #include "telemetry/span_tracer.h"
-#include "trace/poll_trace.h"
 
 namespace prism {
 namespace {
@@ -29,9 +29,10 @@ struct RunResult {
 };
 
 RunResult run_scenario(kernel::NapiMode mode, bool instrumented) {
-  // Declared before the testbed so it outlives the hosts holding a
-  // pointer to it.
+  // Declared before the testbed so they outlive the hosts holding a
+  // pointer to them. `polls` records the uninstrumented arm's poll order.
   telemetry::SpanTracer tracer;
+  telemetry::SpanTracer polls;
 
   harness::TestbedConfig tc;
   tc.mode = mode;
@@ -40,17 +41,22 @@ RunResult run_scenario(kernel::NapiMode mode, bool instrumented) {
   auto& srv = tb.add_server_container("srv");
   tb.server().priority_db().add(srv.ip(), 11111);
 
+  // Both arms read the server RX core's poll order from its track:
+  // attach_span_tracer puts server CPU i on track i.
+  const int rx = tb.server().default_rx_cpu();
   if (instrumented) {
     tb.attach_span_tracer(tracer);
   } else {
     // The uninstrumented arm flips, on both hosts, the four switches
-    // perfbench's telemetry.off arm flips.
+    // perfbench's telemetry.off arm flips, and traces only the RX
+    // engine's polls.
     for (kernel::Host* host : {&tb.server(), &tb.client()}) {
       host->latency_ledger().set_enabled(false);
       host->flow_table().set_enabled(false);
       host->flight_recorder().set_armed(false);
       host->anomalies().set_armed(false);
     }
+    tb.server().engine(rx).set_span_tracer(&polls, rx);
   }
 
   apps::SockperfServer server(
@@ -68,9 +74,7 @@ RunResult run_scenario(kernel::NapiMode mode, bool instrumented) {
   apps::SockperfClient client(tb.client_sim(), cc);
   client.start();
 
-  trace::PollTrace trace;
   tb.server_sim().schedule_at(sim::milliseconds(1), [&] {
-    tb.server().set_poll_trace(tb.server().default_rx_cpu(), &trace);
     if (instrumented) {
       // Mid-flight snapshots must be pure reads.
       (void)tb.server().softnet_stat();
@@ -80,7 +84,6 @@ RunResult run_scenario(kernel::NapiMode mode, bool instrumented) {
     }
   });
   tb.run_until(sim::milliseconds(5));
-  tb.server().set_poll_trace(tb.server().default_rx_cpu(), nullptr);
 
   std::uint64_t attributed = 0;
   for (int level = 0; level < telemetry::kNumLatencyClasses; ++level) {
@@ -103,7 +106,10 @@ RunResult run_scenario(kernel::NapiMode mode, bool instrumented) {
   }
 
   RunResult r;
-  r.poll_order = trace.device_order();
+  for (const auto& poll :
+       (instrumented ? tracer : polls).polls(rx, sim::milliseconds(1))) {
+    r.poll_order.push_back(poll.device);
+  }
   r.events = tb.sim().events_executed();
   r.received = server.received();
   r.replies = client.replies();

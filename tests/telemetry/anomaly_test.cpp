@@ -1,5 +1,8 @@
 #include "telemetry/anomaly.h"
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -209,6 +212,30 @@ TEST(AnomalyTest, JsonIsWellFormedAndNamesEveryKind) {
         "worst_inversion_flow"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
+}
+
+// Evidence spans name their args after what they hold: the packet's
+// class and the class it queued behind.
+TEST(AnomalyTest, EvidenceTraceArgsAreLevelAndHeadLevel) {
+  FlightRecorder rec;
+  rec.on_dequeue(tuple(5), 3, 2, kT, /*head_level_at_enqueue=*/1, 5000);
+  AnomalyBank bank;
+  bank.set_recorder(&rec);
+  bank.on_stage_wait(tuple(5), 3, 2, kT, /*head=*/1, 5000);
+  ASSERT_EQ(bank.findings().size(), 1u);
+  const std::string path =
+      ::testing::TempDir() + "anomaly_test_evidence_trace.json";
+  ASSERT_TRUE(export_anomaly_trace_file(bank, path));
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  std::remove(path.c_str());
+  const std::string json = ss.str();
+  EXPECT_TRUE(::prism::testing::is_valid_json(json)) << json;
+  EXPECT_NE(json.find("\"args\":{\"level\":2,\"head_level\":1}"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"packets\""), std::string::npos) << json;
 }
 
 TEST(AnomalyTest, ResetClearsStateKeepsConfigArmed) {

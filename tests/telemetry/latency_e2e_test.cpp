@@ -14,17 +14,19 @@
 #include "json_check.h"
 #include "telemetry/flow_table.h"
 #include "telemetry/latency.h"
-#include "trace/poll_trace.h"
+#include "telemetry/span_tracer.h"
 
 namespace prism {
 namespace {
 
 class LatencyE2eTest : public ::testing::Test {
  protected:
-  void run(kernel::NapiMode mode) {
+  /// `spans`, when given, is attached to both hosts for the whole run.
+  void run(kernel::NapiMode mode, telemetry::SpanTracer* spans = nullptr) {
     harness::TestbedConfig tc;
     tc.mode = mode;
     tb_ = std::make_unique<harness::Testbed>(tc);
+    if (spans != nullptr) tb_->attach_span_tracer(*spans);
     auto& cli = tb_->add_client_container("cli");
     auto& srv_hi = tb_->add_server_container("srv-hi");
     auto& srv_bg = tb_->add_server_container("srv-bg");
@@ -153,7 +155,8 @@ TEST_F(LatencyE2eTest, FlowTableAccountsDeliveredTraffic) {
 }
 
 TEST_F(LatencyE2eTest, ProcFilesRoundTripAsJson) {
-  run(kernel::NapiMode::kPrismSync);
+  telemetry::SpanTracer spans;
+  run(kernel::NapiMode::kPrismSync, &spans);
   auto& proc = tb_->server().proc();
 
   const std::string latency = proc.read("prism/latency");
@@ -174,16 +177,24 @@ TEST_F(LatencyE2eTest, ProcFilesRoundTripAsJson) {
   EXPECT_NE(all.find("\"flows\""), std::string::npos);
   EXPECT_NE(all.find("\"rings\""), std::string::npos);
   EXPECT_NE(all.find("\"dropped\""), std::string::npos);
-  // Unattached rings don't invent entries.
-  EXPECT_EQ(all.find(".poll_trace\""), std::string::npos);
+  // The attached tracer's ring reports what it recorded and retained.
+  EXPECT_GT(spans.recorded(), 0u);
+  EXPECT_GT(spans.size(), 0u);
+  const std::string counts =
+      "\"spans\":{\"recorded\":" + std::to_string(spans.recorded()) +
+      ",\"retained\":" + std::to_string(spans.size()) +
+      ",\"dropped\":" + std::to_string(spans.dropped()) + "}";
+  EXPECT_NE(all.find(counts), std::string::npos) << all;
 
-  // An attached poll trace ring reports retention alongside spans.
-  trace::PollTrace poll;
-  tb_->server().set_poll_trace(tb_->server().default_rx_cpu(), &poll);
-  const std::string with_rings = proc.read("prism/telemetry");
-  EXPECT_TRUE(::prism::testing::is_valid_json(with_rings)) << with_rings;
-  EXPECT_NE(with_rings.find(".poll_trace\""), std::string::npos);
-  tb_->server().set_poll_trace(tb_->server().default_rx_cpu(), nullptr);
+  // Detached, the ring reports zeros.
+  tb_->server().set_span_tracer(nullptr);
+  tb_->client().set_span_tracer(nullptr);
+  const std::string detached = proc.read("prism/telemetry");
+  EXPECT_TRUE(::prism::testing::is_valid_json(detached)) << detached;
+  EXPECT_NE(detached.find("\"spans\":{\"recorded\":0,\"retained\":0,"
+                          "\"dropped\":0}"),
+            std::string::npos)
+      << detached;
 }
 
 }  // namespace

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/lane_profiler.h"
 #include "telemetry/json_writer.h"
 #include "telemetry/latency.h"
 #include "telemetry/metrics.h"
+#include "telemetry/span_tracer.h"
 
 namespace prism::telemetry {
 namespace {
@@ -100,6 +102,21 @@ TEST(RollupTest, MergedLatencyCountsEqualSumOfHosts) {
 TEST(RollupTest, LanesJsonWithoutProfilerIsAnHonestStub) {
   const std::string doc = lanes_json(nullptr);
   EXPECT_EQ(doc, "{\"attached\":false,\"lanes\":[],\"workers\":[]}");
+}
+
+// Lane spans name their args events/busy_ns, and a busy time past
+// 2^32 ns (4.29 s) exports whole.
+TEST(RollupTest, LaneTraceArgsAreEventsAndBusyNs) {
+  sim::LaneProfiler profiler;
+  profiler.add_lane_run(0, 0, 1000, 42, 6'000'000'000);
+  SpanTracer tracer;
+  export_lane_trace(profiler, tracer);
+  const std::string json = tracer.export_chrome_trace();
+  EXPECT_NE(json.find("\"args\":{\"events\":42,\"busy_ns\":6000000000}"),
+            npos)
+      << json;
+  EXPECT_EQ(json.find("\"packets\""), npos) << json;
+  EXPECT_EQ(json.find("\"stage_ns\""), npos) << json;
 }
 
 }  // namespace
