@@ -1,14 +1,15 @@
 #include "apps/payload.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace prism::apps {
 
 namespace {
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 7; i >= 0; --i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+void set_u64(std::span<std::uint8_t> d, std::size_t at, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    d[at + i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
   }
 }
 
@@ -22,22 +23,19 @@ std::uint64_t get_u64(std::span<const std::uint8_t> d, std::size_t at) {
 
 std::vector<std::uint8_t> encode_probe(const Probe& probe,
                                        std::size_t payload_size) {
-  std::vector<std::uint8_t> out;
-  encode_probe_into(probe, payload_size, out);
+  std::vector<std::uint8_t> out(payload_size);
+  encode_probe_into(probe, out);
   return out;
 }
 
-void encode_probe_into(const Probe& probe, std::size_t payload_size,
-                       std::vector<std::uint8_t>& out) {
-  if (payload_size < kProbeSize) {
+void encode_probe_into(const Probe& probe, std::span<std::uint8_t> out) {
+  if (out.size() < kProbeSize) {
     throw std::invalid_argument("encode_probe: payload smaller than probe");
   }
-  out.clear();
-  out.reserve(payload_size);
-  put_u64(out, probe.seq);
-  put_u64(out, static_cast<std::uint64_t>(probe.sent_at));
-  out.push_back(probe.reply ? 1 : 0);
-  out.resize(payload_size, 0);
+  set_u64(out, 0, probe.seq);
+  set_u64(out, 8, static_cast<std::uint64_t>(probe.sent_at));
+  out[16] = probe.reply ? 1 : 0;
+  std::fill(out.begin() + 17, out.begin() + kProbeSize, 0);  // reserved
 }
 
 std::optional<Probe> decode_probe(std::span<const std::uint8_t> payload) {

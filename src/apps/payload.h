@@ -33,10 +33,11 @@ constexpr std::size_t kProbeSize = 24;
 std::vector<std::uint8_t> encode_probe(const Probe& probe,
                                        std::size_t payload_size);
 
-/// As encode_probe, but writes into `out`, reusing its capacity — for
-/// send loops that build one probe per packet.
-void encode_probe_into(const Probe& probe, std::size_t payload_size,
-                       std::vector<std::uint8_t>& out);
+/// Writes the probe into the first kProbeSize bytes of `out` and leaves
+/// the rest as it is — for send loops that keep one zero-padded payload
+/// and rewrite its probe per packet. Throws std::invalid_argument when
+/// `out` is shorter than kProbeSize.
+void encode_probe_into(const Probe& probe, std::span<std::uint8_t> out);
 
 /// Decodes a probe from the start of `payload`; nullopt if too short.
 std::optional<Probe> decode_probe(std::span<const std::uint8_t> payload);

@@ -73,6 +73,7 @@ SockperfClient::SockperfClient(sim::Simulator& sim, Config config)
   if (cfg_.burst < 1) {
     throw std::invalid_argument("SockperfClient: burst must be >= 1");
   }
+  probe_payload_.resize(cfg_.payload_size);
   const double per_thread =
       cfg_.rate_pps / static_cast<double>(cfg_.cpus.size());
   interval_ =
@@ -149,10 +150,10 @@ void SockperfClient::send_probe(Thread& t, std::uint64_t seq, bool reply) {
   probe.reply = reply;
   ++t.outstanding;
   // udp_send copies the payload into the frame before returning, so the
-  // scratch buffer is reusable immediately.
-  encode_probe_into(probe, cfg_.payload_size, probe_scratch_);
+  // payload is rewritable immediately.
+  encode_probe_into(probe, probe_payload_);
   cfg_.host->udp_send(*cfg_.ns, *t.cpu, t.src_port, cfg_.dst_ip,
-                      cfg_.dst_port, probe_scratch_,
+                      cfg_.dst_port, probe_payload_,
                       [&t] { --t.outstanding; });
 }
 

@@ -144,8 +144,9 @@ class SockperfClient {
   sim::Simulator& sim_;
   Config cfg_;
   std::vector<Thread> threads_;
-  /// Probe-encoding scratch, reused across sends (udp_send copies).
-  std::vector<std::uint8_t> probe_scratch_;
+  /// Every send's payload, sized and zero-filled once at construction:
+  /// a send rewrites only its probe bytes (udp_send copies).
+  std::vector<std::uint8_t> probe_payload_;
   sim::Duration interval_ = 0;  ///< per-thread tick interval
   sim::Rng rng_;
   std::uint64_t sent_ = 0;

@@ -421,7 +421,9 @@ void Host::container_egress(std::uint32_t vni, net::PacketBuf frame) {
   auto& bundle = bridges_.at(vni);
   const auto bytes = frame.bytes();
   if (bytes.size() < net::EthernetHeader::kSize) {
-    return;  // malformed inner frame: dropped by the bridge
+    // Malformed inner frame: the bridge drops it, and the ledger counts it.
+    probe_.drop(fault::DropReason::kMalformed, bytes);
+    return;
   }
   // Only the destination MAC (first six bytes) selects the route; skip
   // the full Ethernet parse.

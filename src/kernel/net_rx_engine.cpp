@@ -181,10 +181,8 @@ sim::Duration NetRxEngine::poll_chunk() {
     for (std::size_t i = 0; i < global_list_.size(); ++i) {
       after.push(tracer_->intern(global_list_[i]->name()));
     }
-    tracer_->poll(track_, tracer_->intern(dev->name(), "packets", "stage_ns"),
-                  poll_start, out.cost,
-                  static_cast<std::uint64_t>(out.processed),
-                  static_cast<std::uint64_t>(out.cost), after);
+    tracer_->poll(track_, tracer_->intern(dev->name(), "packets"), poll_start,
+                  out.cost, out.processed, after);
   }
 
   auto& cur = mode_ == NapiMode::kVanilla ? local_list_ : global_list_;

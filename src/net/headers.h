@@ -4,14 +4,15 @@
 // writes genuine wire formats (network byte order, real checksums). This
 // keeps the encapsulation/decapsulation path honest: a VXLAN decap bug or a
 // wrong length field fails in the simulated stack just as it would in the
-// kernel.
+// kernel. Each header has one writer, which stores its kSize wire bytes
+// into a span the caller supplies; frame builders pass the frame block's
+// headroom (PacketBuf::push_front), as the kernel's skb_push does.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "net/checksum.h"
 #include "net/ip.h"
@@ -41,7 +42,7 @@ struct EthernetHeader {
   MacAddr src;
   EtherType ether_type = EtherType::kIpv4;
 
-  void serialize(std::vector<std::uint8_t>& out) const;
+  void write(std::span<std::uint8_t, kSize> out) const noexcept;
   static std::optional<EthernetHeader> parse(
       std::span<const std::uint8_t> data);
 };
@@ -57,8 +58,8 @@ struct Ipv4Header {
   Ipv4Addr src;
   Ipv4Addr dst;
 
-  /// Serializes with a correct header checksum.
-  void serialize(std::vector<std::uint8_t>& out) const;
+  /// Writes the header with a correct header checksum.
+  void write(std::span<std::uint8_t, kSize> out) const noexcept;
 
   /// Parses and verifies the header checksum; returns nullopt on a short
   /// buffer, non-IPv4 version, options (IHL != 5) or checksum mismatch.
@@ -72,16 +73,16 @@ struct UdpHeader {
   std::uint16_t dst_port = 0;
   std::uint16_t length = 0;  // header + payload, bytes
 
-  /// Serializes with the UDP checksum over the IPv4 pseudo-header and
-  /// `payload`.
-  void serialize(std::vector<std::uint8_t>& out, Ipv4Addr src_ip,
-                 Ipv4Addr dst_ip,
-                 std::span<const std::uint8_t> payload) const;
+  /// Writes the header with the UDP checksum over the IPv4 pseudo-header
+  /// and `payload`.
+  void write(std::span<std::uint8_t, kSize> out, Ipv4Addr src_ip,
+             Ipv4Addr dst_ip,
+             std::span<const std::uint8_t> payload) const noexcept;
 
-  /// Serializes with checksum zero ("no checksum", RFC 768). VXLAN outer
-  /// headers use this: RFC 7348 says the outer UDP checksum SHOULD be
-  /// transmitted as zero, which is what Linux does by default.
-  void serialize_no_checksum(std::vector<std::uint8_t>& out) const;
+  /// Writes the header with checksum zero ("no checksum", RFC 768). VXLAN
+  /// outer headers use this: RFC 7348 says the outer UDP checksum SHOULD
+  /// be transmitted as zero, which is what Linux does by default.
+  void write_no_checksum(std::span<std::uint8_t, kSize> out) const noexcept;
 
   /// Parses the header. Checksum verification is separate (verify_checksum)
   /// because it needs the pseudo-header addresses.
@@ -111,9 +112,11 @@ struct TcpHeader {
   std::uint8_t flags = 0;
   std::uint16_t window = 0xffff;
 
-  void serialize(std::vector<std::uint8_t>& out, Ipv4Addr src_ip,
-                 Ipv4Addr dst_ip,
-                 std::span<const std::uint8_t> payload) const;
+  /// Writes the header with the TCP checksum over the IPv4
+  /// pseudo-header and `payload`.
+  void write(std::span<std::uint8_t, kSize> out, Ipv4Addr src_ip,
+             Ipv4Addr dst_ip,
+             std::span<const std::uint8_t> payload) const noexcept;
 
   static std::optional<TcpHeader> parse(std::span<const std::uint8_t> data);
 
@@ -127,7 +130,7 @@ struct VxlanHeader {
 
   std::uint32_t vni = 0;  // 24-bit virtual network identifier
 
-  void serialize(std::vector<std::uint8_t>& out) const;
+  void write(std::span<std::uint8_t, kSize> out) const noexcept;
 
   /// Returns nullopt on short buffer or missing valid-VNI flag.
   static std::optional<VxlanHeader> parse(std::span<const std::uint8_t> data);
@@ -140,24 +143,16 @@ struct VxlanHeader {
 
 namespace detail {
 
-inline void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
+inline void set_u16(std::span<std::uint8_t> d, std::size_t at,
+                    std::uint16_t v) noexcept {
+  d[at] = static_cast<std::uint8_t>(v >> 8);
+  d[at + 1] = static_cast<std::uint8_t>(v);
 }
 
-inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  put_u16(out, static_cast<std::uint16_t>(v >> 16));
-  put_u16(out, static_cast<std::uint16_t>(v));
-}
-
-// Appends `n` bytes to `out` via resize+copy. (Equivalent to
-// vector::insert at end(), but dodges a GCC 12 -Warray-bounds false
-// positive in the insert-into-empty-vector grow path.)
-inline void append_bytes(std::vector<std::uint8_t>& out,
-                         const std::uint8_t* b, std::size_t n) {
-  const std::size_t at = out.size();
-  out.resize(at + n);
-  std::copy(b, b + n, out.begin() + static_cast<std::ptrdiff_t>(at));
+inline void set_u32(std::span<std::uint8_t> d, std::size_t at,
+                    std::uint32_t v) noexcept {
+  set_u16(d, at, static_cast<std::uint16_t>(v >> 16));
+  set_u16(d, at + 2, static_cast<std::uint16_t>(v));
 }
 
 inline std::uint16_t get_u16(std::span<const std::uint8_t> d,
@@ -185,14 +180,11 @@ inline void add_pseudo_header(ChecksumAccumulator& acc, Ipv4Addr src,
 
 // ---------------------------------------------------------------- Ethernet
 
-inline void EthernetHeader::serialize(std::vector<std::uint8_t>& out) const {
-  std::uint8_t b[kSize];
-  std::copy(dst.bytes.begin(), dst.bytes.end(), b);
-  std::copy(src.bytes.begin(), src.bytes.end(), b + 6);
-  const auto type = static_cast<std::uint16_t>(ether_type);
-  b[12] = static_cast<std::uint8_t>(type >> 8);
-  b[13] = static_cast<std::uint8_t>(type);
-  detail::append_bytes(out, b, kSize);
+inline void EthernetHeader::write(
+    std::span<std::uint8_t, kSize> out) const noexcept {
+  std::copy(dst.bytes.begin(), dst.bytes.end(), out.begin());
+  std::copy(src.bytes.begin(), src.bytes.end(), out.begin() + 6);
+  detail::set_u16(out, 12, static_cast<std::uint16_t>(ether_type));
 }
 
 inline std::optional<EthernetHeader> EthernetHeader::parse(
@@ -207,11 +199,12 @@ inline std::optional<EthernetHeader> EthernetHeader::parse(
 
 // -------------------------------------------------------------------- IPv4
 
-inline void Ipv4Header::serialize(std::vector<std::uint8_t>& out) const {
+inline void Ipv4Header::write(
+    std::span<std::uint8_t, kSize> out) const noexcept {
   const auto proto = static_cast<std::uint8_t>(protocol);
   // Header checksum computed directly from the fields: the one's-complement
   // sum of the ten 16-bit header words (checksum word zero), exactly what
-  // internet_checksum() would produce over the serialized bytes.
+  // internet_checksum() would produce over the written bytes.
   std::uint32_t s = (0x4500u | (static_cast<std::uint32_t>(dscp) << 2)) +
                     total_length + identification +
                     ((static_cast<std::uint32_t>(ttl) << 8) | proto) +
@@ -221,28 +214,16 @@ inline void Ipv4Header::serialize(std::vector<std::uint8_t>& out) const {
   s = (s & 0xffff) + (s >> 16);
   const auto csum = static_cast<std::uint16_t>(~s);
 
-  std::uint8_t b[kSize];
-  b[0] = 0x45;  // version 4, IHL 5
-  b[1] = static_cast<std::uint8_t>(dscp << 2);
-  b[2] = static_cast<std::uint8_t>(total_length >> 8);
-  b[3] = static_cast<std::uint8_t>(total_length);
-  b[4] = static_cast<std::uint8_t>(identification >> 8);
-  b[5] = static_cast<std::uint8_t>(identification);
-  b[6] = 0;  // flags + fragment offset (DF handled by TSO)
-  b[7] = 0;
-  b[8] = ttl;
-  b[9] = proto;
-  b[10] = static_cast<std::uint8_t>(csum >> 8);
-  b[11] = static_cast<std::uint8_t>(csum);
-  b[12] = static_cast<std::uint8_t>(src.value >> 24);
-  b[13] = static_cast<std::uint8_t>(src.value >> 16);
-  b[14] = static_cast<std::uint8_t>(src.value >> 8);
-  b[15] = static_cast<std::uint8_t>(src.value);
-  b[16] = static_cast<std::uint8_t>(dst.value >> 24);
-  b[17] = static_cast<std::uint8_t>(dst.value >> 16);
-  b[18] = static_cast<std::uint8_t>(dst.value >> 8);
-  b[19] = static_cast<std::uint8_t>(dst.value);
-  detail::append_bytes(out, b, kSize);
+  out[0] = 0x45;  // version 4, IHL 5
+  out[1] = static_cast<std::uint8_t>(dscp << 2);
+  detail::set_u16(out, 2, total_length);
+  detail::set_u16(out, 4, identification);
+  detail::set_u16(out, 6, 0);  // flags + fragment offset (DF handled by TSO)
+  out[8] = ttl;
+  out[9] = proto;
+  detail::set_u16(out, 10, csum);
+  detail::set_u32(out, 12, src.value);
+  detail::set_u32(out, 16, dst.value);
 }
 
 inline std::optional<Ipv4Header> Ipv4Header::parse(
@@ -267,9 +248,9 @@ inline std::optional<Ipv4Header> Ipv4Header::parse(
 
 // --------------------------------------------------------------------- UDP
 
-inline void UdpHeader::serialize(std::vector<std::uint8_t>& out,
-                                 Ipv4Addr src_ip, Ipv4Addr dst_ip,
-                                 std::span<const std::uint8_t> payload) const {
+inline void UdpHeader::write(
+    std::span<std::uint8_t, kSize> out, Ipv4Addr src_ip, Ipv4Addr dst_ip,
+    std::span<const std::uint8_t> payload) const noexcept {
   ChecksumAccumulator acc;
   detail::add_pseudo_header(acc, src_ip, dst_ip, IpProto::kUdp, length);
   acc.add_u16(src_port);
@@ -279,25 +260,16 @@ inline void UdpHeader::serialize(std::vector<std::uint8_t>& out,
   acc.add(payload);
   std::uint16_t csum = acc.finish();
   if (csum == 0) csum = 0xffff;  // RFC 768: 0 means "no checksum"
-
-  std::uint8_t b[kSize];
-  b[0] = static_cast<std::uint8_t>(src_port >> 8);
-  b[1] = static_cast<std::uint8_t>(src_port);
-  b[2] = static_cast<std::uint8_t>(dst_port >> 8);
-  b[3] = static_cast<std::uint8_t>(dst_port);
-  b[4] = static_cast<std::uint8_t>(length >> 8);
-  b[5] = static_cast<std::uint8_t>(length);
-  b[6] = static_cast<std::uint8_t>(csum >> 8);
-  b[7] = static_cast<std::uint8_t>(csum);
-  detail::append_bytes(out, b, kSize);
+  write_no_checksum(out);
+  detail::set_u16(out, 6, csum);
 }
 
-inline void UdpHeader::serialize_no_checksum(
-    std::vector<std::uint8_t>& out) const {
-  detail::put_u16(out, src_port);
-  detail::put_u16(out, dst_port);
-  detail::put_u16(out, length);
-  detail::put_u16(out, 0);  // RFC 768: 0 means "no checksum"
+inline void UdpHeader::write_no_checksum(
+    std::span<std::uint8_t, kSize> out) const noexcept {
+  detail::set_u16(out, 0, src_port);
+  detail::set_u16(out, 2, dst_port);
+  detail::set_u16(out, 4, length);
+  detail::set_u16(out, 6, 0);  // RFC 768: 0 means "no checksum"
 }
 
 inline std::optional<UdpHeader> UdpHeader::parse(
@@ -313,9 +285,9 @@ inline std::optional<UdpHeader> UdpHeader::parse(
 
 // --------------------------------------------------------------------- TCP
 
-inline void TcpHeader::serialize(std::vector<std::uint8_t>& out,
-                                 Ipv4Addr src_ip, Ipv4Addr dst_ip,
-                                 std::span<const std::uint8_t> payload) const {
+inline void TcpHeader::write(
+    std::span<std::uint8_t, kSize> out, Ipv4Addr src_ip, Ipv4Addr dst_ip,
+    std::span<const std::uint8_t> payload) const noexcept {
   const auto l4_length = static_cast<std::uint16_t>(kSize + payload.size());
   ChecksumAccumulator acc;
   detail::add_pseudo_header(acc, src_ip, dst_ip, IpProto::kTcp, l4_length);
@@ -330,14 +302,14 @@ inline void TcpHeader::serialize(std::vector<std::uint8_t>& out,
   acc.add(payload);
   const std::uint16_t csum = acc.finish();
 
-  detail::put_u16(out, src_port);
-  detail::put_u16(out, dst_port);
-  detail::put_u32(out, seq);
-  detail::put_u32(out, ack);
-  detail::put_u16(out, static_cast<std::uint16_t>((5u << 12) | flags));
-  detail::put_u16(out, window);
-  detail::put_u16(out, csum);
-  detail::put_u16(out, 0);
+  detail::set_u16(out, 0, src_port);
+  detail::set_u16(out, 2, dst_port);
+  detail::set_u32(out, 4, seq);
+  detail::set_u32(out, 8, ack);
+  detail::set_u16(out, 12, static_cast<std::uint16_t>((5u << 12) | flags));
+  detail::set_u16(out, 14, window);
+  detail::set_u16(out, 16, csum);
+  detail::set_u16(out, 18, 0);  // urgent pointer
 }
 
 inline std::optional<TcpHeader> TcpHeader::parse(
@@ -357,18 +329,10 @@ inline std::optional<TcpHeader> TcpHeader::parse(
 
 // ------------------------------------------------------------------- VXLAN
 
-inline void VxlanHeader::serialize(std::vector<std::uint8_t>& out) const {
-  const std::uint8_t b[kSize] = {
-      0x08,  // flags: valid VNI
-      0,
-      0,
-      0,
-      static_cast<std::uint8_t>(vni >> 16),
-      static_cast<std::uint8_t>(vni >> 8),
-      static_cast<std::uint8_t>(vni),
-      0,
-  };
-  detail::append_bytes(out, b, kSize);
+inline void VxlanHeader::write(
+    std::span<std::uint8_t, kSize> out) const noexcept {
+  detail::set_u32(out, 0, 0x08000000u);  // flags: valid VNI; reserved
+  detail::set_u32(out, 4, vni << 8);     // 24-bit VNI; reserved
 }
 
 inline std::optional<VxlanHeader> VxlanHeader::parse(

@@ -47,21 +47,12 @@ PacketBuf PacketBuf::with_headroom(std::size_t headroom,
   return p;
 }
 
-void PacketBuf::push_front(std::span<const std::uint8_t> header) {
-  if (block_ == nullptr || header.size() > block_->begin) {
-    // Not enough headroom: move to a block with room for this header plus
-    // a double encapsulation reserve, so stacking further layers onto the
-    // same frame never pays for a second move.
-    sim::FrameBlock* grown =
-        block_with(2 * kEncapHeadroom + header.size(), bytes(), 0);
-    drop();
-    block_ = grown;
-  }
-  block_->begin -= static_cast<std::uint32_t>(header.size());
-  if (!header.empty()) {
-    std::memcpy(block_->bytes() + block_->begin, header.data(),
-                header.size());
-  }
+void PacketBuf::grow_headroom(std::size_t n) {
+  // Room for this push plus a double encapsulation reserve, so stacking
+  // further layers onto the same frame never pays for a second move.
+  sim::FrameBlock* grown = block_with(2 * kEncapHeadroom + n, bytes(), 0);
+  drop();
+  block_ = grown;
 }
 
 void PacketBuf::pop_front(std::size_t n) {
@@ -85,36 +76,22 @@ void PacketBuf::append(std::span<const std::uint8_t> tail) {
 
 namespace {
 
-// Scratch vector for header serialization, recycled across frame builds
-// so the steady state allocates nothing. Frame builders use it strictly
-// sequentially (serialize, push_front, done) and never reenter.
-std::vector<std::uint8_t>& header_scratch() {
-  static thread_local std::vector<std::uint8_t> scratch;
-  scratch.clear();
-  return scratch;
-}
+constexpr std::size_t kL3At = EthernetHeader::kSize;
+constexpr std::size_t kL4At = kL3At + Ipv4Header::kSize;
 
-// Serializes eth+ip+udp headers covering `payload` into `hdr`.
-void build_headers_udp(const FrameSpec& spec,
-                       std::span<const std::uint8_t> payload,
-                       std::vector<std::uint8_t>& hdr) {
-  EthernetHeader eth{spec.dst_mac, spec.src_mac, EtherType::kIpv4};
-  eth.serialize(hdr);
-
+/// Writes the Ethernet and IPv4 headers of a frame from `spec` that
+/// carries `l4_length` bytes of `proto` into the front of `out`.
+void write_eth_ipv4(std::span<std::uint8_t> out, const FrameSpec& spec,
+                    IpProto proto, std::size_t l4_length) {
+  EthernetHeader{spec.dst_mac, spec.src_mac, EtherType::kIpv4}.write(
+      out.first<EthernetHeader::kSize>());
   Ipv4Header ip;
   ip.dscp = spec.dscp;
-  ip.protocol = IpProto::kUdp;
+  ip.total_length = static_cast<std::uint16_t>(Ipv4Header::kSize + l4_length);
+  ip.protocol = proto;
   ip.src = spec.src_ip;
   ip.dst = spec.dst_ip;
-  ip.total_length = static_cast<std::uint16_t>(
-      Ipv4Header::kSize + UdpHeader::kSize + payload.size());
-  ip.serialize(hdr);
-
-  UdpHeader udp;
-  udp.src_port = spec.src_port;
-  udp.dst_port = spec.dst_port;
-  udp.length = static_cast<std::uint16_t>(UdpHeader::kSize + payload.size());
-  udp.serialize(hdr, spec.src_ip, spec.dst_ip, payload);
+  ip.write(out.subspan<kL3At, Ipv4Header::kSize>());
 }
 
 }  // namespace
@@ -122,72 +99,41 @@ void build_headers_udp(const FrameSpec& spec,
 PacketBuf build_udp_frame(const FrameSpec& spec,
                           std::span<const std::uint8_t> payload) {
   PacketBuf p = PacketBuf::from_payload(payload);
-  auto& hdr = header_scratch();
-  build_headers_udp(spec, payload, hdr);
-  p.push_front(hdr);
+  const auto hdr = p.push_front(kL4At + UdpHeader::kSize);
+  const std::size_t l4_length = UdpHeader::kSize + payload.size();
+  write_eth_ipv4(hdr, spec, IpProto::kUdp, l4_length);
+  UdpHeader{spec.src_port, spec.dst_port,
+            static_cast<std::uint16_t>(l4_length)}
+      .write(hdr.subspan<kL4At, UdpHeader::kSize>(), spec.src_ip,
+             spec.dst_ip, payload);
   return p;
 }
 
 PacketBuf build_tcp_frame(const FrameSpec& spec, const TcpHeader& tcp,
                           std::span<const std::uint8_t> payload) {
-  auto& hdr = header_scratch();
-
-  EthernetHeader eth{spec.dst_mac, spec.src_mac, EtherType::kIpv4};
-  eth.serialize(hdr);
-
-  Ipv4Header ip;
-  ip.dscp = spec.dscp;
-  ip.protocol = IpProto::kTcp;
-  ip.src = spec.src_ip;
-  ip.dst = spec.dst_ip;
-  ip.total_length = static_cast<std::uint16_t>(
-      Ipv4Header::kSize + TcpHeader::kSize + payload.size());
-  ip.serialize(hdr);
-
+  PacketBuf p = PacketBuf::from_payload(payload);
+  const auto hdr = p.push_front(kL4At + TcpHeader::kSize);
+  write_eth_ipv4(hdr, spec, IpProto::kTcp, TcpHeader::kSize + payload.size());
   TcpHeader t = tcp;
   t.src_port = spec.src_port;
   t.dst_port = spec.dst_port;
-  t.serialize(hdr, spec.src_ip, spec.dst_ip, payload);
-
-  PacketBuf p = PacketBuf::from_payload(payload);
-  p.push_front(hdr);
+  t.write(hdr.subspan<kL4At, TcpHeader::kSize>(), spec.src_ip, spec.dst_ip,
+          payload);
   return p;
 }
 
 void vxlan_encapsulate(PacketBuf& frame, const FrameSpec& outer,
                        std::uint32_t vni) {
-  // VXLAN payload = VXLAN header + inner frame; build the VXLAN header
-  // first so the UDP checksum can cover it together with the inner frame.
-  // The scratch is reused for both pushes — each push copies it into the
-  // frame before the next serialization clears it.
-  auto& scratch = header_scratch();
-  VxlanHeader{vni}.serialize(scratch);
-  frame.push_front(scratch);
-
-  auto& hdr = header_scratch();
-
-  EthernetHeader eth{outer.dst_mac, outer.src_mac, EtherType::kIpv4};
-  eth.serialize(hdr);
-
-  Ipv4Header ip;
-  ip.dscp = outer.dscp;
-  ip.protocol = IpProto::kUdp;
-  ip.src = outer.src_ip;
-  ip.dst = outer.dst_ip;
-  ip.total_length = static_cast<std::uint16_t>(
-      Ipv4Header::kSize + UdpHeader::kSize + frame.size());
-  ip.serialize(hdr);
-
+  constexpr std::size_t kVxlanAt = kL4At + UdpHeader::kSize;
+  const std::size_t l4_length =
+      UdpHeader::kSize + VxlanHeader::kSize + frame.size();
+  const auto hdr = frame.push_front(kEncapHeadroom);
+  write_eth_ipv4(hdr, outer, IpProto::kUdp, l4_length);
   // RFC 7348: the outer UDP checksum SHOULD be zero — receivers must not
   // verify it. Skipping it avoids checksumming the whole inner frame again.
-  UdpHeader udp;
-  udp.src_port = outer.src_port;
-  udp.dst_port = kVxlanPort;
-  udp.length =
-      static_cast<std::uint16_t>(UdpHeader::kSize + frame.size());
-  udp.serialize_no_checksum(hdr);
-
-  frame.push_front(hdr);
+  UdpHeader{outer.src_port, kVxlanPort, static_cast<std::uint16_t>(l4_length)}
+      .write_no_checksum(hdr.subspan<kL4At, UdpHeader::kSize>());
+  VxlanHeader{vni}.write(hdr.subspan<kVxlanAt, VxlanHeader::kSize>());
 }
 
 bool parse_frame_into(std::span<const std::uint8_t> frame,

@@ -2,7 +2,7 @@
 //
 // A PacketBuf is a handle to a contiguous pooled byte block with reserved
 // headroom, mirroring the kernel's sk_buff data area: encapsulation
-// prepends headers into the headroom without copying the payload;
+// writes headers straight into the headroom without copying the payload;
 // decapsulation strips them by advancing the data offset.
 #pragma once
 
@@ -10,7 +10,6 @@
 #include <optional>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "net/headers.h"
 #include "sim/pool.h"
@@ -91,9 +90,15 @@ class PacketBuf {
   }
   bool empty() const noexcept { return size() == 0; }
 
-  /// Prepends `header` to the packet. Uses headroom when available,
-  /// otherwise moves to a larger block (with fresh headroom).
-  void push_front(std::span<const std::uint8_t> header);
+  /// Prepends `n` bytes to the packet and returns them for the caller to
+  /// write (skb_push): their contents are unspecified until then. Uses
+  /// headroom when available, otherwise first moves to a larger block
+  /// (with fresh headroom).
+  std::span<std::uint8_t> push_front(std::size_t n) {
+    if (block_ == nullptr || n > block_->begin) grow_headroom(n);
+    block_->begin -= static_cast<std::uint32_t>(n);
+    return {block_->bytes() + block_->begin, n};
+  }
 
   /// Strips `n` bytes from the front (e.g. decapsulation). Throws
   /// std::out_of_range if n > size().
@@ -115,6 +120,8 @@ class PacketBuf {
     if (block_ != nullptr) release_block();
   }
   void release_block() noexcept;
+  /// Moves the bytes to a block with room for `n` more in front.
+  void grow_headroom(std::size_t n);
 
   sim::FrameBlock* block_ = nullptr;
 };
@@ -143,7 +150,8 @@ PacketBuf build_tcp_frame(const FrameSpec& spec, const TcpHeader& tcp,
                           std::span<const std::uint8_t> payload);
 
 /// Wraps an existing inner Ethernet frame in VXLAN (outer Ethernet + IPv4 +
-/// UDP[4789] + VXLAN). Prepends in place using the buffer headroom.
+/// UDP[4789] + VXLAN), written in place into kEncapHeadroom bytes of the
+/// buffer's headroom.
 void vxlan_encapsulate(PacketBuf& frame, const FrameSpec& outer,
                        std::uint32_t vni);
 

@@ -416,10 +416,8 @@ bool export_anomaly_trace_file(const AnomalyBank& bank,
            e.kind == FlightEventKind::kDeliver ||
            e.kind == FlightEventKind::kRingArrival) &&
           e.wait_ns > 0) {
-        tracer.span(track, name, e.at - e.wait_ns, e.wait_ns,
-                    static_cast<std::uint64_t>(e.level),
-                    static_cast<std::uint64_t>(
-                        e.head_level < 0 ? 0 : e.head_level));
+        tracer.span(track, name, e.at - e.wait_ns, e.wait_ns, e.level,
+                    e.head_level);
       } else {
         tracer.instant(track, name, e.at);
       }

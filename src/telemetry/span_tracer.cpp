@@ -26,8 +26,14 @@ SpanTracer::NameId SpanTracer::intern(std::string_view name,
     it = name_index_.emplace(names_.back().name, id).first;
   }
   Name& n = names_[it->second];
-  if (!arg_name.empty()) n.arg = arg_name;
-  if (!arg2_name.empty()) n.arg2 = arg2_name;
+  if (!arg_name.empty()) {
+    n.arg = arg_name;
+    n.arg_named = true;
+  }
+  if (!arg2_name.empty()) {
+    n.arg2 = arg2_name;
+    n.arg2_named = true;
+  }
   return it->second;
 }
 
@@ -43,7 +49,7 @@ std::vector<SpanTracer::PollRow> SpanTracer::polls(int track,
     r.iteration = out.size() + 1;
     r.at = s.begin;
     r.device = name(s.name);
-    r.packets = s.arg;
+    r.packets = static_cast<std::uint64_t>(s.arg);
     for (std::size_t j = 0; j < s.poll_list.size; ++j) {
       r.poll_list.push_back(name(s.poll_list.ids[j]));
     }
@@ -102,11 +108,15 @@ std::string SpanTracer::export_chrome_trace(
     } else {
       w.member("ph", "X");
       w.member("dur", static_cast<double>(s.duration) / 1e3);
-      if (s.arg != 0 || s.arg2 != 0 || s.kind == Kind::kPoll) {
-        const Name& n = names_[s.name];
+      // A named arg exports even at 0 (class 0 is a class); an unnamed
+      // one only when it is set.
+      const Name& n = names_[s.name];
+      const bool arg = n.arg_named || s.arg != 0;
+      const bool arg2 = n.arg2_named || s.arg2 != 0;
+      if (arg || arg2 || s.kind == Kind::kPoll) {
         w.key("args").begin_object();
-        if (s.arg != 0) w.member(n.arg, s.arg);
-        if (s.arg2 != 0) w.member(n.arg2, s.arg2);
+        if (arg) w.member(n.arg, s.arg);
+        if (arg2) w.member(n.arg2, s.arg2);
         if (s.kind == Kind::kPoll) {
           w.key("poll_list").begin_array();
           for (std::size_t j = 0; j < s.poll_list.size; ++j) {

@@ -47,8 +47,8 @@ class SpanTracer {
   /// Call once per name at attach time and keep the id; the hot path then
   /// records integers only. Non-empty `arg_name`/`arg2_name` name the two
   /// args of the spans recorded under this name in the export (e.g.
-  /// "packets", "stage_ns"); a name never given them exports "arg" and
-  /// "arg2".
+  /// "level", "head_level"), and a named arg exports even when it is 0;
+  /// an unnamed one exports as "arg"/"arg2", and only when it is not 0.
   NameId intern(std::string_view name, std::string_view arg_name = {},
                 std::string_view arg2_name = {});
 
@@ -87,8 +87,8 @@ class SpanTracer {
   struct Span {
     sim::Time begin = 0;
     sim::Duration duration = 0;
-    std::uint64_t arg = 0;   ///< e.g. packets processed by the poll
-    std::uint64_t arg2 = 0;  ///< e.g. in-stage service time, ns
+    std::int64_t arg = 0;   ///< e.g. packets processed by the poll
+    std::int64_t arg2 = 0;  ///< e.g. the class a packet queued behind
     NameId name = 0;
     std::int16_t track = 0;
     Kind kind = Kind::kSpan;
@@ -99,7 +99,7 @@ class SpanTracer {
   /// Records a complete span [begin, begin + duration) on `track`.
   /// `arg`/`arg2` export under the arg names `name` was interned with.
   void span(int track, NameId name, sim::Time begin, sim::Duration duration,
-            std::uint64_t arg = 0, std::uint64_t arg2 = 0) {
+            std::int64_t arg = 0, std::int64_t arg2 = 0) {
     push(Span{begin, duration, arg, arg2, name,
               static_cast<std::int16_t>(track), Kind::kSpan, {}});
   }
@@ -110,13 +110,14 @@ class SpanTracer {
               Kind::kInstant, {}});
   }
 
-  /// Records one device poll: a span like span() that also carries the
-  /// poll list after the poll's requeue.
+  /// Records one device poll: a span like span() whose one arg counts
+  /// the packets polled, and which also carries the poll list after the
+  /// poll's requeue.
   void poll(int track, NameId device, sim::Time begin,
-            sim::Duration duration, std::uint64_t arg, std::uint64_t arg2,
+            sim::Duration duration, std::int64_t packets,
             const PollList& list) {
     if (list.truncated) ++truncated_;
-    push(Span{begin, duration, arg, arg2, device,
+    push(Span{begin, duration, packets, 0, device,
               static_cast<std::int16_t>(track), Kind::kPoll, list});
   }
 
@@ -171,6 +172,8 @@ class SpanTracer {
     std::string name;
     std::string arg = "arg";
     std::string arg2 = "arg2";
+    bool arg_named = false;  ///< named args export even when 0
+    bool arg2_named = false;
   };
 
   void push(const Span& s) {

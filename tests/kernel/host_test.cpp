@@ -114,6 +114,19 @@ TEST(HostTest, SeparateOverlaysAreIsolated) {
   EXPECT_EQ(sock_b.received(), 0u);
 }
 
+// A container frame too short to hold an Ethernet header never reaches
+// the NIC, and the ledger counts it as a malformed drop.
+TEST(HostTest, ShortContainerFrameIsACountedDrop) {
+  harness::Testbed tb;
+  auto& cli = tb.add_client_container("cli");
+  const std::vector<std::uint8_t> ten(10, 0xab);
+  cli.egress(net::PacketBuf::with_headroom(0, ten));
+  drain(tb);
+  EXPECT_EQ(tb.client().faults().drops.count(fault::DropReason::kMalformed, 0),
+            1u);
+  EXPECT_EQ(tb.client().nic().tx_frames(), 0u);
+}
+
 TEST(HostTest, GroPreservesEveryByteAcrossMerges) {
   // A multi-segment TSO send whose payload is a strict byte pattern:
   // whatever GRO merges, the receiving stream must match exactly.

@@ -7,10 +7,16 @@
 namespace prism::net {
 namespace {
 
+/// The first Header::kSize bytes of `buf`, as Header's writer takes them.
+template <typename Header>
+std::span<std::uint8_t, Header::kSize> front(std::vector<std::uint8_t>& buf) {
+  return std::span<std::uint8_t>(buf).template first<Header::kSize>();
+}
+
 TEST(EthernetHeaderTest, RoundTrip) {
   EthernetHeader h{MacAddr::make(1), MacAddr::make(2), EtherType::kIpv4};
-  std::vector<std::uint8_t> buf;
-  h.serialize(buf);
+  std::vector<std::uint8_t> buf(EthernetHeader::kSize);
+  h.write(front<EthernetHeader>(buf));
   ASSERT_EQ(buf.size(), EthernetHeader::kSize);
   const auto parsed = EthernetHeader::parse(buf);
   ASSERT_TRUE(parsed.has_value());
@@ -33,8 +39,8 @@ TEST(Ipv4HeaderTest, RoundTripWithChecksum) {
   h.protocol = IpProto::kTcp;
   h.src = Ipv4Addr::of(10, 1, 2, 3);
   h.dst = Ipv4Addr::of(172, 16, 0, 9);
-  std::vector<std::uint8_t> buf;
-  h.serialize(buf);
+  std::vector<std::uint8_t> buf(Ipv4Header::kSize);
+  h.write(front<Ipv4Header>(buf));
   buf.resize(120);  // payload space so total_length is plausible
   const auto parsed = Ipv4Header::parse(buf);
   ASSERT_TRUE(parsed.has_value());
@@ -52,8 +58,8 @@ TEST(Ipv4HeaderTest, CorruptChecksumRejected) {
   h.total_length = 20;
   h.src = Ipv4Addr::of(1, 2, 3, 4);
   h.dst = Ipv4Addr::of(5, 6, 7, 8);
-  std::vector<std::uint8_t> buf;
-  h.serialize(buf);
+  std::vector<std::uint8_t> buf(Ipv4Header::kSize);
+  h.write(front<Ipv4Header>(buf));
   buf[13] ^= 0x01;  // flip a bit in the src address
   EXPECT_FALSE(Ipv4Header::parse(buf).has_value());
 }
@@ -67,8 +73,8 @@ TEST(Ipv4HeaderTest, BadVersionRejected) {
 TEST(Ipv4HeaderTest, TotalLengthBeyondBufferRejected) {
   Ipv4Header h;
   h.total_length = 2000;
-  std::vector<std::uint8_t> buf;
-  h.serialize(buf);  // buffer only 20 bytes
+  std::vector<std::uint8_t> buf(Ipv4Header::kSize);
+  h.write(front<Ipv4Header>(buf));  // buffer only 20 bytes
   EXPECT_FALSE(Ipv4Header::parse(buf).has_value());
 }
 
@@ -80,8 +86,8 @@ TEST(UdpHeaderTest, RoundTripAndChecksum) {
   h.src_port = 1234;
   h.dst_port = 5678;
   h.length = static_cast<std::uint16_t>(UdpHeader::kSize + payload.size());
-  std::vector<std::uint8_t> buf;
-  h.serialize(buf, src, dst, payload);
+  std::vector<std::uint8_t> buf(UdpHeader::kSize);
+  h.write(front<UdpHeader>(buf), src, dst, payload);
   buf.insert(buf.end(), payload.begin(), payload.end());
 
   const auto parsed = UdpHeader::parse(buf);
@@ -100,8 +106,8 @@ TEST(UdpHeaderTest, ChecksumDetectsPayloadCorruption) {
   h.src_port = 1;
   h.dst_port = 2;
   h.length = static_cast<std::uint16_t>(UdpHeader::kSize + payload.size());
-  std::vector<std::uint8_t> buf;
-  h.serialize(buf, src, dst, payload);
+  std::vector<std::uint8_t> buf(UdpHeader::kSize);
+  h.write(front<UdpHeader>(buf), src, dst, payload);
   buf.insert(buf.end(), payload.begin(), payload.end());
   buf.back() ^= 0xff;
   EXPECT_FALSE(UdpHeader::verify_checksum(buf, src, dst));
@@ -113,8 +119,8 @@ TEST(UdpHeaderTest, ChecksumDetectsWrongPseudoHeader) {
   const auto dst = Ipv4Addr::of(10, 0, 0, 2);
   UdpHeader h;
   h.length = static_cast<std::uint16_t>(UdpHeader::kSize + payload.size());
-  std::vector<std::uint8_t> buf;
-  h.serialize(buf, src, dst, payload);
+  std::vector<std::uint8_t> buf(UdpHeader::kSize);
+  h.write(front<UdpHeader>(buf), src, dst, payload);
   buf.insert(buf.end(), payload.begin(), payload.end());
   EXPECT_FALSE(
       UdpHeader::verify_checksum(buf, src, Ipv4Addr::of(10, 0, 0, 3)));
@@ -137,8 +143,8 @@ TEST(TcpHeaderTest, RoundTripAndChecksum) {
   h.ack = 0x0a0b0c0d;
   h.flags = TcpFlags::kAck | TcpFlags::kPsh;
   h.window = 512;
-  std::vector<std::uint8_t> buf;
-  h.serialize(buf, src, dst, payload);
+  std::vector<std::uint8_t> buf(TcpHeader::kSize);
+  h.write(front<TcpHeader>(buf), src, dst, payload);
   buf.insert(buf.end(), payload.begin(), payload.end());
 
   const auto parsed = TcpHeader::parse(buf);
@@ -157,16 +163,16 @@ TEST(TcpHeaderTest, ChecksumDetectsCorruption) {
   const auto dst = Ipv4Addr::of(2, 2, 2, 2);
   TcpHeader h;
   h.seq = 42;
-  std::vector<std::uint8_t> buf;
-  h.serialize(buf, src, dst, {});
+  std::vector<std::uint8_t> buf(TcpHeader::kSize);
+  h.write(front<TcpHeader>(buf), src, dst, {});
   buf[4] ^= 0x80;  // corrupt seq
   EXPECT_FALSE(TcpHeader::verify_checksum(buf, src, dst));
 }
 
 TEST(VxlanHeaderTest, RoundTrip) {
   VxlanHeader h{0xabcdef};
-  std::vector<std::uint8_t> buf;
-  h.serialize(buf);
+  std::vector<std::uint8_t> buf(VxlanHeader::kSize);
+  h.write(front<VxlanHeader>(buf));
   ASSERT_EQ(buf.size(), VxlanHeader::kSize);
   const auto parsed = VxlanHeader::parse(buf);
   ASSERT_TRUE(parsed.has_value());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,6 +13,12 @@ namespace {
 
 std::vector<std::uint8_t> bytes_of(const char* s) {
   return {s, s + std::string(s).size()};
+}
+
+/// Pushes `header` onto the front of `p` and writes it there.
+void prepend(PacketBuf& p, std::span<const std::uint8_t> header) {
+  const auto front = p.push_front(header.size());
+  std::copy(header.begin(), header.end(), front.begin());
 }
 
 FrameSpec test_spec() {
@@ -30,7 +38,7 @@ TEST(PacketBufTest, HeadroomPrependWithoutRealloc) {
   EXPECT_EQ(p.size(), 7u);
   EXPECT_EQ(p.headroom(), 10u);
   const auto hdr = bytes_of("hdr");
-  p.push_front(hdr);
+  prepend(p, hdr);
   EXPECT_EQ(p.size(), 10u);
   EXPECT_EQ(p.headroom(), 7u);
   EXPECT_EQ(std::string(p.bytes().begin(), p.bytes().end()), "hdrpayload");
@@ -40,7 +48,7 @@ TEST(PacketBufTest, PrependGrowsWhenHeadroomExhausted) {
   const auto payload = bytes_of("x");
   auto p = PacketBuf::with_headroom(2, payload);
   const auto big = bytes_of("0123456789");
-  p.push_front(big);
+  prepend(p, big);
   EXPECT_EQ(std::string(p.bytes().begin(), p.bytes().end()), "0123456789x");
   // Fresh headroom is available after the grow.
   EXPECT_GE(p.headroom(), kEncapHeadroom);
@@ -60,7 +68,7 @@ TEST(PacketBufTest, PopBeyondEndThrows) {
 TEST(PacketBufTest, PushAfterPopReusesSpace) {
   auto p = PacketBuf::with_headroom(0, bytes_of("outerinner"));
   p.pop_front(5);
-  p.push_front(bytes_of("NEW__"));
+  prepend(p, bytes_of("NEW__"));
   EXPECT_EQ(std::string(p.bytes().begin(), p.bytes().end()), "NEW__inner");
 }
 
@@ -91,7 +99,7 @@ TEST(PacketBufTest, CopyIsDeep) {
   EXPECT_EQ(copy.headroom(), p.headroom());
   copy.mutable_bytes()[0] = 'X';
   copy.truncate(3);
-  copy.push_front(bytes_of(">"));
+  prepend(copy, bytes_of(">"));
   EXPECT_EQ(std::string(copy.bytes().begin(), copy.bytes().end()), ">Xri");
   EXPECT_EQ(std::string(p.bytes().begin(), p.bytes().end()), "original");
   PacketBuf assigned;
@@ -112,7 +120,7 @@ TEST(PacketBufTest, RecycledBlockSupportsPushPopTruncate) {
   EXPECT_EQ(stats.reused, reused + 1);  // the block was recycled
   EXPECT_EQ(p.headroom(), 16u);
   EXPECT_EQ(std::string(p.bytes().begin(), p.bytes().end()), "payload");
-  p.push_front(bytes_of("hdr:"));
+  prepend(p, bytes_of("hdr:"));
   EXPECT_EQ(std::string(p.bytes().begin(), p.bytes().end()), "hdr:payload");
   p.pop_front(4);
   p.truncate(3);

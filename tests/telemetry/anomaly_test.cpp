@@ -238,6 +238,38 @@ TEST(AnomalyTest, EvidenceTraceArgsAreLevelAndHeadLevel) {
   EXPECT_EQ(json.find("\"packets\""), std::string::npos) << json;
 }
 
+// Evidence that queued behind class 0 and evidence that found its queue
+// empty (-1) export different head levels, and a class-0 packet still
+// exports its level.
+TEST(AnomalyTest, EvidenceTraceTellsAnEmptyQueueFromClassZero) {
+  FlightRecorder rec;
+  rec.on_dequeue(tuple(5), 3, 1, kT, /*head_level_at_enqueue=*/0, 5000);
+  rec.on_dequeue(tuple(6), 3, 1, kT, /*head_level_at_enqueue=*/-1, 6000);
+  rec.on_dequeue(tuple(7), 3, 0, kT, /*head_level_at_enqueue=*/-1, 7000);
+  AnomalyBank bank;
+  bank.set_recorder(&rec);
+  bank.on_stage_wait(tuple(5), 3, 1, kT, /*head=*/0, 7000);
+  ASSERT_EQ(bank.findings().size(), 1u);
+  const std::string path =
+      ::testing::TempDir() + "anomaly_test_empty_queue_trace.json";
+  ASSERT_TRUE(export_anomaly_trace_file(bank, path));
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  std::remove(path.c_str());
+  const std::string json = ss.str();
+  EXPECT_TRUE(::prism::testing::is_valid_json(json)) << json;
+  EXPECT_NE(json.find("\"args\":{\"level\":1,\"head_level\":0}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"args\":{\"level\":1,\"head_level\":-1}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"args\":{\"level\":0,\"head_level\":-1}"),
+            std::string::npos)
+      << json;
+}
+
 TEST(AnomalyTest, ResetClearsStateKeepsConfigArmed) {
   AnomalyBank bank;
   AnomalyConfig cfg;

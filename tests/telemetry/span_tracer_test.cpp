@@ -78,7 +78,7 @@ TEST(SpanTracerTest, ClearResetsRingAndCountersNotNames) {
   for (std::size_t i = 0; i <= SpanTracer::kMaxPollList; ++i) {
     too_long.push(id);
   }
-  tracer.poll(0, id, 6, 1, 0, 0, too_long);
+  tracer.poll(0, id, 6, 1, 0, too_long);
   EXPECT_EQ(tracer.truncated_lists(), 1u);
   tracer.clear();
   EXPECT_EQ(tracer.size(), 0u);
@@ -136,24 +136,26 @@ TEST(SpanTracerTest, ArgsExportUnderTheNamesTheirProducerGave) {
   EXPECT_NE(json.find("\"args\":{\"arg\":1,\"arg2\":2}"),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"args\":{\"events\":4}"), std::string::npos)
+  // A named arg exports even when it is 0.
+  EXPECT_NE(json.find("\"args\":{\"events\":4,\"busy_ns\":0}"),
+            std::string::npos)
       << json;
   EXPECT_EQ(json.find("\"packets\""), std::string::npos) << json;
 }
 
 TEST(SpanTracerTest, PollSpansExportTheirPollList) {
   SpanTracer tracer;
-  const auto eth = tracer.intern("eth", "packets", "stage_ns");
+  const auto eth = tracer.intern("eth", "packets");
   const auto br = tracer.intern("br");
   SpanTracer::PollList list;
   list.push(br);
   list.push(eth);
-  tracer.poll(0, eth, 100, 50, 64, 50, list);
+  tracer.poll(0, eth, 100, 50, 64, list);
   // An empty list and zero args still export the (empty) list.
-  tracer.poll(0, br, 200, 0, 0, 0, SpanTracer::PollList{});
+  tracer.poll(0, br, 200, 0, 0, SpanTracer::PollList{});
   const std::string json = tracer.export_chrome_trace();
   EXPECT_TRUE(::prism::testing::is_valid_json(json)) << json;
-  EXPECT_NE(json.find("\"args\":{\"packets\":64,\"stage_ns\":50,"
+  EXPECT_NE(json.find("\"args\":{\"packets\":64,"
                       "\"poll_list\":[\"br\",\"eth\"]}"),
             std::string::npos)
       << json;
@@ -169,7 +171,7 @@ void record_poll(SpanTracer& tracer, int track, sim::Time at,
                  std::uint64_t packets) {
   SpanTracer::PollList ids;
   for (const auto& name : list) ids.push(tracer.intern(name));
-  tracer.poll(track, tracer.intern(device), at, 10, packets, 10, ids);
+  tracer.poll(track, tracer.intern(device), at, 10, packets, ids);
 }
 
 TEST(SpanTracerTest, PollRowsReadOldestFirstAndRender) {
@@ -257,12 +259,12 @@ TEST(SpanTracerTest, PollListIdsResolveToStableInternedNames) {
   SpanTracer tracer;
   const auto eth = tracer.intern("eth");
   const auto br = tracer.intern("br");
-  // The engine interns the polled device with its arg names: same id.
-  EXPECT_EQ(tracer.intern("eth", "packets", "stage_ns"), eth);
+  // The engine interns the polled device with its arg name: same id.
+  EXPECT_EQ(tracer.intern("eth", "packets"), eth);
   SpanTracer::PollList list;
   list.push(br);
   list.push(eth);
-  tracer.poll(0, eth, 50, 16, 16, 16, list);
+  tracer.poll(0, eth, 50, 16, 16, list);
   const auto rows = tracer.polls(0);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].device, "eth");
