@@ -1,4 +1,4 @@
-// Shared helpers for the figure-reproduction, soak and stress benches.
+// Shared helpers for the figure-reproduction and chaos benches.
 #pragma once
 
 #include <charconv>
@@ -10,8 +10,6 @@
 
 #include "harness/experiment.h"
 #include "harness/testbed.h"
-#include "kernel/skb_pool.h"
-#include "sim/pool.h"
 #include "sim/time.h"
 #include "stats/histogram.h"
 #include "stats/summary.h"
@@ -164,34 +162,5 @@ inline void print_anomaly_summary(const char* label,
       static_cast<unsigned long long>(a.findings_retained),
       static_cast<unsigned long long>(a.events_recorded));
 }
-
-// ------------------------------------------------------------ invariants
-// Monitor primitives of the soak and stress benches: the start of a
-// shared invariant library.
-
-/// Monitors failed so far; the benches exit non-zero when any failed.
-inline int g_failures = 0;
-
-/// Counts a failed monitor and prints "FAIL: <what>".
-inline void check(bool ok, const std::string& what) {
-  if (!ok) {
-    ++g_failures;
-    std::printf("FAIL: %s\n", what.c_str());
-  }
-}
-
-/// Objects the skb and buffer pools have handed out and not taken back.
-/// A run that leaks nothing leaves both counts where it found them.
-struct PoolBaseline {
-  std::uint64_t skb_outstanding;
-  std::uint64_t buf_outstanding;
-
-  static PoolBaseline capture() {
-    const auto& s = kernel::SkbPool::instance().stats();
-    const auto& b = sim::BufferPool::instance().stats();
-    return {s.acquired - s.released - s.discarded,
-            b.acquired - b.released - b.discarded};
-  }
-};
 
 }  // namespace prism::bench

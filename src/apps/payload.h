@@ -56,8 +56,6 @@ class MessageFramer {
   static std::vector<std::uint8_t> frame(
       std::span<const std::uint8_t> body);
 
-  std::size_t buffered_bytes() const noexcept { return buffer_.size(); }
-
  private:
   std::deque<std::uint8_t> buffer_;
 };

@@ -14,7 +14,8 @@
 //
 //     injected frames == delivered + sum over reasons of dropped
 //
-// can be asserted per class, to the packet (bench/stress_fault.cpp).
+// can be asserted per class, to the packet (`chaos fault`,
+// bench/chaos.cpp).
 //
 // A FaultConfig with every rate at zero is the off switch: the plan never
 // arms, and every hook returns without drawing from the RNG.

@@ -22,9 +22,19 @@ void NetRxEngine::set_span_tracer(telemetry::SpanTracer* tracer,
                                   int track) {
   tracer_ = tracer;
   track_ = track;
+  trace_names_.clear();
   if (tracer_ != nullptr) {
     softirq_span_name_ = tracer_->intern("net_rx_action");
   }
+}
+
+telemetry::SpanTracer::NameId NetRxEngine::trace_name(const NapiStruct& dev) {
+  for (const auto& [napi, id] : trace_names_) {
+    if (napi == &dev) return id;
+  }
+  const auto id = tracer_->intern(dev.name(), "packets");
+  trace_names_.emplace_back(&dev, id);
+  return id;
 }
 
 void NetRxEngine::bind_telemetry(telemetry::Registry& reg,
@@ -176,13 +186,13 @@ sim::Duration NetRxEngine::poll_chunk() {
     // Fig. 6's row: the device polled and the poll list after requeue.
     telemetry::SpanTracer::PollList after;
     for (std::size_t i = 0; i < local_list_.size(); ++i) {
-      after.push(tracer_->intern(local_list_[i]->name()));
+      after.push(trace_name(*local_list_[i]));
     }
     for (std::size_t i = 0; i < global_list_.size(); ++i) {
-      after.push(tracer_->intern(global_list_[i]->name()));
+      after.push(trace_name(*global_list_[i]));
     }
-    tracer_->poll(track_, tracer_->intern(dev->name(), "packets"), poll_start,
-                  out.cost, out.processed, after);
+    tracer_->poll(track_, trace_name(*dev), poll_start, out.cost,
+                  out.processed, after);
   }
 
   auto& cur = mode_ == NapiMode::kVanilla ? local_list_ : global_list_;

@@ -35,6 +35,8 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "kernel/cost_model.h"
 #include "kernel/cpu.h"
@@ -138,6 +140,9 @@ class NetRxEngine {
   sim::Duration entry_chunk();
   sim::Duration poll_chunk();
   void finish_softirq(bool squeezed);
+  /// `dev`'s name id in the attached tracer: interned (with its
+  /// `packets` arg) on the device's first traced poll, then reused.
+  telemetry::SpanTracer::NameId trace_name(const NapiStruct& dev);
 
   sim::Simulator& sim_;
   Cpu& cpu_;
@@ -166,6 +171,10 @@ class NetRxEngine {
   telemetry::SpanTracer* tracer_ = nullptr;
   int track_ = 0;
   telemetry::SpanTracer::NameId softirq_span_name_ = 0;
+  /// Device name ids resolved in tracer_. set_span_tracer() clears them,
+  /// so no id outlives the tracer that assigned it.
+  std::vector<std::pair<const NapiStruct*, telemetry::SpanTracer::NameId>>
+      trace_names_;
   telemetry::Counter softirqs_;
   telemetry::Counter polls_;
   telemetry::Counter packets_;

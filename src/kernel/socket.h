@@ -130,8 +130,6 @@ class SocketTable {
   /// arrival into a counted dead-netns drop.
   void close_all_udp();
 
-  std::size_t udp_count() const noexcept { return udp_.size(); }
-
   /// Registers a TCP endpoint under the flow as seen in *incoming*
   /// frames: (remote -> local). Throws std::logic_error on duplicates.
   void register_tcp(const net::FiveTuple& incoming_flow, TcpEndpoint& ep);

@@ -40,18 +40,6 @@ namespace prism::overlay {
 ///               tombstone.
 enum class NetnsState : int { kRunning = 0, kDraining, kDead };
 
-inline const char* netns_state_name(NetnsState s) noexcept {
-  switch (s) {
-    case NetnsState::kRunning:
-      return "running";
-    case NetnsState::kDraining:
-      return "draining";
-    case NetnsState::kDead:
-      return "dead";
-  }
-  return "unknown";
-}
-
 /// One network namespace (host root ns or a container ns).
 class Netns {
  public:
@@ -104,8 +92,6 @@ class Netns {
     if (it == neighbors_.end()) return std::nullopt;
     return it->second;
   }
-
-  std::size_t neighbor_count() const noexcept { return neighbors_.size(); }
 
   /// Egress hook, installed by the owning Host: transmits a fully built
   /// L2 frame out of this namespace. For containers this performs the

@@ -26,11 +26,6 @@ constexpr Duration microseconds(std::int64_t n) { return n * kMicrosecond; }
 constexpr Duration milliseconds(std::int64_t n) { return n * kMillisecond; }
 constexpr Duration seconds(std::int64_t n) { return n * kSecond; }
 
-/// Converts a duration to fractional microseconds (for reporting).
-constexpr double to_us(Duration d) {
-  return static_cast<double>(d) / static_cast<double>(kMicrosecond);
-}
-
 /// Converts a duration to fractional milliseconds (for reporting).
 constexpr double to_ms(Duration d) {
   return static_cast<double>(d) / static_cast<double>(kMillisecond);

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "kernel/skb_pool.h"
 #include "stats/histogram.h"
 
 namespace prism::stats {
@@ -32,40 +31,6 @@ std::string to_string(const LatencySummary& s) {
                 static_cast<double>(s.p99_ns) / 1e3,
                 static_cast<double>(s.p999_ns) / 1e3,
                 static_cast<double>(s.max_ns) / 1e3);
-  return buf;
-}
-
-PoolSummary summarize_pool(const std::string& name,
-                           const sim::PoolStats& stats) {
-  PoolSummary s;
-  s.name = name;
-  s.acquired = stats.acquired;
-  s.reused = stats.reused;
-  s.allocated = stats.allocated;
-  s.released = stats.released;
-  s.discarded = stats.discarded;
-  s.hit_rate = stats.hit_rate();
-  return s;
-}
-
-std::vector<PoolSummary> pool_summaries() {
-  return {
-      summarize_pool("skb", kernel::SkbPool::instance().stats()),
-      summarize_pool("buffer", sim::BufferPool::instance().stats()),
-  };
-}
-
-std::string to_string(const PoolSummary& s) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "%s: acquired=%llu reused=%llu allocated=%llu released=%llu "
-                "discarded=%llu hit=%.1f%%",
-                s.name.c_str(), static_cast<unsigned long long>(s.acquired),
-                static_cast<unsigned long long>(s.reused),
-                static_cast<unsigned long long>(s.allocated),
-                static_cast<unsigned long long>(s.released),
-                static_cast<unsigned long long>(s.discarded),
-                s.hit_rate * 100.0);
   return buf;
 }
 

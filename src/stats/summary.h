@@ -1,11 +1,8 @@
-// Compact latency and allocator-pool summaries for experiment reporting.
+// Compact latency summaries for experiment reporting.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "sim/pool.h"
 
 namespace prism::stats {
 
@@ -29,30 +26,5 @@ LatencySummary summarize(const Histogram& h);
 /// One-line human-readable rendering in microseconds, e.g.
 /// "n=1000 min=12.3us mean=45.6us p50=40.1us p99=120.4us max=300.0us".
 std::string to_string(const LatencySummary& s);
-
-/// Snapshot of one recycling pool's counters (see sim/pool.h), labelled for
-/// reporting. Benchmarks assert on hit_rate: a warm hot path should serve
-/// nearly every acquire from the free list.
-struct PoolSummary {
-  std::string name;
-  std::uint64_t acquired = 0;
-  std::uint64_t reused = 0;
-  std::uint64_t allocated = 0;
-  std::uint64_t released = 0;
-  std::uint64_t discarded = 0;
-  double hit_rate = 0.0;
-};
-
-/// Snapshots `stats` under `name`.
-PoolSummary summarize_pool(const std::string& name,
-                           const sim::PoolStats& stats);
-
-/// Snapshots of the process-global hot-path pools: the Skb slab
-/// (kernel::SkbPool) and the packet-storage free list (sim::BufferPool).
-std::vector<PoolSummary> pool_summaries();
-
-/// One-line rendering, e.g.
-/// "skb: acquired=1000 reused=992 allocated=8 hit=99.2%".
-std::string to_string(const PoolSummary& s);
 
 }  // namespace prism::stats

@@ -1,8 +1,6 @@
 #include "telemetry/anomaly.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 
 #include "fault/fault.h"
 #include "telemetry/json_writer.h"
@@ -11,29 +9,6 @@
 namespace prism::telemetry {
 
 namespace {
-
-constexpr std::uint64_t kSub = 1ull << WindowHist::kSubBits;
-
-int hist_index(std::uint64_t v) noexcept {
-  if (v < kSub) return static_cast<int>(v);
-  const int msb = 63 - std::countl_zero(v);
-  const int shift = msb - WindowHist::kSubBits;
-  const int idx =
-      ((msb - WindowHist::kSubBits + 1) << WindowHist::kSubBits) +
-      static_cast<int>((v >> shift) - kSub);
-  constexpr int kMax = 60 * (1 << WindowHist::kSubBits) - 1;
-  return idx < kMax ? idx : kMax;
-}
-
-std::uint64_t hist_upper_bound(int idx) noexcept {
-  if (idx < static_cast<int>(kSub)) return static_cast<std::uint64_t>(idx);
-  const int block = idx >> WindowHist::kSubBits;
-  const int within = idx & static_cast<int>(kSub - 1);
-  const int shift = block - 1;
-  const std::uint64_t low = (kSub + static_cast<std::uint64_t>(within))
-                            << shift;
-  return low + ((1ull << shift) - 1);
-}
 
 const char* drop_code_name(int code) {
   if (code < 0 || code >= static_cast<int>(fault::DropReason::kCount)) {
@@ -64,29 +39,6 @@ const char* anomaly_kind_name(AnomalyKind kind) noexcept {
   return "?";
 }
 
-void WindowHist::record(std::uint64_t v) noexcept {
-  ++counts_[static_cast<std::size_t>(hist_index(v))];
-  ++total_;
-}
-
-std::uint64_t WindowHist::quantile(double q) const noexcept {
-  if (total_ == 0) return 0;
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total_)));
-  const std::uint64_t want = target < 1 ? 1 : target;
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i];
-    if (cum >= want) return hist_upper_bound(static_cast<int>(i));
-  }
-  return hist_upper_bound(static_cast<int>(counts_.size()) - 1);
-}
-
-void WindowHist::clear() noexcept {
-  counts_.fill(0);
-  total_ = 0;
-}
-
 void AnomalyBank::arm(const AnomalyConfig& config) {
   config_ = config;
   if (config_.slo_window_ns <= 0) config_.slo_window_ns = 1;
@@ -108,7 +60,7 @@ void AnomalyBank::reset() {
   max_inversion_wait_ = 0;
   worst_inversion_flow_ = net::FiveTuple{};
   for (auto& w : slo_) {
-    w.hist.clear();
+    w.hist.reset();
     w.start = -1;
   }
   drops_ = BurstWindow{};
@@ -137,7 +89,7 @@ void AnomalyBank::note_disruption(int level, sim::Time at) {
   // taken before the disruption must not count toward (or against) the
   // post-disruption recovery judgement.
   SloWindow& w = slo_[static_cast<std::size_t>(c)];
-  w.hist.clear();
+  w.hist.reset();
   w.start = at;
 }
 
@@ -192,8 +144,8 @@ void AnomalyBank::on_delivery(int level, sim::Duration e2e_ns, sim::Time at) {
   if (at >= w.start + config_.slo_window_ns) {
     // Finalize the window that just closed; empty skipped windows can
     // never breach, so jump straight to the window containing `at`.
-    if (w.hist.total() > 0) {
-      const std::uint64_t p99 = w.hist.quantile(0.99);
+    if (w.hist.count() > 0) {
+      const auto p99 = static_cast<std::uint64_t>(w.hist.percentile(0.99));
       if (c >= 1 && p99 > static_cast<std::uint64_t>(config_.slo_p99_ns)) {
         AnomalyFinding f;
         f.kind = AnomalyKind::kSloBreach;
@@ -212,11 +164,11 @@ void AnomalyBank::on_delivery(int level, sim::Duration e2e_ns, sim::Time at) {
             c, cw.disrupted_at, w.start + config_.slo_window_ns});
       }
     }
-    w.hist.clear();
+    w.hist.reset();
     w.start += config_.slo_window_ns *
                ((at - w.start) / config_.slo_window_ns);
   }
-  w.hist.record(static_cast<std::uint64_t>(e2e_ns));
+  w.hist.record(e2e_ns);
   // Still watching past the deadline: the class never produced a
   // compliant window in time. Fires once, then the watch disarms.
   if (cw.armed && config_.convergence_deadline_ns > 0 &&

@@ -24,6 +24,7 @@
 
 #include "net/flow.h"
 #include "sim/time.h"
+#include "stats/histogram.h"
 #include "telemetry/flight_recorder.h"
 
 namespace prism::telemetry {
@@ -88,22 +89,6 @@ struct AnomalyFinding {
   double value = 0;      ///< detector-specific measurement (p99, count...)
   double threshold = 0;  ///< the configured limit it crossed
   std::vector<FlightEvent> frozen;
-};
-
-/// Windowed log-bucket latency histogram (16 sub-buckets per octave):
-/// enough resolution for a p99-vs-SLO comparison at ~6% error, 4 KiB.
-class WindowHist {
- public:
-  static constexpr int kSubBits = 4;
-  void record(std::uint64_t v) noexcept;
-  std::uint64_t total() const noexcept { return total_; }
-  /// Upper bound of the bucket holding quantile `q` (0 when empty).
-  std::uint64_t quantile(double q) const noexcept;
-  void clear() noexcept;
-
- private:
-  std::array<std::uint32_t, 60 * (1 << kSubBits)> counts_{};
-  std::uint64_t total_ = 0;
 };
 
 /// The per-host detector bank. Fed by the host's packet probe (traced
@@ -196,7 +181,9 @@ class AnomalyBank {
   net::FiveTuple worst_inversion_flow_;
 
   struct SloWindow {
-    WindowHist hist;
+    /// 16 sub-buckets per octave: enough resolution for a p99-vs-SLO
+    /// comparison at ~6% error.
+    stats::Histogram hist{4};
     sim::Time start = -1;
   };
   std::array<SloWindow, kNumAnomalyClasses> slo_;  ///< one window per class

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "harness/invariants.h"
 #include "harness/testbed.h"
 #include "kernel/skb_pool.h"
 #include "net/headers.h"
@@ -23,6 +24,7 @@ using fault::DropLedger;
 using fault::DropReason;
 using fault::FaultConfig;
 using fault::FaultPlan;
+using harness::PoolBaseline;
 using harness::Testbed;
 using harness::TestbedConfig;
 
@@ -171,18 +173,6 @@ TEST(FaultPlanTest, TruncationShrinksFrame) {
 }
 
 // ------------------------------------------------- end-to-end conservation
-
-struct PoolBaseline {
-  std::uint64_t skb_outstanding;
-  std::uint64_t buf_outstanding;
-
-  static PoolBaseline capture() {
-    const auto& s = kernel::SkbPool::instance().stats();
-    const auto& b = sim::BufferPool::instance().stats();
-    return {s.acquired - s.released - s.discarded,
-            b.acquired - b.released - b.discarded};
-  }
-};
 
 TEST(FaultConservationTest, TotalWireDropNeitherDeliversNorLeaks) {
   const PoolBaseline before = PoolBaseline::capture();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "test_pipeline.h"
 
@@ -109,6 +110,37 @@ TEST(NetRxEngineTest, PollSpansExportPacketsAndPollList) {
   EXPECT_EQ(json.find("stage_ns"), std::string::npos) << json;
   // The last poll drains the list; its span still carries it.
   EXPECT_NE(json.find("\"poll_list\":[]"), std::string::npos) << json;
+}
+
+TEST(NetRxEngineTest, ATracerAttachedLaterResolvesItsOwnNames) {
+  Pipeline p(NapiMode::kPrismBatch);
+  std::optional<telemetry::SpanTracer> tracer(std::in_place);
+  p.engine.set_span_tracer(&*tracer, 0);
+  p.feed(p.eth_high, 64 * 2);
+  p.sim.run();
+  ASSERT_FALSE(tracer->polls(0).empty());
+
+  // A second tracer at the first one's address, whose low ids name other
+  // things: ids resolved in the first tracer would read as "pad*" here.
+  tracer.emplace();
+  for (const char* pad : {"pad0", "pad1", "pad2", "pad3", "pad4"}) {
+    tracer->intern(pad);
+  }
+  p.engine.set_span_tracer(&*tracer, 0);
+  p.feed(p.eth_high, 64 * 5);
+  p.sim.run();
+  const auto rec = tracer->polls(0);
+  ASSERT_GE(rec.size(), 4u);
+  EXPECT_EQ(rec[0].device, "eth");
+  EXPECT_EQ(rec[0].poll_list, (std::vector<std::string>{"br", "eth"}));
+  EXPECT_EQ(rec[1].device, "br");
+  EXPECT_EQ(rec[1].poll_list, (std::vector<std::string>{"veth", "eth"}));
+  EXPECT_EQ(rec[2].device, "veth");
+  EXPECT_EQ(rec[2].poll_list, (std::vector<std::string>{"eth"}));
+  EXPECT_NE(tracer->export_chrome_trace().find(
+                "\"args\":{\"packets\":64,"
+                "\"poll_list\":[\"br\",\"eth\"]}"),
+            std::string::npos);
 }
 
 TEST(NetRxEngineTest, PrismLowPriorityBehavesLikeVanillaOrder) {
