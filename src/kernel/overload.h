@@ -99,12 +99,15 @@ struct OverloadConfig {
 /// of which flows occupied the last `history_len` backlog enqueues. A
 /// packet is shed when its queue is at least half full AND its flow holds
 /// more than half the history — i.e. a single dominant flow cannot
-/// monopolize a congested backlog.
+/// monopolize a congested backlog. The tables are allocated at the first
+/// decision past half the backlog (Linux likewise allocates
+/// `sd->flow_limit` only when the limit is enabled), so a limiter that
+/// stays dormant holds none.
 class FlowLimiter {
  public:
   FlowLimiter(std::size_t num_buckets, std::size_t history_len)
-      : history_(history_len == 0 ? 1 : history_len, kEmpty),
-        buckets_(num_buckets == 0 ? 1 : num_buckets, 0) {}
+      : num_buckets_(num_buckets == 0 ? 1 : num_buckets),
+        history_len_(history_len == 0 ? 1 : history_len) {}
 
   /// Records the enqueue attempt and decides: true => shed this packet.
   /// `qlen` is the backlog depth before the enqueue; below half of
@@ -113,6 +116,10 @@ class FlowLimiter {
   bool should_drop(std::uint64_t flow_hash, std::size_t qlen,
                    std::size_t max_backlog) {
     if (qlen < max_backlog / 2) return false;
+    if (buckets_.empty()) {
+      history_.assign(history_len_, kEmpty);
+      buckets_.assign(num_buckets_, 0);
+    }
     const auto new_flow =
         static_cast<std::uint32_t>(flow_hash % buckets_.size());
     const std::uint32_t old_flow = history_[head_];
@@ -132,9 +139,16 @@ class FlowLimiter {
   /// Packets shed (softnet_stat's flow_limit_count column).
   std::uint64_t count() const noexcept { return count_; }
 
+  /// Bytes held by the history and the bucket table (0 while dormant).
+  std::size_t table_bytes() const noexcept {
+    return (history_.size() + buckets_.size()) * sizeof(std::uint32_t);
+  }
+
  private:
   static constexpr std::uint32_t kEmpty = 0xffffffffu;
 
+  std::size_t num_buckets_;
+  std::size_t history_len_;
   std::vector<std::uint32_t> history_;
   std::vector<std::uint32_t> buckets_;
   std::size_t head_ = 0;

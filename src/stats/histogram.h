@@ -4,8 +4,12 @@
 // samples without storing them all. This histogram uses logarithmic
 // bucketing with linear sub-buckets (the HdrHistogram scheme): values are
 // recorded with a bounded relative error set by the sub-bucket resolution
-// (64 sub-buckets per octave -> <1.6% relative error), while memory stays a
-// few kilobytes regardless of sample count.
+// (64 sub-buckets per octave -> <1.6% relative error), and memory does not
+// grow with the sample count. It grows with the largest value instead: a
+// histogram holds only the buckets up to the highest octave it has
+// recorded. An empty one holds none, the first record allocates the range
+// below 2^20 ns (~1 ms; 7.5 KiB at 6 bits, 2.1 KiB at 4 bits), and the
+// full range up to 2^48 - 1 ns would take 21.5 KiB at 6 bits.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +20,8 @@ namespace prism::stats {
 /// Fixed-resolution value histogram with percentile queries.
 ///
 /// Values are non-negative 64-bit integers (in this codebase: durations in
-/// nanoseconds). Negative values are clamped to zero.
+/// nanoseconds). Negative values are clamped to zero, and values of 2^48 ns
+/// (~78 hours) and above fall in the last bucket.
 class Histogram {
  public:
   /// `sub_bucket_bits` controls relative precision: each power-of-two range
@@ -24,13 +29,15 @@ class Histogram {
   /// relative error under 1/64.
   explicit Histogram(int sub_bucket_bits = 6);
 
-  /// Records one observation.
-  void record(std::int64_t value) noexcept;
+  /// Records one observation. Allocates only when the value lies above
+  /// every bucket held so far (the first record, or a new top octave).
+  void record(std::int64_t value);
 
   /// Records `count` identical observations.
-  void record_n(std::int64_t value, std::uint64_t count) noexcept;
+  void record_n(std::int64_t value, std::uint64_t count);
 
-  /// Merges another histogram (same sub_bucket_bits required).
+  /// Merges another histogram (same sub_bucket_bits required), growing to
+  /// its size.
   void merge(const Histogram& other);
 
   /// Total number of recorded observations.
@@ -46,14 +53,10 @@ class Histogram {
   /// sum, not bucket midpoints.
   double mean() const noexcept;
 
-  /// Exact running sum of recorded values (0 if empty). Exact for totals
-  /// below 2^53 ns — far beyond any simulated experiment.
-  double sum() const noexcept { return sum_; }
-
-  /// Standard deviation of recorded values, from the exact running
-  /// sum-of-squares (consistent with mean(); bucket resolution plays no
-  /// part).
-  double stddev() const noexcept;
+  /// Exact running sum of recorded values (0 if empty), kept as an integer
+  /// and converted on read, so exact for totals below 2^53 ns — far beyond
+  /// any simulated experiment.
+  double sum() const noexcept { return static_cast<double>(sum_); }
 
   /// Value at quantile q in [0, 1]. Returns a bucket-representative value
   /// (upper edge of the containing bucket), so percentile(1.0) >= max()
@@ -63,10 +66,13 @@ class Histogram {
   /// Convenience: percentile(0.5).
   std::int64_t median() const noexcept { return percentile(0.5); }
 
-  /// Removes all observations.
+  /// Removes all observations, keeping the buckets held.
   void reset() noexcept;
 
   int sub_bucket_bits() const noexcept { return sub_bucket_bits_; }
+
+  /// Buckets held (8 bytes each): 0 until the first record.
+  std::size_t buckets_held() const noexcept { return buckets_.size(); }
 
   /// Iterates non-empty buckets as (representative value, count). Used by
   /// the CDF exporter.
@@ -80,15 +86,19 @@ class Histogram {
  private:
   std::size_t bucket_index(std::int64_t value) const noexcept;
   std::int64_t bucket_value(std::size_t index) const noexcept;
+  /// Grows the held buckets to the end of `index`'s octave, and at least
+  /// to the range below 2^20 ns (the first record's allocation).
+  void grow(std::size_t index);
+  /// record_n()'s rare path: grows to `value`'s octave, then records.
+  void grow_and_record(std::int64_t value, std::uint64_t count);
 
   int sub_bucket_bits_;
   std::int64_t sub_bucket_count_;  // 2^sub_bucket_bits
-  std::vector<std::uint64_t> buckets_;
+  std::vector<std::uint64_t> buckets_;  // held prefix of the full range
   std::uint64_t count_ = 0;
   std::int64_t min_ = 0;
   std::int64_t max_ = 0;
-  double sum_ = 0.0;
-  double sum_sq_ = 0.0;
+  std::int64_t sum_ = 0;
 };
 
 }  // namespace prism::stats

@@ -54,9 +54,7 @@ void LatencyLedger::set_window_interval(sim::Duration interval) {
   for (auto& w : ring_) {
     w.index = -1;
     w.count = 0;
-    for (auto& h : w.per_level) {
-      if (h) h->reset();
-    }
+    for (auto& h : w.per_level) h.reset();
   }
   evicted_ = 0;
   late_ = 0;
@@ -121,13 +119,9 @@ void LatencyLedger::window_record(sim::Time at, int level,
     if (win.index >= 0 && win.count > 0) ++evicted_;
     win.index = w;
     win.count = 0;
-    for (auto& h : win.per_level) {
-      if (h) h->reset();
-    }
+    for (auto& h : win.per_level) h.reset();
   }
-  auto& hist = win.per_level[static_cast<std::size_t>(level)];
-  if (!hist) hist = std::make_unique<stats::Histogram>(kWindowSubBucketBits);
-  hist->record(e2e);
+  win.per_level[static_cast<std::size_t>(level)].record(e2e);
   ++win.count;
 }
 
@@ -144,11 +138,19 @@ stats::Histogram LatencyLedger::merged_windows(int level) const {
     if (w.index < 0) continue;
     for (int c = 0; c < kNumLatencyClasses; ++c) {
       if (level >= 0 && c != level) continue;
-      const auto& h = w.per_level[static_cast<std::size_t>(c)];
-      if (h) merged.merge(*h);
+      merged.merge(w.per_level[static_cast<std::size_t>(c)]);
     }
   }
   return merged;
+}
+
+std::size_t LatencyLedger::buckets_held() const noexcept {
+  std::size_t n = 0;
+  for (const auto& h : hists_) n += h.buckets_held();
+  for (const auto& w : ring_) {
+    for (const auto& h : w.per_level) n += h.buckets_held();
+  }
+  return n;
 }
 
 LatencyBreakdown LatencyLedger::snapshot() const {
@@ -189,14 +191,14 @@ LatencyBreakdown LatencyLedger::snapshot() const {
   for (const Window* w : retained) {
     for (int c = 0; c < kNumLatencyClasses; ++c) {
       const auto& h = w->per_level[static_cast<std::size_t>(c)];
-      if (!h || h->count() == 0) continue;
+      if (h.count() == 0) continue;
       WindowRow row;
       row.window = w->index;
       row.start_ns = w->index * interval_;
       row.level = c;
-      row.count = h->count();
-      row.p50_ns = h->percentile(0.50);
-      row.p99_ns = h->percentile(0.99);
+      row.count = h.count();
+      row.p50_ns = h.percentile(0.50);
+      row.p99_ns = h.percentile(0.99);
       b.windows.push_back(row);
     }
   }
@@ -208,9 +210,7 @@ void LatencyLedger::reset() {
   for (auto& w : ring_) {
     w.index = -1;
     w.count = 0;
-    for (auto& h : w.per_level) {
-      if (h) h->reset();
-    }
+    for (auto& h : w.per_level) h.reset();
   }
   unattributed_ = 0;
   evicted_ = 0;

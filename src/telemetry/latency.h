@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -168,6 +167,10 @@ class LatencyLedger {
     return dropped_[static_cast<std::size_t>(clamp_level(level))];
   }
 
+  /// Buckets held by the stage cells and the window ring together (8
+  /// bytes each): the ledger's histogram footprint.
+  std::size_t buckets_held() const noexcept;
+
   /// Materializes every non-empty cell (and the retained windows).
   LatencyBreakdown snapshot() const;
 
@@ -178,9 +181,13 @@ class LatencyLedger {
   struct Window {
     std::int64_t index = -1;  ///< absolute window index, -1 = unused
     std::uint64_t count = 0;
-    /// Lazily allocated: most windows see one or two active classes.
-    std::array<std::unique_ptr<stats::Histogram>, kNumLatencyClasses>
-        per_level;
+    /// A class that never records here holds no buckets.
+    std::array<stats::Histogram, kNumLatencyClasses> per_level{
+        stats::Histogram(kWindowSubBucketBits),
+        stats::Histogram(kWindowSubBucketBits),
+        stats::Histogram(kWindowSubBucketBits),
+        stats::Histogram(kWindowSubBucketBits)};
+    static_assert(kNumLatencyClasses == 4, "one initializer per class");
   };
 
   static int clamp_level(int level) noexcept {

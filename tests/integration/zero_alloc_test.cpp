@@ -1,13 +1,14 @@
 // Zero-allocation gate: once warm, the datapath allocates nothing. Beside
 // it, two exact work counts on a drained run: one pooled block per wire
-// frame, and at most 5.5 events per wire frame.
+// frame, and at most 5.5 events per wire frame; and one exact footprint
+// count: the histogram buckets the warm hosts' telemetry holds.
 //
 // This translation unit replaces every replaceable global allocation
 // function of the test binary with a counting one (alloc_counter.h). Each
 // case builds a udp_overlay-shaped workload — prism-sync, a class-1 probe
 // beside 64 B bulk over the overlay, telemetry armed as shipped — warms
 // it up past one lap of the latency ledger's window ring (whose
-// per-window histograms are created lazily), then runs 100 ms of
+// per-window histograms allocate their buckets lazily), then runs 100 ms of
 // simulated time in one run_until call and asserts that not one heap
 // allocation happened, on any thread.
 #include <cstddef>
@@ -121,7 +122,7 @@ constexpr std::uint16_t kProbeSrcPort = 20000;
 constexpr std::uint16_t kBulkSrcBase = 21000;
 
 /// Past one lap of the latency ledger's window ring, so every window
-/// slot already holds its lazily created histograms.
+/// slot's histograms already hold their lazily allocated buckets.
 constexpr sim::Time kWarmup =
     telemetry::LatencyLedger::kDefaultWindowInterval *
         static_cast<sim::Duration>(
@@ -339,6 +340,38 @@ TEST(EventGateTest, AtMostFiveAndAHalfEventsPerWireFrame) {
   EXPECT_GE(apps.delivered(), 10'000u);
   EXPECT_LE(2 * events, 11 * frames)
       << events << " events for " << frames << " wire frames";
+}
+
+// Exact footprint count: the histogram buckets that both hosts' ledgers
+// (stage cells and window ring) and flow tables hold once the udp_overlay
+// shape is warm. A histogram holds only the octaves it has recorded, and
+// every latency here stays below 2^20 ns, so the run holds 611 KiB: 26
+// stage cells of 960 buckets, 192 window histograms and 4 flows of 272.
+// Had every histogram held its full range (40 cells per host of 2,752
+// buckets, the rest of 720), it would hold 2,822 KiB.
+TEST(FootprintGateTest, WarmTelemetryBucketsStayUnderBound) {
+  harness::Testbed tb(prism_sync());
+  const PairApps apps = start_pair(
+      tb.client(), tb.server(), tb.client_sim(), tb.server_sim(),
+      [&](const char* name) -> overlay::Netns& {
+        return tb.add_client_container(name);
+      },
+      [&](const char* name) -> overlay::Netns& {
+        return tb.add_server_container(name);
+      },
+      300'000.0, 1);
+  tb.run_until(kWarmup);
+
+  std::size_t buckets = 0;
+  for (kernel::Host* host : {&tb.client(), &tb.server()}) {
+    buckets += host->latency_ledger().buckets_held();
+    for (const auto* e : host->flow_table().entries()) {
+      buckets += e->latency.buckets_held();
+    }
+  }
+  const std::size_t kib = buckets * sizeof(std::uint64_t) / 1024;
+  EXPECT_GE(apps.delivered(), 100'000u);
+  EXPECT_LE(kib, 640u) << buckets << " buckets";
 }
 
 INSTANTIATE_TEST_SUITE_P(

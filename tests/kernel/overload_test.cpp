@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 
 #include "fault/fault.h"
@@ -28,6 +29,19 @@ TEST(FlowLimiterTest, DormantBelowHalfBacklog) {
                                 /*max_backlog=*/128));
   }
   EXPECT_EQ(fl.count(), 0u);
+}
+
+TEST(FlowLimiterTest, DormantLimiterHoldsNoTable) {
+  // Sized as a host's: flow_limit_buckets and netdev_max_backlog.
+  FlowLimiter fl(/*num_buckets=*/4096, /*history_len=*/1000);
+  EXPECT_EQ(fl.table_bytes(), 0u);
+  for (int i = 0; i < 1000; ++i) {
+    fl.should_drop(/*flow_hash=*/7, /*qlen=*/499, /*max_backlog=*/1000);
+  }
+  EXPECT_EQ(fl.table_bytes(), 0u);
+  // The first decision past half the backlog allocates both tables.
+  EXPECT_FALSE(fl.should_drop(7, /*qlen=*/500, /*max_backlog=*/1000));
+  EXPECT_EQ(fl.table_bytes(), (4096u + 1000u) * sizeof(std::uint32_t));
 }
 
 TEST(FlowLimiterTest, ShedsDominantFlowOnly) {
