@@ -5,19 +5,37 @@
 
 namespace prism::apps {
 
+namespace {
+
+/// A framed message whose `body_size`-byte body is zeros.
+std::vector<std::uint8_t> zero_message(std::size_t body_size) {
+  return MessageFramer::frame(std::vector<std::uint8_t>(body_size));
+}
+
+/// Rewrites the probe at the front of framed `message`'s body.
+void set_probe(std::vector<std::uint8_t>& message, const Probe& probe) {
+  encode_probe_into(probe, std::span<std::uint8_t>(message).subspan(
+                               MessageFramer::kPrefixSize));
+}
+
+}  // namespace
+
 HttpServer::HttpServer(Config config) : cfg_(config) {
   assert(cfg_.host && cfg_.ns && cfg_.cpu && cfg_.connection &&
          "HttpServer: bad config");
   if (cfg_.response_size < kProbeSize) {
     throw std::invalid_argument("HttpServer: response smaller than probe");
   }
+  response_ = zero_message(cfg_.response_size);
   cfg_.connection->on_data = [this](std::span<const std::uint8_t> data,
                                     sim::Time) { on_stream_data(data); };
 }
 
 void HttpServer::on_stream_data(std::span<const std::uint8_t> data) {
   framer_.push(data);
-  while (auto msg = framer_.next()) pending_.push_back(std::move(*msg));
+  while (const auto msg = framer_.next()) {
+    pending_.push_back(Request{decode_probe(*msg), msg->size()});
+  }
   if (!busy_ && !pending_.empty()) {
     busy_ = true;
     // Wakeup from epoll_wait, then handle the request.
@@ -31,20 +49,17 @@ void HttpServer::process_next() {
     busy_ = false;
     return;
   }
-  std::vector<std::uint8_t> request = std::move(pending_.front());
+  const Request request = pending_.front();
   pending_.pop_front();
-  const auto probe = decode_probe(request);
   const auto& cost = cfg_.host->cost();
   const sim::Duration work = cost.syscall_cost +
-                             cost.copy_cost(request.size()) +
+                             cost.copy_cost(request.size) +
                              cfg_.service_time;
-  cfg_.cpu->run_task(work, [this, probe] {
+  cfg_.cpu->run_task(work, [this, probe = request.probe] {
     ++served_;
-    Probe echo = probe.value_or(Probe{});
     // The response echoes the request probe, padded to the file size.
-    std::vector<std::uint8_t> body =
-        encode_probe(echo, cfg_.response_size);
-    cfg_.connection->send(MessageFramer::frame(body), *cfg_.cpu);
+    set_probe(response_, probe.value_or(Probe{}));
+    cfg_.connection->send(response_, *cfg_.cpu);
     process_next();
   });
 }
@@ -60,6 +75,7 @@ Wrk2Client::Wrk2Client(sim::Simulator& sim, Config config)
     throw std::invalid_argument("Wrk2Client: request smaller than probe");
   }
   interval_ = static_cast<sim::Duration>(1e9 / cfg_.rate_rps);
+  request_ = zero_message(cfg_.request_size);
   cfg_.connection->on_data = [this](std::span<const std::uint8_t> data,
                                     sim::Time) { on_stream_data(data); };
 }
@@ -85,9 +101,8 @@ void Wrk2Client::tick() {
   // omission).
   probe.sent_at = sim_.now();
   ++sent_;
-  cfg_.connection->send(
-      MessageFramer::frame(encode_probe(probe, cfg_.request_size)),
-      *cfg_.cpu);
+  set_probe(request_, probe);
+  cfg_.connection->send(request_, *cfg_.cpu);
 }
 
 void Wrk2Client::on_stream_data(std::span<const std::uint8_t> data) {

@@ -10,11 +10,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <optional>
 #include <vector>
 
 #include "apps/payload.h"
 #include "kernel/host.h"
+#include "sim/ring.h"
 #include "sim/rng.h"
 #include "stats/histogram.h"
 
@@ -37,12 +38,20 @@ class HttpServer {
   std::uint64_t requests_served() const noexcept { return served_; }
 
  private:
+  /// A received request awaiting service.
+  struct Request {
+    std::optional<Probe> probe;
+    std::size_t size = 0;  ///< body bytes, for the read's copy cost
+  };
+
   void on_stream_data(std::span<const std::uint8_t> data);
   void process_next();
 
   Config cfg_;
   MessageFramer framer_;
-  std::deque<std::vector<std::uint8_t>> pending_;
+  sim::Ring<Request> pending_;
+  /// The framed response, zero-padded once: a send rewrites its probe.
+  std::vector<std::uint8_t> response_;
   bool busy_ = false;
   std::uint64_t served_ = 0;
 };
@@ -84,6 +93,8 @@ class Wrk2Client {
   sim::Simulator& sim_;
   Config cfg_;
   MessageFramer framer_;
+  /// The framed request, zero-padded once: a send rewrites its probe.
+  std::vector<std::uint8_t> request_;
   sim::Duration interval_ = 0;
   sim::Rng rng_;
   std::uint64_t next_seq_ = 0;

@@ -50,8 +50,9 @@ void MemaslapClient::send_current(int slot) {
   const auto& s = slots_.at(static_cast<std::size_t>(slot));
   const std::uint64_t seq = s.req.probe.seq;
   in_flight_[seq] = slot;
+  encode_kv_request(s.req, tx_);
   cfg_.host->udp_send(*cfg_.ns, *cfg_.cpu, cfg_.src_port, cfg_.server_ip,
-                      cfg_.server_port, encode_kv_request(s.req));
+                      cfg_.server_port, tx_);
   sim_.schedule(cfg_.request_timeout,
                 [this, slot, seq] { on_timeout(slot, seq); });
 }

@@ -83,6 +83,8 @@ class MemaslapClient {
     int attempts = 0;  ///< retries performed for the current request
   };
   std::vector<Slot> slots_;
+  /// Encoding buffer of the request being sent (udp_send copies).
+  std::vector<std::uint8_t> tx_;
   bool rx_busy_ = false;
   std::uint64_t completed_ = 0;
   std::uint64_t gets_ = 0;

@@ -25,16 +25,21 @@ std::uint32_t get_u32(std::span<const std::uint8_t> d, std::size_t at) {
          get_u16(d, at + 2);
 }
 
+/// Replaces `out` with the encoded probe.
+void start_with_probe(const Probe& probe, std::vector<std::uint8_t>& out) {
+  out.resize(kProbeSize);
+  encode_probe_into(probe, out);
+}
+
 }  // namespace
 
-std::vector<std::uint8_t> encode_kv_request(const KvRequest& req) {
-  std::vector<std::uint8_t> out = encode_probe(req.probe, kProbeSize);
+void encode_kv_request(const KvRequest& req, std::vector<std::uint8_t>& out) {
+  start_with_probe(req.probe, out);
   out.push_back(static_cast<std::uint8_t>(req.op));
   put_u16(out, static_cast<std::uint16_t>(req.key.size()));
   out.insert(out.end(), req.key.begin(), req.key.end());
   put_u32(out, static_cast<std::uint32_t>(req.value.size()));
   out.insert(out.end(), req.value.begin(), req.value.end());
-  return out;
 }
 
 std::optional<KvRequest> decode_kv_request(
@@ -59,12 +64,12 @@ std::optional<KvRequest> decode_kv_request(
   return req;
 }
 
-std::vector<std::uint8_t> encode_kv_response(const KvResponse& resp) {
-  std::vector<std::uint8_t> out = encode_probe(resp.probe, kProbeSize);
+void encode_kv_response(const KvResponse& resp,
+                        std::vector<std::uint8_t>& out) {
+  start_with_probe(resp.probe, out);
   out.push_back(static_cast<std::uint8_t>(resp.status));
   put_u32(out, static_cast<std::uint32_t>(resp.value.size()));
   out.insert(out.end(), resp.value.begin(), resp.value.end());
-  return out;
 }
 
 std::optional<KvResponse> decode_kv_response(
@@ -124,32 +129,34 @@ void MemcachedServer::finish_one() {
 
   const auto req = decode_kv_request(d->payload());
   if (req) {
-    KvResponse resp;
-    resp.probe = req->probe;
+    resp_.probe = req->probe;
+    resp_.value.clear();
     if (req->op == KvOp::kGet) {
       ++gets_;
       work += cfg_.get_service;
       const auto it = store_.find(req->key);
       if (it == store_.end()) {
         ++misses_;
-        resp.status = KvStatus::kMiss;
+        resp_.status = KvStatus::kMiss;
       } else {
-        resp.status = KvStatus::kHit;
-        resp.value = it->second;
+        resp_.status = KvStatus::kHit;
+        resp_.value.assign(it->second.begin(), it->second.end());
       }
     } else {
       ++sets_;
       work += cfg_.set_service;
       store_[req->key] = req->value;
-      resp.status = KvStatus::kStored;
+      resp_.status = KvStatus::kStored;
     }
+    // Encoded now and sent from tx_ at the end of the service work: the
+    // next request starts only after that.
+    encode_kv_response(resp_, tx_);
     const auto src_ip = d->src_ip;
     const auto src_port = d->src_port;
     // Service work, then the response send (its own syscall).
-    cfg_.cpu->run_task(work, [this, resp = std::move(resp), src_ip,
-                              src_port] {
+    cfg_.cpu->run_task(work, [this, src_ip, src_port] {
       cfg_.host->udp_send(*cfg_.ns, *cfg_.cpu, cfg_.port, src_ip, src_port,
-                          encode_kv_response(resp));
+                          tx_);
       if (sock_->has_data()) {
         begin_drain(/*wakeup=*/false);
       } else {

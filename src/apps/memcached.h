@@ -41,10 +41,14 @@ struct KvResponse {
   std::vector<std::uint8_t> value;  // get-hit only
 };
 
-std::vector<std::uint8_t> encode_kv_request(const KvRequest& req);
+/// Encodes into `out`, replacing its bytes and keeping its capacity, so
+/// a buffer reused across requests stops allocating once warm.
+void encode_kv_request(const KvRequest& req, std::vector<std::uint8_t>& out);
 std::optional<KvRequest> decode_kv_request(
     std::span<const std::uint8_t> bytes);
-std::vector<std::uint8_t> encode_kv_response(const KvResponse& resp);
+/// Encodes into `out`, as encode_kv_request does.
+void encode_kv_response(const KvResponse& resp,
+                        std::vector<std::uint8_t>& out);
 std::optional<KvResponse> decode_kv_response(
     std::span<const std::uint8_t> bytes);
 
@@ -83,6 +87,10 @@ class MemcachedServer {
   kernel::UdpSocket* sock_;
   bool busy_ = false;
   std::unordered_map<std::string, std::vector<std::uint8_t>> store_;
+  /// The response being served, reused across requests (one is served
+  /// at a time).
+  KvResponse resp_;
+  std::vector<std::uint8_t> tx_;
   std::uint64_t gets_ = 0;
   std::uint64_t sets_ = 0;
   std::uint64_t misses_ = 0;

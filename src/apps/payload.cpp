@@ -21,13 +21,6 @@ std::uint64_t get_u64(std::span<const std::uint8_t> d, std::size_t at) {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_probe(const Probe& probe,
-                                       std::size_t payload_size) {
-  std::vector<std::uint8_t> out(payload_size);
-  encode_probe_into(probe, out);
-  return out;
-}
-
 void encode_probe_into(const Probe& probe, std::span<std::uint8_t> out) {
   if (out.size() < kProbeSize) {
     throw std::invalid_argument("encode_probe: payload smaller than probe");
@@ -48,21 +41,30 @@ std::optional<Probe> decode_probe(std::span<const std::uint8_t> payload) {
 }
 
 void MessageFramer::push(std::span<const std::uint8_t> data) {
+  // Drop the consumed prefix first: all of it once everything is
+  // consumed, else once it is more than half the buffer.
+  if (head_ == buffer_.size()) {
+    buffer_.clear();
+    head_ = 0;
+  } else if (2 * head_ > buffer_.size()) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
   buffer_.insert(buffer_.end(), data.begin(), data.end());
 }
 
-std::optional<std::vector<std::uint8_t>> MessageFramer::next() {
-  if (buffer_.size() < 4) return std::nullopt;
-  const std::uint32_t len =
-      (static_cast<std::uint32_t>(buffer_[0]) << 24) |
-      (static_cast<std::uint32_t>(buffer_[1]) << 16) |
-      (static_cast<std::uint32_t>(buffer_[2]) << 8) |
-      static_cast<std::uint32_t>(buffer_[3]);
-  if (buffer_.size() < 4u + len) return std::nullopt;
-  std::vector<std::uint8_t> body(buffer_.begin() + 4,
-                                 buffer_.begin() + 4 + len);
-  buffer_.erase(buffer_.begin(), buffer_.begin() + 4 + len);
-  return body;
+std::optional<std::span<const std::uint8_t>> MessageFramer::next() {
+  const std::span<const std::uint8_t> rest =
+      std::span<const std::uint8_t>(buffer_).subspan(head_);
+  if (rest.size() < kPrefixSize) return std::nullopt;
+  const std::uint32_t len = (static_cast<std::uint32_t>(rest[0]) << 24) |
+                            (static_cast<std::uint32_t>(rest[1]) << 16) |
+                            (static_cast<std::uint32_t>(rest[2]) << 8) |
+                            static_cast<std::uint32_t>(rest[3]);
+  if (rest.size() - kPrefixSize < len) return std::nullopt;
+  head_ += kPrefixSize + len;
+  return rest.subspan(kPrefixSize, len);
 }
 
 std::vector<std::uint8_t> MessageFramer::frame(

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
@@ -28,11 +27,6 @@ struct Probe {
 /// Bytes occupied by an encoded probe.
 constexpr std::size_t kProbeSize = 24;
 
-/// Encodes a probe padded with zeros to `payload_size` (>= kProbeSize;
-/// throws std::invalid_argument otherwise).
-std::vector<std::uint8_t> encode_probe(const Probe& probe,
-                                       std::size_t payload_size);
-
 /// Writes the probe into the first kProbeSize bytes of `out` and leaves
 /// the rest as it is — for send loops that keep one zero-padded payload
 /// and rewrite its probe per packet. Throws std::invalid_argument when
@@ -43,21 +37,28 @@ void encode_probe_into(const Probe& probe, std::span<std::uint8_t> out);
 std::optional<Probe> decode_probe(std::span<const std::uint8_t> payload);
 
 /// Length-prefixed message framing for TCP byte streams
-/// ([u32 length][body...]).
+/// ([u32 length][body...]). The stream bytes live in one buffer that
+/// keeps its capacity, so a warm framer allocates nothing.
 class MessageFramer {
  public:
+  /// Bytes of the length prefix in front of every body.
+  static constexpr std::size_t kPrefixSize = 4;
+
   /// Appends stream bytes.
   void push(std::span<const std::uint8_t> data);
 
   /// Extracts the next complete message body, nullopt when incomplete.
-  std::optional<std::vector<std::uint8_t>> next();
+  /// The view points into the framer and stays valid until the next
+  /// push().
+  std::optional<std::span<const std::uint8_t>> next();
 
   /// Frames a message body for sending.
   static std::vector<std::uint8_t> frame(
       std::span<const std::uint8_t> body);
 
  private:
-  std::deque<std::uint8_t> buffer_;
+  std::vector<std::uint8_t> buffer_;
+  std::size_t head_ = 0;  ///< first byte next() has not consumed
 };
 
 }  // namespace prism::apps

@@ -226,7 +226,10 @@ void SockperfClient::finish_rx(Thread& t) {
 // ---------------------------------------------------- SockperfTcpSender
 
 SockperfTcpSender::SockperfTcpSender(sim::Simulator& sim, Config config)
-    : sim_(sim), cfg_(config), rng_(config.seed) {
+    : sim_(sim),
+      cfg_(config),
+      payload_(config.message_size, 0xa5),
+      rng_(config.seed) {
   assert(cfg_.endpoint && cfg_.cpu && "SockperfTcpSender: bad config");
   if (cfg_.rate_mps <= 0) {
     throw std::invalid_argument("SockperfTcpSender: rate must be positive");
@@ -253,8 +256,7 @@ void SockperfTcpSender::tick(std::uint64_t n) {
     return;
   }
   ++sent_;
-  cfg_.endpoint->send(std::vector<std::uint8_t>(cfg_.message_size, 0xa5),
-                      *cfg_.cpu);
+  cfg_.endpoint->send(payload_, *cfg_.cpu);
 }
 
 // -------------------------------------------------------- TcpSinkServer

@@ -190,6 +190,8 @@ class SockperfTcpSender {
 
   sim::Simulator& sim_;
   Config cfg_;
+  /// Every message's bytes, filled once at construction (send copies).
+  std::vector<std::uint8_t> payload_;
   sim::Duration interval_ = 0;
   sim::Rng rng_;
   std::uint64_t sent_ = 0;

@@ -118,8 +118,13 @@ sim::Duration SocketDeliverer::deliver_frame(
     delivered_.inc();
     if (governor_ != nullptr) governor_->note_delivery();
     probe_->deliver_frame(skb, *parsed, frame.size(), at);
-    return ep->handle_segment(*parsed->tcp, parsed->l4_payload, at,
-                              final_frame);
+    // As for a datagram, the frame's block becomes the segment's payload,
+    // trimmed in place; an in-order segment hands it to the application.
+    const net::TcpHeader header = *parsed->tcp;
+    const std::size_t payload_size = parsed->l4_payload.size();
+    buf.pop_front(parsed->l4_payload_offset);
+    buf.truncate(payload_size);
+    return ep->handle_segment(header, std::move(buf), at, final_frame);
   }
   drops_.inc();
   probe_->drop_frame(fault::DropReason::kNoSocket, skb, *parsed,

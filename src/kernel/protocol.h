@@ -71,7 +71,8 @@ class SocketDeliverer {
 
  private:
   /// `frame` is the skb's head buffer or one of its GRO-chain buffers; a
-  /// UDP frame's block moves into the queued datagram. `pre_parsed`
+  /// UDP frame's block moves into the queued datagram, and a TCP frame's
+  /// into the endpoint as the segment's payload. `pre_parsed`
   /// (optional) is the caller's existing parse of `frame` — the skb's
   /// cached head-frame parse — reused instead of re-parsing.
   sim::Duration deliver_frame(const Skb& skb, net::PacketBuf& frame,

@@ -42,7 +42,7 @@ net::PacketBuf TcpEndpoint::build_segment(
   return net::build_tcp_frame(spec, tcp, payload);
 }
 
-void TcpEndpoint::send(std::vector<std::uint8_t> data, Cpu& cpu) {
+void TcpEndpoint::send(std::span<const std::uint8_t> data, Cpu& cpu) {
   if (data.empty()) return;
   const std::size_t nsegs = (data.size() + cfg_.mss - 1) / cfg_.mss;
   // TSO: one full egress pass plus a small per-extra-segment cost.
@@ -52,11 +52,19 @@ void TcpEndpoint::send(std::vector<std::uint8_t> data, Cpu& cpu) {
       static_cast<sim::Duration>(nsegs - 1) * cost_.tx_tso_per_segment;
   if (cfg_.ns->is_container()) cpu_cost += cost_.tx_overlay_extra;
 
-  cpu.run_task(cpu_cost, [this, data = std::move(data)] {
-    const std::uint32_t from = snd_nxt_;
-    rtx_buffer_.insert(rtx_buffer_.end(), data.begin(), data.end());
-    snd_nxt_ += static_cast<std::uint32_t>(data.size());
-    transmit_range(from, data, sim_.now());
+  // Stage the bytes behind those of every earlier send; `seq` is where
+  // they start once those have committed.
+  const auto seq = static_cast<std::uint32_t>(
+      snd_nxt_ + (snd_buf_.size() - snd_commit_));
+  const auto len = static_cast<std::uint32_t>(data.size());
+  snd_buf_.insert(snd_buf_.end(), data.begin(), data.end());
+  cpu.run_task(cpu_cost, [this, seq, len] {
+    assert(seq == snd_nxt_ && "an endpoint's sends commit in call order");
+    const std::span<const std::uint8_t> bytes(snd_buf_.data() + snd_commit_,
+                                              len);
+    snd_commit_ += len;
+    snd_nxt_ += len;
+    transmit_range(seq, bytes, sim_.now());
     arm_rto();
   });
 }
@@ -64,36 +72,47 @@ void TcpEndpoint::send(std::vector<std::uint8_t> data, Cpu& cpu) {
 void TcpEndpoint::transmit_range(std::uint32_t from_seq,
                                  std::span<const std::uint8_t> data,
                                  sim::Time at) {
-  for (std::size_t off = 0; off < data.size(); off += cfg_.mss) {
+  std::size_t n = 0;
+  for (std::size_t off = 0; off < data.size(); off += cfg_.mss, ++n) {
     const std::size_t len = std::min(cfg_.mss, data.size() - off);
     const bool last = off + len >= data.size();
-    net::PacketBuf frame = build_segment(
+    tx_queue_.push_back(build_segment(
         from_seq + static_cast<std::uint32_t>(off), data.subspan(off, len),
-        last);
-    sim_.schedule_at(at, [this, f = std::move(frame)]() mutable {
-      cfg_.ns->egress(std::move(f));
-    });
+        last));
   }
+  // One event for the burst. An event per segment, queued here with
+  // consecutive sequence numbers, would let nothing run between them,
+  // and everything they queued would sort after the last of them: so
+  // egressing the segments back to back in one event keeps every order.
+  sim_.schedule_at(at, [this, n] {
+    for (std::size_t i = 0; i < n; ++i) {
+      net::PacketBuf frame = std::move(tx_queue_.front());
+      tx_queue_.pop_front();
+      cfg_.ns->egress(std::move(frame));
+    }
+  });
 }
 
-sim::Duration TcpEndpoint::handle_segment(
-    const net::TcpHeader& header, std::span<const std::uint8_t> payload,
-    sim::Time at, bool ack_now) {
+sim::Duration TcpEndpoint::handle_segment(const net::TcpHeader& header,
+                                          net::PacketBuf payload,
+                                          sim::Time at, bool ack_now) {
   sim::Duration extra = 0;
 
   // --- ACK processing (sender side) ---------------------------------
   if ((header.flags & net::TcpFlags::kAck) != 0 &&
       seq_gt(header.ack, snd_una_)) {
     const std::uint32_t acked = header.ack - snd_una_;
-    rtx_head_ += std::min<std::size_t>(acked, unacked_bytes());
-    if (rtx_head_ == rtx_buffer_.size()) {
-      rtx_buffer_.clear();
-      rtx_head_ = 0;
-    } else if (2 * rtx_head_ > rtx_buffer_.size()) {
-      rtx_buffer_.erase(rtx_buffer_.begin(),
-                        rtx_buffer_.begin() +
-                            static_cast<std::ptrdiff_t>(rtx_head_));
-      rtx_head_ = 0;
+    snd_head_ += std::min<std::size_t>(acked, unacked_bytes());
+    if (snd_head_ == snd_buf_.size()) {
+      snd_buf_.clear();
+      snd_head_ = 0;
+      snd_commit_ = 0;
+    } else if (2 * snd_head_ > snd_buf_.size()) {
+      snd_buf_.erase(snd_buf_.begin(),
+                     snd_buf_.begin() +
+                         static_cast<std::ptrdiff_t>(snd_head_));
+      snd_commit_ -= snd_head_;
+      snd_head_ = 0;
     }
     snd_una_ = header.ack;
     // Restart (or stop) the retransmission timer.
@@ -103,33 +122,53 @@ sim::Duration TcpEndpoint::handle_segment(
 
   // --- data processing (receiver side) --------------------------------
   if (!payload.empty()) {
-    if (header.seq == rcv_nxt_) {
-      rcv_nxt_ += static_cast<std::uint32_t>(payload.size());
-      // Size the chunk for the now-contiguous out-of-order tail too, so
-      // it takes one pooled block.
+    const std::uint32_t seq = header.seq;
+    const std::uint32_t end = seq + static_cast<std::uint32_t>(payload.size());
+    if (!seq_gt(seq, rcv_nxt_) && seq_gt(end, rcv_nxt_)) {
+      // In order: trim what the stream already holds, then join the
+      // stored segments this one reaches. Those the stream has passed
+      // are dropped; one that reaches further gives its unseen tail.
+      payload.pop_front(rcv_nxt_ - seq);
+      rcv_nxt_ = end;
       std::size_t tail = 0;
       auto it = ooo_.begin();
       for (std::uint32_t next = rcv_nxt_;
-           it != ooo_.end() && it->first == next; ++it) {
-        next += static_cast<std::uint32_t>(it->second.size());
-        tail += it->second.size();
+           it != ooo_.end() && !seq_gt(it->first, next); ++it) {
+        const std::uint32_t o_end =
+            it->first + static_cast<std::uint32_t>(it->second.size());
+        if (seq_gt(o_end, next)) {
+          tail += o_end - next;
+          next = o_end;
+        }
       }
-      net::PacketBuf chunk = net::PacketBuf::with_headroom(0, payload, tail);
-      for (auto o = ooo_.begin(); o != it; ++o) chunk.append(o->second);
-      rcv_nxt_ += static_cast<std::uint32_t>(tail);
+      if (tail > 0) {
+        // Joining copies: the chunk moves to one block sized for the
+        // now-contiguous tail too.
+        payload = net::PacketBuf::with_headroom(0, payload.bytes(), tail);
+        for (auto o = ooo_.begin(); o != it; ++o) {
+          const std::uint32_t o_end =
+              o->first + static_cast<std::uint32_t>(o->second.size());
+          if (seq_gt(o_end, rcv_nxt_)) {
+            payload.append(o->second.bytes().subspan(rcv_nxt_ - o->first));
+            rcv_nxt_ = o_end;
+          }
+        }
+      }
       ooo_.erase(ooo_.begin(), it);
-      delivered_ += chunk.size();
+      delivered_ += payload.size();
       if (on_data) {
         // The block returns to the pool when the event is destroyed:
         // after on_data has run, or unrun at teardown.
-        sim_.schedule_at(at, [this, chunk = std::move(chunk), at] {
+        sim_.schedule_at(at, [this, chunk = std::move(payload), at] {
           on_data(chunk.bytes(), at);
         });
       }  // else the chunk's block returns to the pool here
-    } else if (seq_gt(header.seq, rcv_nxt_)) {
-      ooo_.emplace(header.seq,
-                   std::vector<std::uint8_t>(payload.begin(),
-                                             payload.end()));
+    } else if (seq_gt(seq, rcv_nxt_)) {
+      // Out of order: hold the block; of two segments starting at one
+      // sequence number, keep the longer.
+      const std::size_t len = payload.size();
+      auto [o, fresh] = ooo_.try_emplace(seq, std::move(payload));
+      if (!fresh && o->second.size() < len) o->second = std::move(payload);
     }
     // else: duplicate of already-delivered data — drop, still ACK.
     if (ack_now) {
@@ -173,8 +212,8 @@ void TcpEndpoint::on_rto() {
   const std::size_t window = std::min<std::size_t>(unacked_bytes(),
                                                    64 * 1024);
   transmit_range(snd_una_,
-                 std::span<const std::uint8_t>(
-                     rtx_buffer_.data() + rtx_head_, window),
+                 std::span<const std::uint8_t>(snd_buf_.data() + snd_head_,
+                                               window),
                  sim_.now());
   arm_rto();
 }

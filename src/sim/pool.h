@@ -120,20 +120,29 @@ struct alignas(16) FrameBlock {
   }
 };
 
-/// Per-thread free list of the frame blocks behind net::PacketBuf.
+/// Per-thread free lists of the frame blocks behind net::PacketBuf.
 ///
 /// A PacketBuf acquires its block here when a frame is built and returns
 /// it when the last handle lets go (after the socket hands the datagram
-/// to the application), so the block is re-issued to the next frame. A
-/// block keeps its capacity across reuse and is replaced only when a
-/// frame needs more. Blocks larger than kMaxRetainedBytes are freed
-/// rather than parked, so one jumbo frame cannot pin memory forever.
-/// Nothing is zero-filled: bytes outside what the caller writes are
-/// unspecified.
+/// to the application), so the block is re-issued to the next frame.
+/// Blocks come in size classes, each with its own LIFO free list: a small
+/// block (kSmallBytes: an ACK, a 64-byte datagram, a short request) and a
+/// frame block (kFrameBytes: an MTU frame plus encapsulation headroom)
+/// have their class's full capacity, so any parked block of a class
+/// serves any request of it, whatever order frames of other classes come
+/// and go in. Larger blocks share one list; one of those keeps its
+/// capacity across reuse and is replaced only when a request needs more.
+/// Blocks larger than kMaxRetainedBytes are freed rather than parked, so
+/// one jumbo frame cannot pin memory forever. Nothing is zero-filled:
+/// bytes outside what the caller writes are unspecified.
 class BufferPool {
  public:
   static constexpr std::size_t kDefaultMaxFree = 16384;
   static constexpr std::size_t kMaxRetainedBytes = 256 * 1024;
+  /// Capacity of every block of the small class.
+  static constexpr std::size_t kSmallBytes = 256;
+  /// Capacity of every block of the frame class.
+  static constexpr std::size_t kFrameBytes = 2048;
 
   /// The calling thread's instance — one pool per thread so parallel
   /// simulation lanes recycle without locks. The main thread's pool is
@@ -141,7 +150,10 @@ class BufferPool {
   /// blocks during shutdown); lane workers free theirs at thread exit.
   static BufferPool& instance() noexcept;
 
-  BufferPool() { free_.reserve(1024); }
+  BufferPool() {
+    free_[kSmall].reserve(1024);
+    free_[kFrame].reserve(1024);
+  }
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -149,13 +161,15 @@ class BufferPool {
   ~BufferPool() { trim(); }
 
   /// Returns a block of at least `capacity` bytes with begin == end == 0.
-  /// A parked block too small for `capacity` is freed and replaced by a
-  /// fresh one, which counts as `allocated`.
+  /// A parked large block too small for `capacity` is freed and replaced
+  /// by a fresh one, which counts as `allocated`.
   FrameBlock* acquire(std::size_t capacity) {
     ++stats_.acquired;
-    if (enabled_ && !free_.empty()) {
-      FrameBlock* block = free_.back();
-      free_.pop_back();
+    const std::size_t cls = class_of(capacity);
+    std::vector<FrameBlock*>& list = free_[cls];
+    if (enabled_ && !list.empty()) {
+      FrameBlock* block = list.back();
+      list.pop_back();
       if (block->capacity >= capacity) {
         ++stats_.reused;
         block->begin = 0;
@@ -165,26 +179,30 @@ class BufferPool {
       destroy(block);
     }
     ++stats_.allocated;
-    return create(capacity);
+    return create(cls == kSmall   ? kSmallBytes
+                  : cls == kFrame ? kFrameBytes
+                                  : capacity);
   }
 
-  /// Parks `block` for reuse; frees it when the pool is disabled or
-  /// full, or the block is larger than kMaxRetainedBytes.
+  /// Parks `block` on its class's list; frees it when the pool is
+  /// disabled or full, or the block is larger than kMaxRetainedBytes.
   void release(FrameBlock* block) noexcept {
-    if (!enabled_ || free_.size() >= max_free_ ||
+    if (!enabled_ || free_buffers() >= max_free_ ||
         block->capacity > kMaxRetainedBytes) {
       ++stats_.discarded;
       destroy(block);
       return;
     }
     ++stats_.released;
-    free_.push_back(block);
+    free_[class_of(block->capacity)].push_back(block);
   }
 
   /// Frees every parked block.
   void trim() noexcept {
-    for (FrameBlock* block : free_) destroy(block);
-    free_.clear();
+    for (auto& list : free_) {
+      for (FrameBlock* block : list) destroy(block);
+      list.clear();
+    }
   }
 
   /// A disabled pool passes straight through to new/delete.
@@ -194,19 +212,29 @@ class BufferPool {
   }
   bool enabled() const noexcept { return enabled_; }
 
-  std::size_t free_buffers() const noexcept { return free_.size(); }
+  std::size_t free_buffers() const noexcept {
+    return free_[kSmall].size() + free_[kFrame].size() +
+           free_[kLarge].size();
+  }
 
   const PoolStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_.reset(); }
 
  private:
+  enum : std::size_t { kSmall, kFrame, kLarge, kNumClasses };
+
+  static std::size_t class_of(std::size_t capacity) noexcept {
+    return capacity <= kSmallBytes   ? kSmall
+           : capacity <= kFrameBytes ? kFrame
+                                     : kLarge;
+  }
   static FrameBlock* create(std::size_t capacity) {
     void* mem = ::operator new(sizeof(FrameBlock) + capacity);
     return ::new (mem) FrameBlock{static_cast<std::uint32_t>(capacity), 0, 0};
   }
   static void destroy(FrameBlock* block) noexcept { ::operator delete(block); }
 
-  std::vector<FrameBlock*> free_;
+  std::vector<FrameBlock*> free_[kNumClasses];
   std::size_t max_free_ = kDefaultMaxFree;
   bool enabled_ = true;
   PoolStats stats_;

@@ -8,13 +8,25 @@
 namespace prism::apps {
 namespace {
 
+std::vector<std::uint8_t> request_bytes(const KvRequest& req) {
+  std::vector<std::uint8_t> out;
+  encode_kv_request(req, out);
+  return out;
+}
+
+std::vector<std::uint8_t> response_bytes(const KvResponse& resp) {
+  std::vector<std::uint8_t> out;
+  encode_kv_response(resp, out);
+  return out;
+}
+
 TEST(KvProtocolTest, RequestRoundTrip) {
   KvRequest req;
   req.probe = {42, 1000, false};
   req.op = KvOp::kSet;
   req.key = "hello-key";
   req.value = {9, 8, 7};
-  const auto bytes = encode_kv_request(req);
+  const auto bytes = request_bytes(req);
   const auto decoded = decode_kv_request(bytes);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->probe.seq, 42u);
@@ -28,17 +40,39 @@ TEST(KvProtocolTest, ResponseRoundTrip) {
   resp.probe = {7, 500, false};
   resp.status = KvStatus::kHit;
   resp.value = std::vector<std::uint8_t>(1024, 0x3c);
-  const auto bytes = encode_kv_response(resp);
+  const auto bytes = response_bytes(resp);
   const auto decoded = decode_kv_response(bytes);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->status, KvStatus::kHit);
   EXPECT_EQ(decoded->value.size(), 1024u);
 }
 
+TEST(KvProtocolTest, EncodingReplacesTheBufferAndKeepsItsCapacity) {
+  KvResponse big;
+  big.probe = {1, 2, false};
+  big.status = KvStatus::kHit;
+  big.value = std::vector<std::uint8_t>(512, 0x11);
+  std::vector<std::uint8_t> buf;
+  encode_kv_response(big, buf);
+  const std::size_t capacity = buf.capacity();
+
+  KvResponse small;
+  small.probe = {3, 4, true};
+  small.status = KvStatus::kMiss;
+  encode_kv_response(small, buf);
+  EXPECT_EQ(buf, response_bytes(small));
+  EXPECT_EQ(buf.capacity(), capacity);
+  const auto decoded = decode_kv_response(buf);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->probe.seq, 3u);
+  EXPECT_EQ(decoded->status, KvStatus::kMiss);
+  EXPECT_TRUE(decoded->value.empty());
+}
+
 TEST(KvProtocolTest, TruncatedBuffersRejected) {
   KvRequest req;
   req.key = "k";
-  const auto bytes = encode_kv_request(req);
+  const auto bytes = request_bytes(req);
   for (std::size_t len : {0u, 10u, 25u, 27u}) {
     EXPECT_FALSE(
         decode_kv_request(std::span(bytes.data(), len)).has_value())
@@ -74,7 +108,7 @@ TEST(MemcachedServerTest, GetAfterPreload) {
   req.key = MemcachedServer::key_name(7);
   rig.tb.client().udp_send(rig.client_ns, rig.tb.client().cpu(1), 5000,
                            rig.server_ns.ip(), 11211,
-                           encode_kv_request(req));
+                           request_bytes(req));
   rig.drain();
   ASSERT_EQ(sock.received(), 1u);
   const auto resp = decode_kv_response(sock.try_recv()->payload());
@@ -92,7 +126,7 @@ TEST(MemcachedServerTest, MissForUnknownKey) {
   req.key = "nope";
   rig.tb.client().udp_send(rig.client_ns, rig.tb.client().cpu(1), 5000,
                            rig.server_ns.ip(), 11211,
-                           encode_kv_request(req));
+                           request_bytes(req));
   rig.drain();
   ASSERT_EQ(sock.received(), 1u);
   EXPECT_EQ(decode_kv_response(sock.try_recv()->payload())->status,
@@ -109,7 +143,7 @@ TEST(MemcachedServerTest, SetThenGet) {
   set.value = {1, 2, 3, 4};
   rig.tb.client().udp_send(rig.client_ns, rig.tb.client().cpu(1), 5000,
                            rig.server_ns.ip(), 11211,
-                           encode_kv_request(set));
+                           request_bytes(set));
   rig.drain();
   ASSERT_EQ(sock.received(), 1u);
   EXPECT_EQ(decode_kv_response(sock.try_recv()->payload())->status,
@@ -120,7 +154,7 @@ TEST(MemcachedServerTest, SetThenGet) {
   get.key = "fresh";
   rig.tb.client().udp_send(rig.client_ns, rig.tb.client().cpu(1), 5000,
                            rig.server_ns.ip(), 11211,
-                           encode_kv_request(get));
+                           request_bytes(get));
   rig.drain();
   ASSERT_EQ(sock.received(), 2u);  // cumulative: set-ack + get response
   const auto resp = decode_kv_response(sock.try_recv()->payload());

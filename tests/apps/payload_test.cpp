@@ -5,10 +5,19 @@
 namespace prism::apps {
 namespace {
 
+std::vector<std::uint8_t> probe_bytes(const Probe& p, std::size_t size) {
+  std::vector<std::uint8_t> out(size);
+  encode_probe_into(p, out);
+  return out;
+}
+
+std::vector<std::uint8_t> to_vector(std::span<const std::uint8_t> s) {
+  return {s.begin(), s.end()};
+}
+
 TEST(ProbeTest, RoundTrip) {
   Probe p{0x123456789abcdef0ULL, 987654321, true};
-  const auto bytes = encode_probe(p, 64);
-  EXPECT_EQ(bytes.size(), 64u);
+  const auto bytes = probe_bytes(p, 64);
   const auto decoded = decode_probe(bytes);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->seq, p.seq);
@@ -17,13 +26,28 @@ TEST(ProbeTest, RoundTrip) {
 }
 
 TEST(ProbeTest, NoReplyFlag) {
-  const auto bytes = encode_probe(Probe{1, 2, false}, kProbeSize);
+  const auto bytes = probe_bytes(Probe{1, 2, false}, kProbeSize);
   EXPECT_FALSE(decode_probe(bytes)->reply);
 }
 
 TEST(ProbeTest, TooSmallPayloadRejected) {
-  EXPECT_THROW(encode_probe(Probe{}, kProbeSize - 1),
+  EXPECT_THROW(probe_bytes(Probe{}, kProbeSize - 1),
                std::invalid_argument);
+}
+
+TEST(ProbeTest, RewriteLeavesThePaddingAlone) {
+  std::vector<std::uint8_t> payload(64, 0xee);
+  encode_probe_into(Probe{5, 6, true}, payload);
+  encode_probe_into(Probe{7, 8, false}, payload);
+  const auto decoded = decode_probe(payload);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->seq, 7u);
+  EXPECT_EQ(decoded->sent_at, 8);
+  EXPECT_FALSE(decoded->reply);
+  for (std::size_t i = 17; i < kProbeSize; ++i) EXPECT_EQ(payload[i], 0u);
+  for (std::size_t i = kProbeSize; i < payload.size(); ++i) {
+    EXPECT_EQ(payload[i], 0xee) << i;
+  }
 }
 
 TEST(ProbeTest, ShortBufferDecodesToNull) {
@@ -37,7 +61,7 @@ TEST(FramerTest, SingleMessageRoundTrip) {
   framer.push(MessageFramer::frame(body));
   const auto msg = framer.next();
   ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(*msg, body);
+  EXPECT_EQ(to_vector(*msg), body);
   EXPECT_FALSE(framer.next().has_value());
 }
 
@@ -54,7 +78,7 @@ TEST(FramerTest, HandlesFragmentedDelivery) {
   }
   const auto msg = framer.next();
   ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(*msg, body);
+  EXPECT_EQ(to_vector(*msg), body);
 }
 
 TEST(FramerTest, HandlesCoalescedMessages) {
@@ -73,6 +97,28 @@ TEST(FramerTest, HandlesCoalescedMessages) {
     EXPECT_EQ(msg->size(), static_cast<std::size_t>(i * 10));
   }
   EXPECT_FALSE(framer.next().has_value());
+}
+
+TEST(FramerTest, WarmFramerKeepsItsBuffer) {
+  MessageFramer framer;
+  const std::vector<std::uint8_t> body(100, 0x42);
+  const auto framed = MessageFramer::frame(body);
+  // Half a message stays behind each round, so the consumed prefix is
+  // cut off while bytes remain.
+  framer.push(std::span(framed).first(50));
+  const std::uint8_t* data = nullptr;
+  for (int round = 0; round < 100; ++round) {
+    framer.push(std::span(framed).subspan(50));
+    framer.push(std::span(framed).first(50));
+    const auto msg = framer.next();
+    ASSERT_TRUE(msg.has_value()) << round;
+    EXPECT_EQ(to_vector(*msg), body);
+    EXPECT_FALSE(framer.next().has_value());
+    if (round == 10) data = msg->data();
+    if (round > 10) {
+      EXPECT_EQ(msg->data(), data) << round;
+    }
+  }
 }
 
 TEST(FramerTest, EmptyMessageSupported) {

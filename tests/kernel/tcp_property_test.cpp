@@ -60,12 +60,12 @@ struct LossyRig {
       ++dropped;
       return;
     }
-    std::vector<std::uint8_t> payload(parsed->l4_payload.begin(),
-                                      parsed->l4_payload.end());
     const auto header = *parsed->tcp;
-    sim.schedule(500, [&dst, header, payload = std::move(payload),
-                       this] {
-      dst.handle_segment(header, payload, sim.now());
+    frame.pop_front(parsed->l4_payload_offset);
+    frame.truncate(parsed->l4_payload.size());
+    sim.schedule(500, [&dst, header, payload = std::move(frame),
+                       this]() mutable {
+      dst.handle_segment(header, std::move(payload), sim.now());
     });
   }
 };
@@ -104,6 +104,9 @@ TEST_P(TcpLossProperty, StreamSurvivesRandomLoss) {
   // Exact byte-for-byte stream reassembly despite the losses.
   EXPECT_EQ(got, sent);
   EXPECT_EQ(rig.a->unacked_bytes(), 0u);
+  // Reassembly holds nothing once every byte is in: no stored segment
+  // was stranded behind one that overtook its start.
+  EXPECT_EQ(rig.b->ooo_segments(), 0u);
   // At light loss a short run may see zero drops by chance; only heavy
   // loss guarantees the recovery path actually exercised.
   if (loss >= 0.2) {

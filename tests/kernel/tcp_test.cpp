@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+
 #include "kernel/cpu.h"
 #include "net/packet.h"
 #include "overlay/netns.h"
@@ -12,7 +16,9 @@ namespace {
 
 // Loopback rig: two endpoints whose egress delivers directly into the
 // peer (optionally dropping selected segments), bypassing the full stack
-// so the TCP state machine is tested in isolation.
+// so the TCP state machine is tested in isolation. Each segment arrives
+// in its own frame's block, trimmed to the payload, as the socket layer
+// hands it over.
 struct Rig {
   sim::Simulator sim;
   CostModel cost;
@@ -25,6 +31,9 @@ struct Rig {
   std::unique_ptr<TcpEndpoint> a;
   std::unique_ptr<TcpEndpoint> b;
   int drop_next_data_segments = 0;
+  /// Data segments starting at one of these sequence numbers are dropped
+  /// once each.
+  std::set<std::uint32_t> drop_once;
   std::uint64_t forwarded = 0;
 
   explicit Rig(std::size_t mss = 1400) {
@@ -58,16 +67,24 @@ struct Rig {
       --drop_next_data_segments;
       return;
     }
+    if (!parsed->l4_payload.empty() && drop_once.erase(parsed->tcp->seq)) {
+      return;
+    }
     ++forwarded;
-    // Small propagation so handle runs as its own event.
-    std::vector<std::uint8_t> payload(parsed->l4_payload.begin(),
-                                      parsed->l4_payload.end());
     const auto header = *parsed->tcp;
-    sim.schedule(1000, [this, &dst, header, payload = std::move(payload)] {
-      dst.handle_segment(header, payload, sim.now());
+    frame.pop_front(parsed->l4_payload_offset);
+    frame.truncate(parsed->l4_payload.size());
+    // Small propagation so handle runs as its own event.
+    sim.schedule(1000, [this, &dst, header,
+                        payload = std::move(frame)]() mutable {
+      dst.handle_segment(header, std::move(payload), sim.now());
     });
   }
 };
+
+net::PacketBuf block_of(std::span<const std::uint8_t> bytes) {
+  return net::PacketBuf::with_headroom(0, bytes);
+}
 
 std::vector<std::uint8_t> pattern(std::size_t n) {
   std::vector<std::uint8_t> v(n);
@@ -189,7 +206,7 @@ TEST(TcpTest, DuplicateSegmentsIgnored) {
   dup.dst_port = 2000;
   dup.seq = 1;
   dup.flags = net::TcpFlags::kAck;
-  rig.b->handle_segment(dup, msg, rig.sim.now());
+  rig.b->handle_segment(dup, block_of(msg), rig.sim.now());
   rig.sim.run();
   EXPECT_EQ(total, 200u);  // not double-delivered
 }
@@ -230,14 +247,152 @@ TEST(TcpTest, GroTrainAcksOncePerDeliver) {
   h.dst_port = 2000;
   h.flags = net::TcpFlags::kAck;
   h.seq = 1;
-  rig.b->handle_segment(h, seg, 0, /*ack_now=*/false);
+  rig.b->handle_segment(h, block_of(seg), 0, /*ack_now=*/false);
   h.seq = 101;
-  rig.b->handle_segment(h, seg, 0, /*ack_now=*/false);
+  rig.b->handle_segment(h, block_of(seg), 0, /*ack_now=*/false);
   h.seq = 201;
-  rig.b->handle_segment(h, seg, 0, /*ack_now=*/true);
+  rig.b->handle_segment(h, block_of(seg), 0, /*ack_now=*/true);
   rig.sim.run();
   EXPECT_EQ(rig.b->acks_sent(), 1u);
   EXPECT_EQ(rig.b->rcv_nxt(), 301u);
+}
+
+TEST(TcpTest, RetransmissionAcrossAMessageBoundaryJoinsTheStoredTail) {
+  // Messages of 1,500 and 1,000 B at mss 1,000 leave as [1, 1001),
+  // [1001, 1501) and [1501, 2501). With [1001, 1501) lost, [1501, 2501)
+  // waits out of order; the go-back-N retransmission is cut at the mss
+  // from 1001, so its [1001, 2001) overtakes the stored segment's start.
+  Rig rig(/*mss=*/1000);
+  rig.drop_once = {1001};
+  std::vector<std::uint8_t> got;
+  std::vector<std::size_t> chunks;
+  rig.b->on_data = [&](std::span<const std::uint8_t> d, sim::Time) {
+    got.insert(got.end(), d.begin(), d.end());
+    chunks.push_back(d.size());
+  };
+  const auto first = pattern(1500);
+  std::vector<std::uint8_t> second(1000);
+  for (std::size_t i = 0; i < second.size(); ++i) {
+    second[i] = static_cast<std::uint8_t>(7 * i + 3);
+  }
+  rig.a->send(first, rig.cpu_a);
+  rig.a->send(second, rig.cpu_a);
+  rig.sim.run_until(sim::milliseconds(2));
+  EXPECT_EQ(rig.b->rcv_nxt(), 1001u);
+  EXPECT_EQ(rig.b->ooo_segments(), 1u);
+
+  rig.sim.run_until(sim::milliseconds(100));
+  EXPECT_EQ(rig.a->retransmissions(), 1u);
+  // [1001, 2001) delivers through 2501: its own 1,000 bytes and the
+  // stored segment's unseen 500. The retransmitted [2001, 2501) is a
+  // duplicate.
+  EXPECT_EQ(chunks, (std::vector<std::size_t>{1000, 1500}));
+  EXPECT_EQ(rig.b->rcv_nxt(), 2501u);
+  EXPECT_EQ(rig.b->ooo_segments(), 0u);
+  std::vector<std::uint8_t> sent = first;
+  sent.insert(sent.end(), second.begin(), second.end());
+  EXPECT_EQ(got, sent);
+  EXPECT_EQ(rig.a->unacked_bytes(), 0u);
+}
+
+TEST(TcpTest, OverlappingSegmentDeliversOnlyItsUnseenBytes) {
+  Rig rig;
+  std::vector<std::uint8_t> got;
+  rig.b->on_data = [&](std::span<const std::uint8_t> d, sim::Time) {
+    got.insert(got.end(), d.begin(), d.end());
+  };
+  const auto bytes = pattern(150);
+  net::TcpHeader h;
+  h.src_port = 1000;
+  h.dst_port = 2000;
+  h.flags = net::TcpFlags::kAck;
+  h.seq = 1;
+  rig.b->handle_segment(h, block_of(std::span(bytes).first(100)), 0);
+  h.seq = 51;
+  rig.b->handle_segment(h, block_of(std::span(bytes).subspan(50)), 0);
+  rig.sim.run();
+  EXPECT_EQ(got, bytes);
+  EXPECT_EQ(rig.b->rcv_nxt(), 151u);
+  EXPECT_EQ(rig.b->bytes_delivered(), 150u);
+}
+
+TEST(TcpTest, InOrderSegmentIsDeliveredInItsOwnBlock) {
+  Rig rig;
+  const auto bytes = pattern(300);
+  net::PacketBuf payload = block_of(bytes);
+  const std::uint8_t* block_bytes = payload.bytes().data();
+  const std::uint8_t* delivered = nullptr;
+  rig.b->on_data = [&](std::span<const std::uint8_t> d, sim::Time) {
+    delivered = d.data();
+    EXPECT_TRUE(std::equal(d.begin(), d.end(), bytes.begin(), bytes.end()));
+  };
+  net::TcpHeader h;
+  h.src_port = 1000;
+  h.dst_port = 2000;
+  h.flags = net::TcpFlags::kAck;
+  h.seq = 1;
+  rig.b->handle_segment(h, std::move(payload), 0);
+  rig.sim.run();
+  EXPECT_EQ(delivered, block_bytes);  // no copy between them
+}
+
+TEST(TcpTest, SendCopiesAtTheCallAndCommitsAtItsChunkEnd) {
+  Rig rig(/*mss=*/100);
+  std::vector<std::uint8_t> got;
+  rig.b->on_data = [&](std::span<const std::uint8_t> d, sim::Time) {
+    got.insert(got.end(), d.begin(), d.end());
+  };
+  const auto msg = pattern(500);
+  std::vector<std::uint8_t> buf = msg;
+  rig.a->send(buf, rig.cpu_a);
+  std::fill(buf.begin(), buf.end(), 0);  // the caller reuses its buffer
+  rig.a->send(buf, rig.cpu_a);
+  // Staged, not committed: nothing is sent or unacked yet.
+  EXPECT_EQ(rig.a->snd_nxt(), 1u);
+  EXPECT_EQ(rig.a->unacked_bytes(), 0u);
+  rig.sim.run();
+  EXPECT_EQ(rig.a->snd_nxt(), 1001u);
+  std::vector<std::uint8_t> sent = msg;
+  sent.resize(1000, 0);
+  EXPECT_EQ(got, sent);
+}
+
+TEST(TcpTest, BurstEgressKeepsTheOrderOfEventsAtItsInstant) {
+  // The instant the send's chunk ends, read from a twin rig.
+  sim::Time commit = -1;
+  {
+    Rig twin(/*mss=*/100);
+    twin.ns_a.egress = [&](net::PacketBuf f) {
+      if (commit < 0) commit = twin.sim.now();
+      twin.deliver(*twin.b, std::move(f));
+    };
+    twin.a->send(pattern(500), twin.cpu_a);
+    twin.sim.run();
+  }
+  ASSERT_GT(commit, 0);
+
+  Rig rig(/*mss=*/100);
+  std::vector<std::string> order;
+  rig.ns_a.egress = [&](net::PacketBuf f) {
+    const auto parsed = net::parse_frame(f.bytes());
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(rig.sim.now(), commit);
+    order.push_back("seg" + std::to_string(parsed->tcp->seq));
+    rig.deliver(*rig.b, std::move(f));
+  };
+  // Queued before the send: runs at the commit instant before the burst.
+  rig.sim.schedule_at(commit, [&] { order.push_back("before"); });
+  rig.a->send(pattern(500), rig.cpu_a);
+  // The next chunk on the core starts at the commit instant and ends at
+  // it; its completion event is queued after the burst's.
+  rig.cpu_a.run_task(0, [&] {
+    EXPECT_EQ(rig.sim.now(), commit);
+    order.push_back("after");
+  });
+  rig.sim.run();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"before", "seg1", "seg101", "seg201",
+                                      "seg301", "seg401", "after"}));
 }
 
 TEST(TcpTest, SendChargesCpu) {

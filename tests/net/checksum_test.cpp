@@ -53,6 +53,43 @@ TEST(ChecksumTest, AddU16U32MatchBytes) {
   EXPECT_EQ(a.finish(), b.finish());
 }
 
+// RFC 1071 word by word: the reference the wide loops must match bit for
+// bit, at every length, alignment and split of the input.
+std::uint16_t word_by_word(std::span<const std::uint8_t> data) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < data.size(); i += 2) {
+    sum += static_cast<std::uint64_t>(data[i]) << 8;
+    if (i + 1 < data.size()) sum += data[i + 1];
+  }
+  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
+  return static_cast<std::uint16_t>(~sum);
+}
+
+TEST(ChecksumTest, WideLoopsMatchTheWordByWordSum) {
+  std::vector<std::uint8_t> data(300);
+  std::uint32_t x = 12345;
+  for (auto& b : data) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<std::uint8_t>(x >> 16);
+  }
+  const std::span<const std::uint8_t> all(data);
+  for (std::size_t start = 0; start < 4; ++start) {
+    for (std::size_t len = 0; start + len <= data.size(); ++len) {
+      const auto bytes = all.subspan(start, len);
+      ASSERT_EQ(internet_checksum(bytes), word_by_word(bytes))
+          << "start " << start << " len " << len;
+      ChecksumAccumulator acc;
+      acc.add(bytes.first(len / 3));
+      acc.add(bytes.subspan(len / 3));
+      ASSERT_EQ(acc.finish(), word_by_word(bytes))
+          << "split, start " << start << " len " << len;
+    }
+  }
+  // All-ones words: the sum carries in every lane.
+  const std::vector<std::uint8_t> ones(1500, 0xff);
+  EXPECT_EQ(internet_checksum(ones), word_by_word(ones));
+}
+
 TEST(ChecksumTest, SingleBitCorruptionDetected) {
   std::vector<std::uint8_t> data(40, 0x5a);
   const auto good = internet_checksum(data);

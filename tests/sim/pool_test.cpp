@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "kernel/skb.h"
 #include "kernel/skb_pool.h"
 #include "net/packet.h"
@@ -66,9 +67,11 @@ TEST(BufferPoolTest, ReusesStorageAcrossAcquires) {
   block->end = 512;
   pool.release(block);
 
-  sim::FrameBlock* again = pool.acquire(128);
+  // A block has its size class's full capacity, so a larger request of
+  // the same class takes it too.
+  sim::FrameBlock* again = pool.acquire(1500);
   EXPECT_EQ(again, block);  // same block, capacity kept
-  EXPECT_GE(again->capacity, 512u);
+  EXPECT_EQ(again->capacity, sim::BufferPool::kFrameBytes);
   EXPECT_EQ(again->begin, 0u);  // handed out empty
   EXPECT_EQ(again->end, 0u);
 
@@ -85,13 +88,45 @@ TEST(BufferPoolTest, TooSmallBlockIsReplaced) {
   pool.trim();
   pool.reset_stats();
 
-  pool.release(pool.acquire(64));
-  sim::FrameBlock* big = pool.acquire(1500);
-  EXPECT_GE(big->capacity, 1500u);
-  EXPECT_EQ(pool.stats().allocated, 2u);  // the parked 64 B block was
-  EXPECT_EQ(pool.stats().reused, 0u);     // too small for the frame
+  // Blocks above the fixed classes share one list and keep their own
+  // capacity.
+  pool.release(pool.acquire(4096));
+  sim::FrameBlock* big = pool.acquire(16384);
+  EXPECT_GE(big->capacity, 16384u);
+  EXPECT_EQ(pool.stats().allocated, 2u);  // the parked 4 KiB block was
+  EXPECT_EQ(pool.stats().reused, 0u);     // too small for the request
   EXPECT_EQ(pool.free_buffers(), 0u);
   pool.release(big);
+}
+
+TEST(BufferPoolTest, InterleavedSizesAllocateNothingAfterTheFirstRound) {
+  sim::BufferPool& pool = sim::BufferPool::instance();
+  pool.trim();
+  pool.reset_stats();
+
+  // ACK-sized and MTU-sized frames come and go in an order that changes
+  // every round. With one list for every size, a frame would pop a parked
+  // ACK block, find it too small and replace it.
+  std::vector<sim::FrameBlock*> held;
+  held.reserve(8);
+  const auto round = [&](int r) {
+    for (int i = 0; i < 8; ++i) {
+      held.push_back(pool.acquire((i + r) % 2 == 0 ? 1600 : 66));
+    }
+    while (!held.empty()) {
+      const std::size_t k = static_cast<std::size_t>(3 * r + 1) % held.size();
+      std::swap(held[k], held.back());
+      pool.release(held.back());
+      held.pop_back();
+    }
+  };
+  round(0);
+  EXPECT_EQ(pool.stats().allocated, 8u);
+  for (int r = 1; r < 20; ++r) {
+    EXPECT_EQ(test::allocations_during([&] { round(r); }), 0u) << r;
+  }
+  EXPECT_EQ(pool.stats().allocated, 8u);
+  EXPECT_EQ(pool.stats().reused, 19u * 8u);
 }
 
 TEST(BufferPoolTest, DisabledPoolPassesThrough) {
